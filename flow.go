@@ -297,8 +297,7 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 			quadLeaves.Add(int64(ls.Leaves))
 			quadIters.Add(int64(ls.CGIterations))
 			// The span's observer-clock duration keeps the histogram
-			// deterministic under an injected fake clock (ls.Duration
-			// is wall time and would not be).
+			// deterministic under an injected fake clock.
 			ob.Histogram("flow_quad_level_seconds").ObserveDuration(lsp.End())
 		},
 	})
@@ -340,11 +339,10 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 				csp.SetLabel("chain", strconv.Itoa(cs.Chain))
 				csp.SetLabel("accepted", strconv.Itoa(cs.Accepted))
 				csp.SetLabel("hpwl", strconv.FormatFloat(cs.HPWL, 'g', -1, 64))
-				csp.End()
 				moves.Add(int64(cs.Moves))
 				accepted.Add(int64(cs.Accepted))
 				recomputes.Add(int64(cs.Recomputes))
-				ob.Histogram("flow_place_chain_seconds").ObserveDuration(cs.Duration)
+				ob.Histogram("flow_place_chain_seconds").ObserveDuration(csp.End())
 			},
 		})
 		if aerr != nil {
@@ -390,11 +388,10 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 			wsp.SetLabel("committed", strconv.Itoa(ws.Committed))
 			wsp.SetLabel("conflicts", strconv.Itoa(ws.Conflicts))
 			wsp.SetLabel("requeued", strconv.Itoa(ws.Requeued))
-			wsp.End()
 			committed.Add(int64(ws.Committed))
 			conflicts.Add(int64(ws.Conflicts))
 			requeued.Add(int64(ws.Requeued))
-			ob.Histogram("flow_route_wave_seconds").ObserveDuration(ws.Duration)
+			ob.Histogram("flow_route_wave_seconds").ObserveDuration(wsp.End())
 		},
 	})
 	f.WireLength = f.Routing.Length

@@ -2,6 +2,7 @@ package vlsicad
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -94,12 +95,15 @@ func TestFlowStagesAndSpans(t *testing.T) {
 
 // TestFlowSnapshotDeterministic: with an injected fake clock the full
 // JSON telemetry snapshot is byte-for-byte identical across runs —
-// the acceptance bar for reproducible stage timings.
+// the acceptance bar for reproducible stage timings. The flow routes
+// and places with GOMAXPROCS workers by default, so the check runs at
+// GOMAXPROCS 1, 2 and 4 in one process: a duration read from the wall
+// clock anywhere in the engines would show up on any machine.
 func TestFlowSnapshotDeterministic(t *testing.T) {
 	run := func() []byte {
 		ob := obs.NewObserver(obs.NewFakeClock(time.Unix(1700000000, 0).UTC(), 250*time.Microsecond).Now)
 		_, err := RunFlow(strings.NewReader(obsTestBLIF),
-			FlowOpts{Seed: 7, CheckDRC: true, WireModel: true, Obs: ob})
+			FlowOpts{Seed: 7, CheckDRC: true, WireModel: true, AnnealPlace: true, Obs: ob})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,12 +113,16 @@ func TestFlowSnapshotDeterministic(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Error("telemetry snapshots differ between identical runs under a fake clock")
-	}
-	if !bytes.Contains(a, []byte(`"flow.route"`)) {
-		t.Error("snapshot should contain the route stage span")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		a, b := run(), run()
+		if !bytes.Equal(a, b) {
+			t.Errorf("GOMAXPROCS=%d: telemetry snapshots differ between identical runs under a fake clock", procs)
+		}
+		if !bytes.Contains(a, []byte(`"flow.route"`)) {
+			t.Errorf("GOMAXPROCS=%d: snapshot should contain the route stage span", procs)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Simulated-annealing placement — the other Week-6 algorithm and the
@@ -70,15 +69,14 @@ type AnnealOpts struct {
 	OnChain func(ChainStats)
 }
 
-// ChainStats reports one annealing chain (telemetry only — durations
-// are wall clock and not part of the deterministic result).
+// ChainStats reports one annealing chain's work counts (telemetry
+// only; callers time chains on their own clock).
 type ChainStats struct {
 	Chain      int
 	Moves      int
 	Accepted   int
 	Recomputes int // exact-rescan fallbacks (moved pin on a box boundary)
 	HPWL       float64
-	Duration   time.Duration
 }
 
 // AnnealResult reports the annealing run. Moves, Accepted and
@@ -344,7 +342,6 @@ func Anneal(p *Problem, opts AnnealOpts) (*AnnealResult, error) {
 				Accepted:   results[i].accepted,
 				Recomputes: results[i].recomputes,
 				HPWL:       results[i].hpwl,
-				Duration:   results[i].duration,
 			})
 		}
 	}
@@ -360,14 +357,12 @@ type chainResult struct {
 	accepted   int
 	recomputes int
 	temp       float64
-	duration   time.Duration
 	err        error
 }
 
 // annealChain runs one fully independent chain: own RNG, own pooled
 // scratch, own placement. It shares only the read-only annealShared.
 func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, cooling, minTemp float64, seed int64) (cr chainResult) {
-	start := time.Now()
 	nCells, nNets := p.NCells, len(p.Nets)
 	cols, nSlots := sh.cols, sh.nSlots
 	sc := acquireAnnealScratch(nCells, nSlots, nNets)
@@ -573,7 +568,6 @@ func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, c
 						cr.pl = pl
 						cr.hpwl = full
 						cr.temp = temp
-						cr.duration = time.Since(start)
 						return cr
 					}
 				}
@@ -599,7 +593,6 @@ func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, c
 	cr.pl = pl
 	cr.hpwl = p.HPWL(pl) // exact final recompute, drift-free
 	cr.temp = temp
-	cr.duration = time.Since(start)
 	return cr
 }
 

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vlsicad/internal/linsolve"
 )
@@ -48,8 +47,8 @@ type QuadraticOpts struct {
 
 	// OnLevel, when non-nil, receives per-level statistics after each
 	// bipartition level completes, in level order on the calling
-	// goroutine. Everything but Duration is deterministic for any
-	// Workers value.
+	// goroutine. The stats hold work counts only and are deterministic
+	// for any Workers value; callers time levels on their own clock.
 	OnLevel func(QuadLevelStats)
 }
 
@@ -61,7 +60,6 @@ type QuadLevelStats struct {
 	Leaves       int // regions that finished (spread) at this level
 	Cells        int // movable cells across the level's regions
 	CGIterations int // summed x+y CG iterations across the level
-	Duration     time.Duration
 }
 
 // Quadratic runs global quadratic placement with recursive
@@ -101,7 +99,6 @@ func Quadratic(p *Problem, opts QuadraticOpts) (*Placement, error) {
 	cur := []quadTask{{lo: 0, hi: p.NCells, region: rect{0, 0, p.W, p.H}}}
 	var batch []int
 	for level := 0; len(cur) > 0; level++ {
-		start := time.Now()
 		next := make([]quadTask, 2*len(cur))
 		errs := make([]error, len(cur))
 		iters := make([]int, len(cur))
@@ -174,7 +171,7 @@ func Quadratic(p *Problem, opts QuadraticOpts) (*Placement, error) {
 			}
 		}
 		if opts.OnLevel != nil {
-			st := QuadLevelStats{Level: level, Regions: len(cur), Duration: time.Since(start)}
+			st := QuadLevelStats{Level: level, Regions: len(cur)}
 			for _, t := range cur {
 				st.Cells += t.hi - t.lo
 			}

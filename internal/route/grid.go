@@ -82,15 +82,6 @@ func (g *Grid) Clone() *Grid {
 	return c
 }
 
-// copyBlockedFrom overwrites the grid's blockage with src's. Both
-// grids must have the same dimensions; the wave engine uses it to
-// refresh a worker's private grid copy without reallocating.
-func (g *Grid) copyBlockedFrom(src *Grid) {
-	for l := 0; l < Layers; l++ {
-		copy(g.blocked[l], src.blocked[l])
-	}
-}
-
 // StepCost returns the cost of moving from a to an adjacent b, or -1
 // if the move is not a legal single step.
 func (g *Grid) StepCost(a, b Point) int {

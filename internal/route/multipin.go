@@ -3,9 +3,6 @@ package route
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Multi-pin net routing: real netlists have nets with more than two
@@ -59,37 +56,11 @@ func (t *Tree) Vias() int {
 	return n
 }
 
-// footprint accumulates the flat cell indices a multi-pin route read
-// from its grid snapshot: every cell any internal search relaxed,
-// plus the net's pins (whose blockage the buried-pin check reads).
-// The wave engine checks it against same-wave commits; nil disables
-// recording.
-type footprint struct {
-	plane int
-	cells []int32
-}
-
-func (fp *footprint) addTouched(st *searchState) {
-	if fp != nil {
-		fp.cells = append(fp.cells, st.touched...)
-	}
-}
-
-func (fp *footprint) addPoint(g *Grid, p Point) {
-	if fp != nil && g.In(p) {
-		fp.cells = append(fp.cells, int32(p.L*fp.plane+p.Y*g.W+p.X))
-	}
-}
-
 // RouteMultiNet routes one multi-pin net on the grid. The routed tree
 // is NOT marked on the grid; callers block t.Points() for subsequent
 // nets. Pins are connected in order of distance to the first pin
 // (a cheap Prim-like ordering).
 func RouteMultiNet(g *Grid, net MultiNet, alg Algorithm) (*Tree, int, error) {
-	return routeMultiNet(g, net, alg, nil)
-}
-
-func routeMultiNet(g *Grid, net MultiNet, alg Algorithm, fp *footprint) (*Tree, int, error) {
 	if len(net.Pins) < 2 {
 		return nil, 0, fmt.Errorf("route: net %s has %d pins, need >= 2", net.Name, len(net.Pins))
 	}
@@ -150,7 +121,7 @@ func routeMultiNet(g *Grid, net MultiNet, alg Algorithm, fp *footprint) (*Tree, 
 			}
 			tries++
 			// Tree points are blocked on work; allow this target.
-			path, cost, exp, err := routeAllowingTarget(work, pin, tgt, alg, inTree, fp)
+			path, cost, exp, err := routeAllowingTarget(work, pin, tgt, alg, inTree)
 			expanded += exp
 			if err != nil {
 				continue
@@ -194,7 +165,7 @@ func lessPoint(a, b Point) bool {
 
 // routeAllowingTarget is RouteNet with the whole current tree usable
 // as free landing space at the target end.
-func routeAllowingTarget(g *Grid, from, to Point, alg Algorithm, tree map[Point]bool, fp *footprint) (Path, int, int, error) {
+func routeAllowingTarget(g *Grid, from, to Point, alg Algorithm, tree map[Point]bool) (Path, int, int, error) {
 	// Temporarily unblock the tree points adjacent to the search: we
 	// simply treat tree membership as usable in a wrapped grid view by
 	// unblocking the target point; since all tree points were blocked
@@ -211,10 +182,7 @@ func routeAllowingTarget(g *Grid, from, to Point, alg Algorithm, tree map[Point]
 			g.Block(pt)
 		}
 	}()
-	st := getState(g.W, g.H)
-	defer putState(st)
-	path, cost, exp, err := routeNetState(g, Net{Name: "seg", A: from, B: to}, alg, st)
-	fp.addTouched(st)
+	path, cost, exp, err := RouteNet(g, Net{Name: "seg", A: from, B: to}, alg)
 	if err != nil {
 		return nil, 0, exp, err
 	}
@@ -230,31 +198,11 @@ func routeAllowingTarget(g *Grid, from, to Point, alg Algorithm, tree map[Point]
 	return path, cost, exp, nil
 }
 
-// MultiOpts configures RouteAllMultiOpts.
-type MultiOpts struct {
-	// Workers selects serial (<=1) vs net-parallel wave routing, with
-	// the same wave/commit/conflict protocol — and the same
-	// result-identity guarantee — as Opts.Workers (DESIGN.md §8).
-	Workers int
-	// WaveSize caps speculative nets per wave; 0 means 4×Workers.
-	WaveSize int
-	// OnWave receives one WaveStats per finished wave (parallel only).
-	OnWave func(WaveStats)
-}
-
-// RouteAllMulti routes a set of multi-pin nets sequentially. Every
-// net's pins are reserved up front so no wire may cross a foreign pin;
-// each routed tree is blocked for the nets that follow. It returns the
-// trees plus the names of failed nets.
+// RouteAllMulti routes a set of multi-pin nets serially, in input
+// order. Every net's pins are reserved up front so no wire may cross a
+// foreign pin; each routed tree is blocked for the nets that follow. It
+// returns the trees plus the names of failed nets.
 func RouteAllMulti(g *Grid, nets []MultiNet, alg Algorithm) (map[string]*Tree, []string) {
-	return RouteAllMultiOpts(g, nets, alg, MultiOpts{})
-}
-
-// RouteAllMultiOpts is RouteAllMulti with an explicit engine choice:
-// opts.Workers > 1 routes waves of nets concurrently against a
-// snapshot of the grid and commits trees in input order, producing
-// output identical to the serial engine.
-func RouteAllMultiOpts(g *Grid, nets []MultiNet, alg Algorithm, opts MultiOpts) (map[string]*Tree, []string) {
 	// Reserve all pins.
 	reserved := map[Point]bool{}
 	for _, n := range nets {
@@ -267,19 +215,15 @@ func RouteAllMultiOpts(g *Grid, nets []MultiNet, alg Algorithm, opts MultiOpts) 
 	}
 	out := map[string]*Tree{}
 	var failed []string
-	if opts.Workers > 1 {
-		failed = routeMultiWaves(g, nets, alg, opts, reserved, out)
-	} else {
-		for _, n := range nets {
-			t := routeOneMulti(g, n, alg, reserved, nil)
-			if t == nil {
-				failed = append(failed, n.Name)
-				continue
-			}
-			out[n.Name] = t
-			for _, pt := range t.Points() {
-				g.Block(pt)
-			}
+	for _, n := range nets {
+		t := routeOneMulti(g, n, alg, reserved)
+		if t == nil {
+			failed = append(failed, n.Name)
+			continue
+		}
+		out[n.Name] = t
+		for _, pt := range t.Points() {
+			g.Block(pt)
 		}
 	}
 	sort.Strings(failed)
@@ -291,7 +235,7 @@ func RouteAllMultiOpts(g *Grid, nets []MultiNet, alg Algorithm, opts MultiOpts) 
 // reservation. On success the caller blocks the tree's points (all of
 // the net's pins lie on the tree, so the released pins end up blocked
 // again). Returns nil on failure.
-func routeOneMulti(g *Grid, n MultiNet, alg Algorithm, reserved map[Point]bool, fp *footprint) *Tree {
+func routeOneMulti(g *Grid, n MultiNet, alg Algorithm, reserved map[Point]bool) *Tree {
 	var mine []Point
 	for _, p := range n.Pins {
 		if reserved[p] {
@@ -314,146 +258,10 @@ func routeOneMulti(g *Grid, n MultiNet, alg Algorithm, reserved map[Point]bool, 
 			return nil
 		}
 	}
-	t, _, err := routeMultiNet(g, n, alg, fp)
+	t, _, err := RouteMultiNet(g, n, alg)
 	if err != nil {
 		restore()
 		return nil
 	}
 	return t
-}
-
-// routeMultiWaves is the net-parallel phase of RouteAllMultiOpts,
-// mirroring routeWaves: each worker replays the serial per-net grid
-// preparation (releasing the net's own reserved pins) on a private
-// copy of the snapshot, routes speculatively, and the commit pass
-// accepts trees in input order while any net whose footprint — the
-// cells its searches and pin checks read — intersects a same-wave
-// commit is re-queued together with everything after it.
-func routeMultiWaves(g *Grid, nets []MultiNet, alg Algorithm, opts MultiOpts,
-	reserved map[Point]bool, out map[string]*Tree) []string {
-	workers := opts.Workers
-	waveSize := opts.WaveSize
-	if waveSize <= 0 {
-		waveSize = 4 * workers
-	}
-	plane := g.W * g.H
-	stamp := make([]uint32, Layers*plane)
-	var epoch uint32
-	type mspec struct {
-		tree *Tree
-		mine []Point // pins this net would release from the reservation
-		fp   footprint
-	}
-	specs := make([]mspec, waveSize)
-	pending := make([]int, len(nets))
-	for i := range pending {
-		pending[i] = i
-	}
-	var failed []string
-	for waveIdx := 0; len(pending) > 0; waveIdx++ {
-		start := time.Now()
-		n := waveSize
-		if n > len(pending) {
-			n = len(pending)
-		}
-		batch := pending[:n]
-		// Search phase: g and reserved are read-only snapshots; each
-		// worker edits a private grid copy per net.
-		var next int32
-		nw := workers
-		if nw > n {
-			nw = n
-		}
-		var wg sync.WaitGroup
-		for wi := 0; wi < nw; wi++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wgrid := g.Clone()
-				for {
-					i := int(atomic.AddInt32(&next, 1)) - 1
-					if i >= n {
-						return
-					}
-					net := nets[batch[i]]
-					s := &specs[i]
-					s.tree = nil
-					s.mine = s.mine[:0]
-					s.fp.plane = plane
-					s.fp.cells = s.fp.cells[:0]
-					wgrid.copyBlockedFrom(g)
-					for _, p := range net.Pins {
-						// The buried-pin check and the searches read
-						// the pins' state, so they are always part of
-						// the footprint.
-						s.fp.addPoint(g, p)
-						if reserved[p] {
-							wgrid.Unblock(p)
-							s.mine = append(s.mine, p)
-						}
-					}
-					buried := false
-					for _, p := range net.Pins {
-						if !wgrid.In(p) || wgrid.Blocked(p) {
-							buried = true
-							break
-						}
-					}
-					if buried {
-						continue
-					}
-					t, _, err := routeMultiNet(wgrid, net, alg, &s.fp)
-					if err == nil {
-						s.tree = t
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		// Commit phase, strictly in input order.
-		epoch++
-		committed, failedHere, conflicts := 0, 0, 0
-		commitEnd := n
-		for i := 0; i < n; i++ {
-			s := &specs[i]
-			hit := false
-			for _, c := range s.fp.cells {
-				if stamp[c] == epoch {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				conflicts++
-				commitEnd = i
-				break
-			}
-			net := nets[batch[i]]
-			if s.tree == nil {
-				// Serial equivalent: pins released, route failed,
-				// reservation restored — the grid is unchanged.
-				failed = append(failed, net.Name)
-				failedHere++
-				continue
-			}
-			for _, p := range s.mine {
-				delete(reserved, p)
-			}
-			out[net.Name] = s.tree
-			for _, pt := range s.tree.Points() {
-				g.Block(pt)
-				stamp[pt.L*plane+pt.Y*g.W+pt.X] = epoch
-			}
-			committed++
-		}
-		pending = pending[commitEnd:]
-		if opts.OnWave != nil {
-			opts.OnWave(WaveStats{
-				Index: waveIdx, Nets: n, Committed: committed,
-				Failed: failedHere, Conflicts: conflicts,
-				Requeued: n - commitEnd, Duration: time.Since(start),
-			})
-		}
-	}
-	return failed
 }

@@ -161,48 +161,6 @@ func TestParallelSharedPins(t *testing.T) {
 	requireEqualResults(t, serial, par, "shared pins")
 }
 
-// TestRouteAllMultiParallelMatchesSerial is the multi-pin analogue of
-// the tentpole invariant.
-func TestRouteAllMultiParallelMatchesSerial(t *testing.T) {
-	for _, seed := range []int64{3, 8, 21} {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewGrid(28, 28, DefaultCost())
-		for i := 0; i < 60; i++ {
-			g.Block(Point{X: rng.Intn(28), Y: rng.Intn(28), L: rng.Intn(Layers)})
-		}
-		used := map[Point]bool{}
-		var nets []MultiNet
-		for i := 0; i < 10; i++ {
-			k := 2 + rng.Intn(3)
-			var pins []Point
-			for len(pins) < k {
-				p := Point{X: rng.Intn(28), Y: rng.Intn(28), L: 0}
-				if !used[p] && !g.Blocked(p) {
-					used[p] = true
-					pins = append(pins, p)
-				}
-			}
-			nets = append(nets, MultiNet{Name: fmt.Sprintf("m%d", i), Pins: pins})
-		}
-		sTrees, sFailed := RouteAllMulti(g.Clone(), nets, AStar)
-		for _, cfg := range []struct{ workers, wave int }{{2, 0}, {4, 3}} {
-			pTrees, pFailed := RouteAllMultiOpts(g.Clone(), nets, AStar,
-				MultiOpts{Workers: cfg.workers, WaveSize: cfg.wave})
-			if !reflect.DeepEqual(sFailed, pFailed) {
-				t.Errorf("seed %d workers %d: failed %v vs %v", seed, cfg.workers, sFailed, pFailed)
-			}
-			if len(sTrees) != len(pTrees) {
-				t.Errorf("seed %d workers %d: %d trees vs %d", seed, cfg.workers, len(sTrees), len(pTrees))
-			}
-			for name, st := range sTrees {
-				if !reflect.DeepEqual(st, pTrees[name]) {
-					t.Errorf("seed %d workers %d: tree %s differs", seed, cfg.workers, name)
-				}
-			}
-		}
-	}
-}
-
 // TestParallelIndependentOfGOMAXPROCS locks the engine's output to
 // the commit protocol, not the scheduler: the same Workers value must
 // give the same Result at 1 and at many procs.

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Net is a two-pin connection request.
@@ -98,15 +97,16 @@ type Opts struct {
 	OnWave func(WaveStats)
 }
 
-// WaveStats summarizes one wave of the parallel engine.
+// WaveStats summarizes one wave of the parallel engine. It holds work
+// counts only, so it is deterministic; callers time waves on their
+// own clock.
 type WaveStats struct {
-	Index     int           // wave number, from 0
-	Nets      int           // nets routed speculatively this wave
-	Committed int           // paths committed
-	Failed    int           // nets proven unroutable this wave
-	Conflicts int           // footprint collisions detected (0 or 1)
-	Requeued  int           // nets pushed back to the next wave
-	Duration  time.Duration // wall-clock time of the wave
+	Index     int // wave number, from 0
+	Nets      int // nets routed speculatively this wave
+	Committed int // paths committed
+	Failed    int // nets proven unroutable this wave
+	Conflicts int // read-set collisions detected (0 or 1)
+	Requeued  int // nets pushed back to the next wave
 }
 
 // Result reports a full routing run.
@@ -297,13 +297,13 @@ type spec struct {
 	path     Path
 	expanded int
 	failed   bool
-	touched  []int32 // search footprint, reused wave-to-wave
+	touched  []int32 // search read set, reused wave-to-wave
 }
 
 // routeWaves is the net-parallel first phase: route the next WaveSize
 // nets of the order concurrently against the current grid as a
 // read-only snapshot, then commit in order-index sequence. A net
-// whose search footprint intersects a cell committed earlier in the
+// whose search read set intersects a cell committed earlier in the
 // same wave — or that follows such a net in the wave — is re-queued,
 // so every committed path (and every recorded failure) is exactly
 // what the serial engine would have produced; see DESIGN.md §8 for
@@ -323,7 +323,6 @@ func routeWaves(g *Grid, nets []Net, order []int, opts Opts, res *Result) []int 
 	pending := order
 	var failed []int
 	for waveIdx := 0; len(pending) > 0; waveIdx++ {
-		start := time.Now()
 		n := waveSize
 		if n > len(pending) {
 			n = len(pending)
@@ -399,7 +398,7 @@ func routeWaves(g *Grid, nets []Net, order []int, opts Opts, res *Result) []int 
 			opts.OnWave(WaveStats{
 				Index: waveIdx, Nets: n, Committed: committed,
 				Failed: failedHere, Conflicts: conflicts,
-				Requeued: n - commitEnd, Duration: time.Since(start),
+				Requeued: n - commitEnd,
 			})
 		}
 	}

@@ -37,7 +37,7 @@ type searchState struct {
 	epoch uint32
 	heap  []pqItem
 	// touched lists every cell relaxed by the current search, in
-	// first-touch order. It doubles as the search's read footprint:
+	// first-touch order. It doubles as the search's read set:
 	// the wave engine's conflict test (DESIGN.md §8) checks it
 	// against cells committed earlier in the same wave.
 	touched []int32
@@ -132,7 +132,7 @@ func (st *searchState) hpop() pqItem {
 }
 
 // routeNetState is RouteNet on caller-provided scratch. It leaves the
-// search's footprint in st.touched for the wave engine's conflict
+// search's read set in st.touched for the wave engine's conflict
 // test. The expansion order, tie-breaking and results are identical
 // to the original container/heap implementation.
 func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState) (Path, int, int, error) {
