@@ -61,7 +61,7 @@ func BenchmarkFig4ToolPortal(b *testing.B) {
 		{"axb", "2 cg\n2 -1\n-1 2\n1 1\n"},
 	}
 	for i := 0; i < b.N; i++ {
-		p := portal.New(5 * time.Second)
+		p := portal.NewPool(portal.PoolConfig{Timeout: 5 * time.Second})
 		if err := portal.CourseTools(p); err != nil {
 			b.Fatal(err)
 		}
@@ -71,6 +71,7 @@ func BenchmarkFig4ToolPortal(b *testing.B) {
 				b.Fatalf("%s: %v %s", j.tool, err, res.Err)
 			}
 		}
+		p.Close()
 	}
 	b.ReportMetric(float64(len(jobs)), "tools")
 }

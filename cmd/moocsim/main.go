@@ -8,7 +8,7 @@
 // fault storm, with the obs metrics snapshot the live course staff
 // would watch, a fairness drill (-fig fairness) where one hot
 // user floods the async ticket API against nine normal users while
-// quotas, the weighted-fair queue, and per-job deadlines keep the
+// quotas, the round-robin fair queue, and per-job deadlines keep the
 // portal honest, and a recovery drill (-fig recovery) that kills the
 // write-ahead ticket journal mid-record at a seed-derived byte budget,
 // restarts the pool from the surviving prefix, and checks the
@@ -336,7 +336,7 @@ func portalStorm(w io.Writer, seed uint64, ob *obs.Observer, gate *readyGate) er
 // fairnessDrill drives the async ticket lifecycle the way one abusive
 // participant would: a hot user floods SubmitAsync against nine
 // normal users sharing the pool, while per-user quotas, the
-// weighted-fair queue, and per-job deadlines keep the portal honest.
+// round-robin fair queue, and per-job deadlines keep the portal honest.
 // The report shows who got served, who was shed, and checks that the
 // ticket ledger balances — every admitted ticket reached exactly one
 // terminal state. With -metrics-addr the whole run is scrapeable live

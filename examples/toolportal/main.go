@@ -122,7 +122,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  waited: state=%s output=%q\n", tk.State(), res.Output)
-	// Pin the user's lane (UserConcurrency defaults to 1) so the next
+	// Pin the user's lane (a user runs one job at a time) so the next
 	// two tickets provably sit in the queue for their demos.
 	release := make(chan struct{})
 	if err := p.Register(blocker{release}); err != nil {

@@ -296,9 +296,7 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 			quadRegions.Add(int64(ls.Regions))
 			quadLeaves.Add(int64(ls.Leaves))
 			quadIters.Add(int64(ls.CGIterations))
-			// The span's observer-clock duration keeps the histogram
-			// deterministic under an injected fake clock.
-			ob.Histogram("flow_quad_level_seconds").ObserveDuration(lsp.End())
+			lsp.End()
 		},
 	})
 	if err != nil {
@@ -342,7 +340,7 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 				moves.Add(int64(cs.Moves))
 				accepted.Add(int64(cs.Accepted))
 				recomputes.Add(int64(cs.Recomputes))
-				ob.Histogram("flow_place_chain_seconds").ObserveDuration(csp.End())
+				csp.End()
 			},
 		})
 		if aerr != nil {
@@ -391,7 +389,7 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 			committed.Add(int64(ws.Committed))
 			conflicts.Add(int64(ws.Conflicts))
 			requeued.Add(int64(ws.Requeued))
-			ob.Histogram("flow_route_wave_seconds").ObserveDuration(wsp.End())
+			wsp.End()
 		},
 	})
 	f.WireLength = f.Routing.Length

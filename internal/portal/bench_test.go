@@ -11,33 +11,11 @@ import (
 	"vlsicad/internal/obs"
 )
 
-// Sustained-submission throughput, parallel users: the ROADMAP's
-// "bench sustained submission throughput" item. Before = legacy
-// lock-per-portal Portal (goroutine per Submit, one history lock);
-// after = sharded Pool (bounded workers, per-shard history locks).
-// Numbers are recorded in EXPERIMENTS.md.
+// Sustained-submission throughput, parallel users: bounded workers
+// over the fair queue, per-shard history locks. Numbers are recorded
+// in EXPERIMENTS.md.
 
 func benchUsers() int { return 4 * runtime.GOMAXPROCS(0) }
-
-func BenchmarkPortalSubmit(b *testing.B) {
-	p := New(time.Second)
-	p.SetObserver(obs.NewObserver(nil))
-	if err := p.Register(echoTool()); err != nil {
-		b.Fatal(err)
-	}
-	users := benchUsers()
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		user := fmt.Sprintf("user%d", next.Add(1)%int64(users))
-		for pb.Next() {
-			if _, err := p.Submit(user, "echo", "ping"); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
 
 func BenchmarkPoolSubmit(b *testing.B) {
 	p := NewPool(PoolConfig{
@@ -193,43 +171,10 @@ func BenchmarkPoolSubmitAsync(b *testing.B) {
 	})
 }
 
-// The mixed portal workload: every submission is followed by two
-// history-page reads (the paper's "scroll for older outputs" page,
-// paged via HistoryN so read cost stays O(page), not O(lifetime)).
-// The legacy Portal serializes every read and write behind one mutex;
-// the Pool spreads them across shards.
-
-func benchMixed(b *testing.B, submit func(user string), history func(user string)) {
-	users := benchUsers()
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := next.Add(1)
-		user := fmt.Sprintf("user%d", id%int64(users))
-		peer := fmt.Sprintf("user%d", (id+1)%int64(users))
-		for pb.Next() {
-			submit(user)
-			history(user)
-			history(peer)
-		}
-	})
-}
-
-func BenchmarkPortalSubmitHistory(b *testing.B) {
-	p := New(time.Second)
-	p.SetObserver(obs.NewObserver(nil))
-	if err := p.Register(echoTool()); err != nil {
-		b.Fatal(err)
-	}
-	benchMixed(b,
-		func(user string) {
-			if _, err := p.Submit(user, "echo", "ping"); err != nil {
-				b.Error(err)
-			}
-		},
-		func(user string) { _ = p.HistoryN(user, 8) })
-}
-
+// BenchmarkPoolSubmitHistory is the mixed portal workload: every
+// submission is followed by two history-page reads (the paper's
+// "scroll for older outputs" page, paged via HistoryN so read cost
+// stays O(page), not O(lifetime)), spread across the history shards.
 func BenchmarkPoolSubmitHistory(b *testing.B) {
 	p := NewPool(PoolConfig{
 		Workers:      runtime.GOMAXPROCS(0),
@@ -241,13 +186,21 @@ func BenchmarkPoolSubmitHistory(b *testing.B) {
 	if err := p.Register(echoTool()); err != nil {
 		b.Fatal(err)
 	}
-	benchMixed(b,
-		func(user string) {
+	users := benchUsers()
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := next.Add(1)
+		user := fmt.Sprintf("user%d", id%int64(users))
+		peer := fmt.Sprintf("user%d", (id+1)%int64(users))
+		for pb.Next() {
 			if _, err := p.Submit(user, "echo", "ping"); err != nil {
 				b.Error(err)
 			}
-		},
-		func(user string) { _ = p.HistoryN(user, 8) })
+			_ = p.HistoryN(user, 8)
+			_ = p.HistoryN(peer, 8)
+		}
+	})
 }
 
 // BenchmarkPoolSubmitFaulty measures the engine under a 10% transient

@@ -44,7 +44,6 @@ func runChaos(t *testing.T, seed uint64, users, jobs int) *obs.Observer {
 	p := portal.NewPool(portal.PoolConfig{
 		Workers:    8,
 		QueueDepth: 256,
-		Shards:     8,
 		Timeout:    20 * time.Millisecond,
 		Retry:      portal.RetryPolicy{MaxAttempts: 2, BaseDelay: 100 * time.Microsecond, JitterFrac: 0.5},
 		Breaker:    portal.BreakerConfig{FailureThreshold: 8, Cooldown: 50 * time.Millisecond},

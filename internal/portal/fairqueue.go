@@ -11,28 +11,23 @@ import (
 // ErrQuotaExceeded.
 var errFairShare = errors.New("portal: user queue share full")
 
-// userLane is one user's FIFO of queued tickets plus the scheduling
-// state the deficit-round-robin dequeue needs.
+// userLane is one user's FIFO of queued tickets.
 type userLane struct {
 	user string
 	q    []*Ticket
-	// inflight counts the user's tickets currently held by workers;
-	// a lane with inflight ≥ maxInflight is skipped by the scheduler,
-	// which both bounds one user's worker share and keeps their jobs
-	// executing in admission order when the cap is 1.
+	// inflight counts the user's tickets currently held by workers
+	// (0 or 1): a lane with a ticket running is skipped by the
+	// scheduler, which both bounds one user's worker share to one
+	// worker and keeps their jobs executing in admission order.
 	inflight int
-	// weight is the lane's round-robin quantum (from ClassWeight);
-	// credit is the deficit counter — tickets this lane may still
-	// dequeue before the cursor moves on.
-	weight, credit int
 }
 
 // fairQueue is the pool's admission queue: a bounded set of per-user
-// FIFO lanes served by weighted (deficit) round-robin, so a hot user
-// can fill at most their own lane and is served at most `weight`
-// tickets per scheduling round. Among continuously backlogged users
-// the dequeue counts after any round differ by at most one quantum —
-// the bounded-unfairness property the fairness tests pin down.
+// FIFO lanes served round-robin, so a hot user can fill at most their
+// own lane and is served at most one ticket per scheduling round.
+// Among continuously backlogged users the dequeue counts after any
+// round differ by at most one — the bounded-unfairness property the
+// fairness tests pin down.
 type fairQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -41,22 +36,18 @@ type fairQueue struct {
 	ring   []*userLane // active lanes in first-appearance order
 	cursor int         // ring index the scheduler serves next
 
-	size        int // queued tickets across all lanes
-	capTotal    int // QueueDepth
-	perUserCap  int // FairShare × QueueDepth
-	maxInflight int // UserConcurrency
-	weightOf    func(user string) int
+	size       int // queued tickets across all lanes
+	capTotal   int // QueueDepth
+	perUserCap int // FairShare × QueueDepth
 
 	closed bool
 }
 
-func newFairQueue(capTotal, perUserCap, maxInflight int, weightOf func(string) int) *fairQueue {
+func newFairQueue(capTotal, perUserCap int) *fairQueue {
 	fq := &fairQueue{
-		lanes:       map[string]*userLane{},
-		capTotal:    capTotal,
-		perUserCap:  perUserCap,
-		maxInflight: maxInflight,
-		weightOf:    weightOf,
+		lanes:      map[string]*userLane{},
+		capTotal:   capTotal,
+		perUserCap: perUserCap,
 	}
 	fq.cond = sync.NewCond(&fq.mu)
 	return fq
@@ -74,18 +65,7 @@ func (fq *fairQueue) push(tk *Ticket) error {
 	if fq.size >= fq.capTotal {
 		return ErrQueueFull
 	}
-	lane := fq.lanes[tk.user]
-	if lane == nil {
-		w := 1
-		if fq.weightOf != nil {
-			if got := fq.weightOf(tk.user); got > 1 {
-				w = got
-			}
-		}
-		lane = &userLane{user: tk.user, weight: w, credit: w}
-		fq.lanes[tk.user] = lane
-		fq.ring = append(fq.ring, lane)
-	}
+	lane := fq.lane(tk.user)
 	if len(lane.q) >= fq.perUserCap {
 		return errFairShare
 	}
@@ -104,21 +84,22 @@ func (fq *fairQueue) push(tk *Ticket) error {
 func (fq *fairQueue) restore(tk *Ticket) {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
-	lane := fq.lanes[tk.user]
-	if lane == nil {
-		w := 1
-		if fq.weightOf != nil {
-			if got := fq.weightOf(tk.user); got > 1 {
-				w = got
-			}
-		}
-		lane = &userLane{user: tk.user, weight: w, credit: w}
-		fq.lanes[tk.user] = lane
-		fq.ring = append(fq.ring, lane)
-	}
+	lane := fq.lane(tk.user)
 	lane.q = append(lane.q, tk)
 	fq.size++
 	fq.cond.Signal()
+}
+
+// lane returns the user's lane, appending a new one to the ring on
+// first appearance. Callers hold fq.mu.
+func (fq *fairQueue) lane(user string) *userLane {
+	lane := fq.lanes[user]
+	if lane == nil {
+		lane = &userLane{user: user}
+		fq.lanes[user] = lane
+		fq.ring = append(fq.ring, lane)
+	}
+	return lane
 }
 
 // pop blocks until a ticket is dequeued or the queue is closed AND
@@ -142,12 +123,10 @@ func (fq *fairQueue) pop() *Ticket {
 	}
 }
 
-// next runs one deficit-round-robin scan: starting at the cursor,
-// serve the first lane that has queued work, spare inflight capacity,
-// and remaining credit. Serving costs one credit; a lane whose credit
-// hits zero (or that empties) refills and yields the cursor. Lanes
-// that cannot be served right now also refill and are skipped, so a
-// blocked lane never stalls the ring. Callers hold fq.mu.
+// next runs one round-robin scan: starting at the cursor, serve the
+// first lane that has queued work and nothing running. The cursor
+// advances past every lane it visits, served or skipped, so a blocked
+// lane never stalls the ring. Callers hold fq.mu.
 func (fq *fairQueue) next() (*Ticket, *userLane) {
 	fq.compact()
 	n := len(fq.ring)
@@ -159,22 +138,16 @@ func (fq *fairQueue) next() (*Ticket, *userLane) {
 	}
 	for i := 0; i < n; i++ {
 		lane := fq.ring[fq.cursor]
-		if len(lane.q) > 0 && lane.inflight < fq.maxInflight && lane.credit > 0 {
+		fq.advance()
+		if len(lane.q) > 0 && lane.inflight == 0 {
 			tk := lane.q[0]
 			lane.q[0] = nil
 			lane.q = lane.q[1:]
 			if len(lane.q) == 0 {
 				lane.q = nil
 			}
-			lane.credit--
-			if lane.credit == 0 || len(lane.q) == 0 {
-				lane.credit = lane.weight
-				fq.advance()
-			}
 			return tk, lane
 		}
-		lane.credit = lane.weight
-		fq.advance()
 	}
 	return nil, nil
 }

@@ -35,7 +35,7 @@ func popDrain(fq *fairQueue) []*Ticket {
 // user's served count may exceed the most-served normal user's by at
 // most one quantum (weight 1) — the deficit-round-robin bound.
 func TestFairQueueBoundedUnfairness(t *testing.T) {
-	fq := newFairQueue(1024, 1024, 1, nil)
+	fq := newFairQueue(1024, 1024)
 	const hotJobs, normalJobs = 64, 8
 	for i := 0; i < hotJobs; i++ {
 		if err := fq.push(fqTicket("hot", fmt.Sprintf("h%03d", i))); err != nil {
@@ -81,39 +81,8 @@ func TestFairQueueBoundedUnfairness(t *testing.T) {
 	}
 }
 
-// TestFairQueueWeights: a weight-3 lane dequeues three tickets per
-// round against a weight-1 lane's one.
-func TestFairQueueWeights(t *testing.T) {
-	weight := func(user string) int {
-		if user == "paid" {
-			return 3
-		}
-		return 1
-	}
-	fq := newFairQueue(1024, 1024, 1, weight)
-	for i := 0; i < 12; i++ {
-		if err := fq.push(fqTicket("paid", fmt.Sprintf("p%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := fq.push(fqTicket("free", fmt.Sprintf("f%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	order := popDrain(fq)
-	var pattern []string
-	for _, tk := range order[:8] {
-		pattern = append(pattern, tk.user)
-	}
-	want := []string{"paid", "paid", "paid", "free", "paid", "paid", "paid", "free"}
-	for i := range want {
-		if pattern[i] != want[i] {
-			t.Fatalf("weighted order = %v, want %v", pattern, want)
-		}
-	}
-}
-
 func TestFairQueueCaps(t *testing.T) {
-	fq := newFairQueue(4, 2, 1, nil)
+	fq := newFairQueue(4, 2)
 	if err := fq.push(fqTicket("a", "1")); err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +108,11 @@ func TestFairQueueCaps(t *testing.T) {
 	}
 }
 
-// TestFairQueueInflightCap: with UserConcurrency 1, a user's second
-// ticket is withheld until release — other users' work flows past it.
+// TestFairQueueInflightCap: a user runs one ticket at a time, so their
+// second ticket is withheld until release — other users' work flows
+// past it.
 func TestFairQueueInflightCap(t *testing.T) {
-	fq := newFairQueue(16, 16, 1, nil)
+	fq := newFairQueue(16, 16)
 	for _, in := range []string{"a1", "a2"} {
 		if err := fq.push(fqTicket("a", in)); err != nil {
 			t.Fatal(err)
@@ -171,7 +141,7 @@ func TestFairQueueInflightCap(t *testing.T) {
 }
 
 func TestFairQueueCloseDrains(t *testing.T) {
-	fq := newFairQueue(16, 16, 4, nil)
+	fq := newFairQueue(16, 16)
 	for i := 0; i < 3; i++ {
 		if err := fq.push(fqTicket("u", fmt.Sprintf("%d", i))); err != nil {
 			t.Fatal(err)
@@ -196,7 +166,7 @@ func TestFairQueueCloseDrains(t *testing.T) {
 }
 
 func TestFairQueueDrainAll(t *testing.T) {
-	fq := newFairQueue(16, 16, 1, nil)
+	fq := newFairQueue(16, 16)
 	for _, u := range []string{"a", "b"} {
 		for i := 0; i < 2; i++ {
 			if err := fq.push(fqTicket(u, fmt.Sprintf("%s%d", u, i))); err != nil {

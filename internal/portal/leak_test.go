@@ -1,6 +1,6 @@
-// Goroutine-leak checks for the abandoned-runaway path: a tool that
+// Goroutine-leak check for the abandoned-runaway path: a tool that
 // ignores cancellation but eventually finishes must leave zero
-// goroutines behind, in both the legacy Portal and the Pool.
+// goroutines behind once the pool closes.
 package portal_test
 
 import (
@@ -33,6 +33,8 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
+// releaseTool ignores cancellation until release closes: the pool must
+// abandon it.
 type releaseTool struct {
 	release chan struct{}
 }
@@ -40,31 +42,8 @@ type releaseTool struct {
 func (rt releaseTool) Name() string     { return "runaway" }
 func (rt releaseTool) Describe() string { return "ignores cancel until released" }
 func (rt releaseTool) Run(input string, cancel <-chan struct{}) (string, error) {
-	<-rt.release // ignores cancellation: the portal must abandon us
+	<-rt.release // ignores cancellation: the pool must abandon us
 	return "late", nil
-}
-
-func TestPortalAbandonNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	p := portal.New(5 * time.Millisecond)
-	p.SetObserver(obs.NewObserver(nil))
-	rt := releaseTool{release: make(chan struct{})}
-	if err := p.Register(rt); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		res, err := p.Submit("u", "runaway", "x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Abandoned {
-			t.Fatalf("job %d not abandoned: %+v", i, res)
-		}
-	}
-	// Ten abandoned runaways are still parked. Let them finish: every
-	// goroutine (runner + drain watcher) must exit.
-	close(rt.release)
-	waitGoroutines(t, base)
 }
 
 func TestPoolAbandonNoLeak(t *testing.T) {

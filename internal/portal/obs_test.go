@@ -2,7 +2,6 @@ package portal
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,10 +33,15 @@ func firedOnce(n int) func(time.Duration) <-chan time.Time {
 // an injected timer: the timeout fires instantly, the tool
 // acknowledges cancel, and no wall-clock waiting happens.
 func TestCooperativeTimeoutNoSleep(t *testing.T) {
-	p := New(time.Hour) // irrelevant: the fake timer fires instantly
 	ob := obs.NewObserver(obs.NewFakeClock(time.Unix(100, 0).UTC(), time.Millisecond).Now)
-	p.SetObserver(ob)
-	p.SetClock(ob.Now, firedOnce(1))
+	p := NewPool(PoolConfig{
+		Workers:  1,
+		Timeout:  time.Hour, // irrelevant: the fake timer fires instantly
+		Observer: ob,
+		Clock:    ob.Now,
+		After:    firedOnce(1),
+	})
+	defer p.Close()
 	err := p.Register(toolFunc{
 		name: "coop",
 		desc: "acknowledges cancellation",
@@ -63,76 +67,20 @@ func TestCooperativeTimeoutNoSleep(t *testing.T) {
 		t.Errorf("output = %q", res.Output)
 	}
 	snap := ob.Snapshot().Metrics
-	if snap.Counters["portal_jobs_timeout"] != 1 {
-		t.Errorf("timeout counter = %d", snap.Counters["portal_jobs_timeout"])
+	if snap.Counters["pool_jobs_timeout"] != 1 {
+		t.Errorf("timeout counter = %d", snap.Counters["pool_jobs_timeout"])
 	}
 	if snap.Counters["portal_jobs_abandoned"] != 0 {
 		t.Errorf("abandoned counter = %d", snap.Counters["portal_jobs_abandoned"])
 	}
 }
 
-// TestAbandonedRunawayCounted covers the satellite fix: a tool that
-// ignores cancellation past the grace period is recorded as
-// Abandoned, counted, and tracked until its goroutine finally exits.
-func TestAbandonedRunawayCounted(t *testing.T) {
-	p := New(time.Hour)
-	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
-	p.SetClock(nil, firedOnce(2)) // timeout and grace both fire instantly
-	release := make(chan struct{})
-	err := p.Register(toolFunc{
-		name: "runaway",
-		desc: "ignores cancellation",
-		run: func(input string, cancel <-chan struct{}) (string, error) {
-			<-release // ignores cancel entirely
-			return "finally", nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Submit("u", "runaway", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.TimedOut || !res.Abandoned {
-		t.Fatalf("TimedOut=%v Abandoned=%v, want both true", res.TimedOut, res.Abandoned)
-	}
-	if h := p.History("u"); len(h) != 1 || !h[0].Abandoned {
-		t.Error("history must record the abandonment")
-	}
-	m := ob.Snapshot().Metrics
-	if m.Counters["portal_jobs_abandoned"] != 1 {
-		t.Errorf("abandoned counter = %d, want 1", m.Counters["portal_jobs_abandoned"])
-	}
-	if g := m.Gauges["portal_abandoned_inflight"]; g != 1 {
-		t.Errorf("abandoned inflight gauge = %g, want 1", g)
-	}
-	events := ob.Snapshot().Events
-	if len(events) != 1 || events[0].Kind != "portal.abandoned" {
-		t.Errorf("events = %v", events)
-	}
-
-	// Let the runaway finish; the watcher must drain the gauge.
-	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		m := ob.Snapshot().Metrics
-		if m.Gauges["portal_abandoned_inflight"] == 0 &&
-			m.Counters["portal_abandoned_returned"] == 1 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("abandoned goroutine exit was never observed")
-}
-
 // TestPortalConcurrent hammers Submit/History/Tools from many
 // goroutines sharing one observer; run with -race.
 func TestPortalConcurrent(t *testing.T) {
-	p := New(time.Second)
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
+	p := NewPool(PoolConfig{Workers: 4, Observer: ob})
+	defer p.Close()
 	err := p.Register(toolFunc{
 		name: "echo",
 		desc: "returns its input",
@@ -171,16 +119,16 @@ func TestPortalConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	m := ob.Snapshot().Metrics
-	if m.Counters["portal_jobs_total"] != workers*iters {
-		t.Errorf("jobs total = %d, want %d", m.Counters["portal_jobs_total"], workers*iters)
+	if m.Counters["pool_jobs_total"] != workers*iters {
+		t.Errorf("jobs total = %d, want %d", m.Counters["pool_jobs_total"], workers*iters)
 	}
-	if m.Counters["portal_jobs:echo"] != workers*iters {
-		t.Errorf("per-tool counter = %d", m.Counters["portal_jobs:echo"])
+	if v, _ := m.CounterSeries("pool_tool_jobs_total", map[string]string{"tool": "echo"}); v != workers*iters {
+		t.Errorf("per-tool counter = %d", v)
 	}
-	if m.Gauges["portal_jobs_inflight"] != 0 {
-		t.Errorf("inflight gauge = %g, want 0", m.Gauges["portal_jobs_inflight"])
+	if m.Gauges["pool_jobs_inflight"] != 0 {
+		t.Errorf("inflight gauge = %g, want 0", m.Gauges["pool_jobs_inflight"])
 	}
-	if h := m.Histograms["portal_job_seconds"]; h.Count != workers*iters {
+	if h := m.Histograms["pool_job_seconds"]; h.Count != workers*iters {
 		t.Errorf("histogram count = %d", h.Count)
 	}
 	var total int
@@ -189,19 +137,5 @@ func TestPortalConcurrent(t *testing.T) {
 	}
 	if total != workers*iters {
 		t.Errorf("history total = %d, want %d", total, workers*iters)
-	}
-}
-
-// TestUnknownToolCounted: unknown tools are visible in telemetry.
-func TestUnknownToolCounted(t *testing.T) {
-	p := New(time.Second)
-	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
-	if _, err := p.Submit("u", "vivado", ""); err == nil ||
-		!strings.Contains(err.Error(), "no tool") {
-		t.Fatalf("err = %v", err)
-	}
-	if c := ob.Snapshot().Metrics.Counters["portal_jobs_unknown_tool"]; c != 1 {
-		t.Errorf("unknown-tool counter = %d", c)
 	}
 }

@@ -1,3 +1,8 @@
+// Package portal reproduces the cloud software architecture of the
+// paper's Figure 4: web-style tool portals that consume an ASCII text
+// file, run an EDA tool with runaway-job termination, and return ASCII
+// text output to a per-user history page. The same job machinery
+// backs the auto-graders.
 package portal
 
 import (
@@ -12,6 +17,55 @@ import (
 	"vlsicad/internal/obs"
 )
 
+// ErrToolPanic marks a job whose Tool.Run panicked. The runner
+// goroutine recovers the panic and converts it into a failed
+// JobResult wrapping this sentinel, so one crashing submission never
+// kills the portal process — the survival property the paper's cloud
+// deployment needed against arbitrary student input.
+var ErrToolPanic = errors.New("tool panicked")
+
+// Tool is a text-in/text-out EDA tool. Implementations should poll
+// cancel (closed on timeout) in long loops; the pool also abandons
+// tools that ignore it.
+type Tool interface {
+	Name() string
+	Describe() string
+	Run(input string, cancel <-chan struct{}) (string, error)
+}
+
+// JobResult is one portal execution record.
+type JobResult struct {
+	Tool string
+	// Input is the submitted text, kept with the record so history
+	// pages can re-show what was run and harnesses can audit that no
+	// submission is lost or double-completed.
+	Input    string
+	Output   string
+	Err      string
+	Duration time.Duration
+	TimedOut bool
+	// Abandoned marks a runaway tool that ignored cancellation past
+	// the grace period: its goroutine was left running and the pool
+	// returned without its output. Abandoned jobs are also counted in
+	// the portal_jobs_abandoned metric and tracked live by the
+	// portal_abandoned_inflight gauge.
+	Abandoned bool
+	// Attempts is how many attempts the job took: 1 when it succeeded
+	// or failed terminally first try, >1 when the pool retried
+	// transient failures, 0 for a ticket that never ran (cancelled or
+	// expired while queued).
+	Attempts int
+	When     time.Time
+	// Replayed marks a ticket that was mid-flight when the pool
+	// crashed and was re-executed after RecoverPool — the at-least-
+	// once marker auditors use to tell a re-run from a first run.
+	Replayed bool
+}
+
+// GracePeriod is how long an attempt waits after cancellation for a
+// tool to acknowledge before abandoning its goroutine.
+const GracePeriod = 50 * time.Millisecond
+
 // ErrQueueFull is returned by Pool.Submit when the bounded job queue
 // is at capacity: the portal sheds the job immediately instead of
 // blocking the caller — explicit backpressure, the cloud answer to
@@ -25,19 +79,15 @@ var ErrPoolClosed = errors.New("portal: pool closed")
 // normalized to sensible defaults by NewPool.
 type PoolConfig struct {
 	// Workers is the number of worker goroutines executing jobs
-	// (default GOMAXPROCS). Unlike the legacy Portal, submissions do
-	// not spawn an unbounded goroutine each: concurrency is capped
-	// here and excess load is queued or shed.
+	// (default GOMAXPROCS). Submissions do not spawn a goroutine
+	// each: concurrency is capped here and excess load is queued or
+	// shed.
 	Workers int
 	// QueueDepth bounds the pending-job queue (default 4×Workers).
 	// When full, Submit returns ErrQueueFull immediately.
 	QueueDepth int
-	// Shards is the number of history shards, user-hash mapped
-	// (default 16), so per-user bookkeeping doesn't serialize the
-	// whole portal behind one lock.
-	Shards int
 	// Timeout is the per-attempt runaway limit (default 2s), enforced
-	// by the same cancel + grace-period machinery as Portal.
+	// by execTool's cancel + grace-period + abandon machinery.
 	Timeout time.Duration
 	// Retry governs re-running attempts that fail transiently.
 	Retry RetryPolicy
@@ -61,27 +111,19 @@ type PoolConfig struct {
 	QuotaBurst int
 	// FairShare caps one user's slice of the queue as a fraction of
 	// QueueDepth, in (0, 1] (default 1.0 = a user may fill the whole
-	// queue, the legacy behavior). Submissions past the slice are
-	// shed with ErrQuotaExceeded even when the queue has room.
+	// queue). Submissions past the slice are shed with
+	// ErrQuotaExceeded even when the queue has room.
 	FairShare float64
 	// DefaultDeadline bounds every ticket's total lifetime — queue
 	// wait plus execution — unless SubmitAsyncOpts overrides it
 	// (0 = no deadline). Expiry yields ErrDeadline wherever the
 	// ticket is: queued, running, or draining.
 	DefaultDeadline time.Duration
-	// UserConcurrency caps one user's jobs running at once (default
-	// 1, which also keeps each user's history in admission order —
-	// the invariant the chaos suite pins down).
-	UserConcurrency int
 	// UserClass maps a user to a coarse class label for the
 	// pool_quota_sheds_total{user_class} metric (nil = "default").
 	// Classes keep the label cardinality bounded no matter how many
 	// users exist.
 	UserClass func(user string) string
-	// ClassWeight maps a class to its fair-dequeue weight ≥ 1 (nil =
-	// every class weight 1): a weight-w lane may dequeue w tickets
-	// per round-robin round.
-	ClassWeight func(class string) int
 
 	// Journal, when non-nil, makes the ticket lifecycle durable: every
 	// admission and transition is framed, checksummed, and synced to
@@ -109,9 +151,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
 	}
@@ -120,9 +159,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.FairShare <= 0 || c.FairShare > 1 {
 		c.FairShare = 1
-	}
-	if c.UserConcurrency <= 0 {
-		c.UserConcurrency = 1
 	}
 	if c.QuotaRate > 0 && c.QuotaBurst <= 0 {
 		c.QuotaBurst = int(c.QuotaRate)
@@ -135,6 +171,11 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	return c
 }
+
+// historyShards is the number of user-hash-mapped history shards, so
+// per-user bookkeeping doesn't serialize the whole portal behind one
+// lock.
+const historyShards = 16
 
 // poolShard is one slice of the user-keyed state. Sharding by user
 // hash keeps history appends for unrelated users on different locks.
@@ -222,8 +263,8 @@ type TicketOpts struct {
 	Deadline time.Duration
 }
 
-// Pool is the resilient successor to Portal: N workers over a
-// weighted-fair bounded queue and sharded per-user history, with an
+// Pool is the portal's job engine: N workers over a round-robin fair
+// bounded queue and sharded per-user history, with an
 // async ticket lifecycle (SubmitAsync/Wait/Cancel, per-job
 // deadlines), per-user admission quotas, panic isolation, retry with
 // exponential backoff for transient failures, and per-tool circuit
@@ -244,7 +285,7 @@ type Pool struct {
 	rngMu    sync.Mutex // jitter stream has its own lock off the hot path
 	rngState uint64
 
-	shards []poolShard
+	shards [historyShards]poolShard
 	fq     *fairQueue
 	quota  *quotaTable
 
@@ -308,19 +349,12 @@ func newPool(cfg PoolConfig) *Pool {
 		after:     after,
 		obs:       observer,
 		rngState:  cfg.Seed,
-		shards:    make([]poolShard, cfg.Shards),
 		quota:     newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst),
 		running:   map[*Ticket]struct{}{},
 		jr:        cfg.Journal,
 		live:      map[uint64]*Ticket{},
 	}
-	weightOf := func(user string) int {
-		if cfg.ClassWeight == nil {
-			return 1
-		}
-		return cfg.ClassWeight(p.classOf(user))
-	}
-	p.fq = newFairQueue(cfg.QueueDepth, perUserCap, cfg.UserConcurrency, weightOf)
+	p.fq = newFairQueue(cfg.QueueDepth, perUserCap)
 	for i := range p.shards {
 		p.shards[i].history = map[string][]JobResult{}
 	}
@@ -473,9 +507,8 @@ func breakerStateValue(s BreakerState) float64 {
 }
 
 // SetClock injects the duration clock and the timer source used for
-// timeout enforcement, retry backoff, deadlines, and drain budgets,
-// mirroring Portal.SetClock. Either may be nil to keep the current
-// one. Registered breakers and the quota buckets follow the new
+// timeout enforcement, retry backoff, deadlines, and drain budgets.
+// Either may be nil to keep the current one. Registered breakers and the quota buckets follow the new
 // clock.
 func (p *Pool) SetClock(now func() time.Time, after func(time.Duration) <-chan time.Time) {
 	p.mu.Lock()
@@ -559,7 +592,7 @@ func (p *Pool) shardIndex(user string) int {
 		h ^= uint64(user[i])
 		h *= 1099511628211
 	}
-	return int(h % uint64(len(p.shards)))
+	return int(h % historyShards)
 }
 
 // shard returns the user's history shard.
@@ -988,7 +1021,7 @@ func (p *Pool) runJob(tk *Ticket, ob *obs.Observer) (JobResult, error) {
 	attempt := 0
 	for {
 		attempt++
-		res, rawErr = execTool(tk.t, tk.tool, tk.user, tk.input, p.cfg.Timeout, after, tk.quit, tk, ob)
+		res, rawErr = execTool(tk, p.cfg.Timeout, after, ob)
 		if rawErr == nil || attempt >= maxAttempts || res.TimedOut || !IsTransient(rawErr) {
 			break
 		}
@@ -1037,6 +1070,102 @@ func (p *Pool) runJob(tk *Ticket, ob *obs.Observer) (JobResult, error) {
 	return res, rawErr
 }
 
+// runOutcome is one tool attempt's raw return.
+type runOutcome struct {
+	out string
+	err error
+}
+
+// execTool runs a single attempt of tk's tool with the portal's three
+// layers of isolation:
+//
+//  1. panic recovery — a crashing Run becomes a failed result
+//     wrapping ErrToolPanic (portal_panics_recovered counter);
+//  2. timeout + cooperative cancellation — after timeout the cancel
+//     channel closes and the tool gets GracePeriod to acknowledge;
+//  3. abandonment — a tool that ignores cancellation is left running
+//     detached, counted (portal_jobs_abandoned), tracked live
+//     (portal_abandoned_inflight gauge), and drained by a watcher
+//     when it finally returns (portal_abandoned_returned), so an
+//     eventually-finishing runaway never leaks its goroutine or its
+//     buffered outcome.
+//
+// The ticket's quit channel is a second interrupt source beside the
+// timeout timer: the pool closes it when the deadline expires or the
+// ticket is cancelled mid-run. An interrupted attempt goes through the
+// same cancel + grace + abandon machinery as a timeout, but is not
+// marked TimedOut — its raw error is tk.quitReason() (ErrDeadline or
+// ErrCancelled), so callers can tell the three interrupts apart.
+//
+// The returned error is the tool's raw error (nil on success), kept
+// alongside the stringified JobResult.Err so callers can classify it
+// (IsTransient, ErrToolPanic) without string matching.
+func execTool(tk *Ticket, timeout time.Duration,
+	after func(time.Duration) <-chan time.Time, ob *obs.Observer) (JobResult, error) {
+	t, tool, input := tk.t, tk.tool, tk.input
+	cancel := make(chan struct{})
+	done := make(chan runOutcome, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				ob.Counter("portal_panics_recovered").Inc()
+				ob.Counter("portal_panics_recovered:" + tool).Inc()
+				done <- runOutcome{err: fmt.Errorf("%w: %v", ErrToolPanic, r)}
+			}
+		}()
+		out, err := t.Run(input, cancel)
+		done <- runOutcome{out, err}
+	}()
+	res := JobResult{Tool: tool}
+	var rawErr error
+	interrupted := false
+	select {
+	case o := <-done:
+		res.Output = o.out
+		rawErr = o.err
+	case <-tk.quit:
+		interrupted = true
+	case <-after(timeout):
+		res.TimedOut = true
+	}
+	if interrupted || res.TimedOut {
+		close(cancel)
+		// Give the tool a short grace period to acknowledge.
+		select {
+		case o := <-done:
+			res.Output = o.out
+			rawErr = o.err
+		case <-after(GracePeriod):
+			// The tool ignored cancellation: its goroutine keeps
+			// running detached. Make the runaway visible instead of
+			// silently dropping it, and drain its outcome when it
+			// finally returns so nothing leaks.
+			res.Abandoned = true
+			ob.Counter("portal_jobs_abandoned").Inc()
+			ob.Gauge("portal_abandoned_inflight").Add(1)
+			ob.Emit("portal.abandoned", map[string]string{"tool": tool, "user": tk.user})
+			go func() {
+				<-done
+				ob.Gauge("portal_abandoned_inflight").Add(-1)
+				ob.Counter("portal_abandoned_returned").Inc()
+			}()
+		}
+		// The interrupt reason dominates whatever the grace period
+		// produced: a past-deadline or cancelled job is terminated even
+		// if output arrived a hair late, so outcomes are deterministic
+		// under injected timers.
+		if interrupted {
+			rawErr = tk.quitReason()
+		} else if rawErr == nil {
+			rawErr = errors.New("terminated: exceeded portal time limit")
+		}
+	}
+	if rawErr != nil {
+		res.Err = rawErr.Error()
+	}
+	return res, rawErr
+}
+
 // History returns the user's retained past results, newest first,
 // from the user's shard.
 func (p *Pool) History(user string) []JobResult {
@@ -1082,6 +1211,22 @@ func (p *Pool) HistoryN(user string, n int) []JobResult {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return reverseHistory(sh.history[user], n)
+}
+
+// reverseHistory copies the newest min(n, len(h)) entries of h in
+// newest-first order.
+func reverseHistory(h []JobResult, n int) []JobResult {
+	if n > len(h) {
+		n = len(h)
+	}
+	if n < 0 {
+		n = 0
+	}
+	out := make([]JobResult, n)
+	for i := 0; i < n; i++ {
+		out[i] = h[len(h)-1-i]
+	}
+	return out
 }
 
 // journalShed records a shed admission's quota-bucket touch, so

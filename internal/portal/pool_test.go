@@ -412,9 +412,24 @@ func TestPoolTimeoutAndAbandon(t *testing.T) {
 	if !res.TimedOut || !res.Abandoned {
 		t.Fatalf("res = %+v, want timed out + abandoned", res)
 	}
+	if h := p.History("u"); len(h) != 1 || !h[0].Abandoned {
+		t.Fatal("history must record the abandonment")
+	}
 	m := ob.Snapshot().Metrics
 	if m.Counters["portal_jobs_abandoned"] != 1 || m.Counters["pool_jobs_timeout"] != 1 {
 		t.Fatalf("counters = %v", m.Counters)
+	}
+	if g := m.Gauges["portal_abandoned_inflight"]; g != 1 {
+		t.Fatalf("abandoned inflight gauge = %g, want 1", g)
+	}
+	var abandoned []map[string]string
+	for _, e := range ob.Snapshot().Events {
+		if e.Kind == "portal.abandoned" {
+			abandoned = append(abandoned, e.Fields)
+		}
+	}
+	if len(abandoned) != 1 || abandoned[0]["tool"] != "runaway" || abandoned[0]["user"] != "u" {
+		t.Fatalf("portal.abandoned events = %v, want one for runaway/u", abandoned)
 	}
 	close(release)
 	deadline := time.Now().Add(5 * time.Second)
@@ -433,7 +448,7 @@ func TestPoolTimeoutAndAbandon(t *testing.T) {
 // (run with -race) and checks per-user history integrity across the
 // shard map.
 func TestPoolShardedHistoryConcurrent(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 8, QueueDepth: 256, Shards: 4})
+	p := NewPool(PoolConfig{Workers: 8, QueueDepth: 256})
 	defer p.Close()
 	ob := obs.NewObserver(nil)
 	p.SetObserver(ob)
@@ -479,50 +494,35 @@ func TestPoolShardedHistoryConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistoryNPaging: both engines serve a newest-first page of at
-// most n entries — the "scroll for older outputs" read path without
-// copying a whole semester of history.
+// TestHistoryNPaging: the pool serves a newest-first page of at most
+// n entries — the "scroll for older outputs" read path without copying
+// a whole semester of history.
 func TestHistoryNPaging(t *testing.T) {
-	legacy := New(time.Second)
-	legacy.SetObserver(obs.NewObserver(nil))
-	pool := NewPool(PoolConfig{Workers: 1})
-	defer pool.Close()
-	pool.SetObserver(obs.NewObserver(nil))
-	submit := map[string]func(string) error{
-		"portal": func(in string) error { _, err := legacy.Submit("u", "echo", in); return err },
-		"pool":   func(in string) error { _, err := pool.Submit("u", "echo", in); return err },
-	}
-	historyN := map[string]func(int) []JobResult{
-		"portal": func(n int) []JobResult { return legacy.HistoryN("u", n) },
-		"pool":   func(n int) []JobResult { return pool.HistoryN("u", n) },
-	}
-	for _, p := range []interface{ Register(Tool) error }{legacy, pool} {
+	t.Run("pool", func(t *testing.T) {
+		p := NewPool(PoolConfig{Workers: 1, Observer: obs.NewObserver(nil)})
+		defer p.Close()
 		if err := p.Register(echoTool()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for name := range submit {
-		t.Run(name, func(t *testing.T) {
-			for i := 0; i < 5; i++ {
-				if err := submit[name](fmt.Sprintf("job%d", i)); err != nil {
-					t.Fatal(err)
-				}
+		for i := 0; i < 5; i++ {
+			if _, err := p.Submit("u", "echo", fmt.Sprintf("job%d", i)); err != nil {
+				t.Fatal(err)
 			}
-			page := historyN[name](2)
-			if len(page) != 2 || page[0].Input != "job4" || page[1].Input != "job3" {
-				t.Fatalf("page = %+v, want newest two (job4, job3)", page)
-			}
-			if got := historyN[name](99); len(got) != 5 {
-				t.Fatalf("over-ask returned %d entries, want all 5", len(got))
-			}
-			if got := historyN[name](0); len(got) != 0 {
-				t.Fatalf("zero-page returned %d entries", len(got))
-			}
-			if got := historyN[name](-3); len(got) != 0 {
-				t.Fatalf("negative page returned %d entries", len(got))
-			}
-		})
-	}
+		}
+		page := p.HistoryN("u", 2)
+		if len(page) != 2 || page[0].Input != "job4" || page[1].Input != "job3" {
+			t.Fatalf("page = %+v, want newest two (job4, job3)", page)
+		}
+		if got := p.HistoryN("u", 99); len(got) != 5 {
+			t.Fatalf("over-ask returned %d entries, want all 5", len(got))
+		}
+		if got := p.HistoryN("u", 0); len(got) != 0 {
+			t.Fatalf("zero-page returned %d entries", len(got))
+		}
+		if got := p.HistoryN("u", -3); len(got) != 0 {
+			t.Fatalf("negative page returned %d entries", len(got))
+		}
+	})
 }
 
 // TestPoolHistoryLimit: the retention cap keeps only the newest

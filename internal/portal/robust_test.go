@@ -3,7 +3,6 @@ package portal
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // Robustness: every tool portal must turn arbitrary garbage input
@@ -11,10 +10,7 @@ import (
 // survival property with 17,000 strangers typing at it.
 
 func TestToolsSurviveGarbage(t *testing.T) {
-	p := New(time.Second)
-	if err := CourseTools(p); err != nil {
-		t.Fatal(err)
-	}
+	p := newCoursePool(t)
 	rng := rand.New(rand.NewSource(55))
 	alphabet := []byte("p cnf .io10-\\\nvar=&|^~()x abce")
 	for _, tool := range p.Tools() {

@@ -220,14 +220,13 @@ func AxbTool() Tool {
 	}
 }
 
-// Registrar is anything that hosts tools: the legacy Portal or the
-// resilient Pool.
+// Registrar is anything that hosts tools: a Pool, or a harness that
+// collects the tools to build its own pools.
 type Registrar interface {
 	Register(Tool) error
 }
 
-// CourseTools registers the paper's five tool portals on a portal or
-// pool.
+// CourseTools registers the paper's five tool portals on r.
 func CourseTools(p Registrar) error {
 	for _, t := range []Tool{KBDDTool(), EspressoTool(), MiniSATTool(), SISTool(), AxbTool()} {
 		if err := p.Register(t); err != nil {
