@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -103,10 +104,21 @@ type Histogram struct {
 	count  atomic.Int64
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
+// bucketBounds returns a sorted copy of bounds, or
+// DefaultLatencyBuckets when there are none.
+func bucketBounds(bounds []float64) []float64 {
+	if len(bounds) == 0 {
+		return DefaultLatencyBuckets()
+	}
+	b := slices.Clone(bounds)
 	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	return b
+}
+
+// newHistogram returns an empty histogram over bounds, which must be
+// sorted and are shared, not copied.
+func newHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // Observe records one value. Safe on a nil receiver.
@@ -225,21 +237,13 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	if h == nil {
 		r.mu.Lock()
 		if h = r.hists[name]; h == nil {
-			b := bounds
-			if len(b) == 0 {
-				b = DefaultLatencyBuckets()
-			}
-			h = newHistogram(b)
+			h = newHistogram(bucketBounds(bounds))
 			r.hists[name] = h
 		}
 		r.mu.Unlock()
 	}
-	if len(bounds) > 0 {
-		want := append([]float64(nil), bounds...)
-		sort.Float64s(want)
-		if !sameBounds(h.bounds, want) {
-			panic("obs: histogram " + name + " re-registered with different bucket bounds")
-		}
+	if len(bounds) > 0 && !slices.Equal(h.bounds, bucketBounds(bounds)) {
+		panic("obs: histogram " + name + " re-registered with different bucket bounds")
 	}
 	return h
 }
@@ -291,60 +295,15 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	for name, h := range r.hists {
 		s.Histograms[name] = snapHistogram(h)
 	}
-	for name, v := range r.counterVecs {
-		var series []LabeledCounter
-		for _, key := range v.sortedChildKeys() {
-			c, _ := v.m.Load(key)
-			series = append(series, LabeledCounter{
-				Labels: v.labels(key), Value: c.(*Counter).Value(),
-			})
-		}
-		if series != nil {
-			sort.Slice(series, func(i, j int) bool {
-				return LabelString(series[i].Labels) < LabelString(series[j].Labels)
-			})
-			if s.CounterVecs == nil {
-				s.CounterVecs = map[string][]LabeledCounter{}
-			}
-			s.CounterVecs[name] = series
-		}
-	}
-	for name, v := range r.gaugeVecs {
-		var series []LabeledGauge
-		for _, key := range v.sortedChildKeys() {
-			g, _ := v.m.Load(key)
-			series = append(series, LabeledGauge{
-				Labels: v.labels(key), Value: g.(*Gauge).Value(),
-			})
-		}
-		if series != nil {
-			sort.Slice(series, func(i, j int) bool {
-				return LabelString(series[i].Labels) < LabelString(series[j].Labels)
-			})
-			if s.GaugeVecs == nil {
-				s.GaugeVecs = map[string][]LabeledGauge{}
-			}
-			s.GaugeVecs[name] = series
-		}
-	}
-	for name, v := range r.histVecs {
-		var series []LabeledHistogram
-		for _, key := range v.sortedChildKeys() {
-			h, _ := v.m.Load(key)
-			series = append(series, LabeledHistogram{
-				Labels: v.labels(key), Hist: snapHistogram(h.(*Histogram)),
-			})
-		}
-		if series != nil {
-			sort.Slice(series, func(i, j int) bool {
-				return LabelString(series[i].Labels) < LabelString(series[j].Labels)
-			})
-			if s.HistogramVecs == nil {
-				s.HistogramVecs = map[string][]LabeledHistogram{}
-			}
-			s.HistogramVecs[name] = series
-		}
-	}
+	s.CounterVecs = series(r.counterVecs, func(labels map[string]string, c *Counter) LabeledCounter {
+		return LabeledCounter{Labels: labels, Value: c.Value()}
+	})
+	s.GaugeVecs = series(r.gaugeVecs, func(labels map[string]string, g *Gauge) LabeledGauge {
+		return LabeledGauge{Labels: labels, Value: g.Value()}
+	})
+	s.HistogramVecs = series(r.histVecs, func(labels map[string]string, h *Histogram) LabeledHistogram {
+		return LabeledHistogram{Labels: labels, Hist: snapHistogram(h)}
+	})
 	return s
 }
 

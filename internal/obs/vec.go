@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,291 +13,105 @@ import (
 // portal uses these for per-tool/per-shard series instead of the
 // name+":"+tool string-concat convention the flat registry forced.
 //
-// Hot-path contract: With on an existing child is lock-free sync.Map
-// reads (no allocation for one-, two-, and three-label families —
-// locked in by TestWithAllocFree), and the
-// returned child is a plain *Counter/*Gauge/*Histogram — callers on
-// genuinely hot paths (the pool worker loop) resolve children once at
-// registration time and keep the handle, paying exactly the flat
-// metric's atomic cost per event.
+// Hot-path contract: With on an existing child is one lock-free
+// sync.Map read per label (no allocation at any arity — locked in by
+// TestWithAllocFree), and the returned child is a plain
+// *Counter/*Gauge/*Histogram — callers on genuinely hot paths (the
+// pool worker loop) resolve children once at registration time and
+// keep the handle, paying exactly the flat metric's atomic cost per
+// event.
 //
 // Determinism contract: snapshots list every family's series sorted
 // by their label rendering, and label keys inside each series render
 // sorted by key, so two registries fed the same operations export
 // byte-identical text regardless of creation interleaving.
 
-// labelSep joins label values into a child key. 0x1f (ASCII unit
-// separator) cannot appear in reasonable label values; even if it
-// does, the worst case is two combinations sharing a child series.
-const labelSep = "\x1f"
-
-// childKey encodes a positional value list. Single-label families —
-// the common case — use the value itself, allocation-free.
-func childKey(values []string) string {
-	if len(values) == 1 {
-		return values[0]
-	}
-	return strings.Join(values, labelSep)
-}
-
-// vecCore is the shared name/keys/children plumbing of the three
-// vector kinds.
-type vecCore struct {
-	name string
-	keys []string // in caller (With-positional) order
-	m    sync.Map // childKey -> child metric (snapshot source of truth)
-	// idx2 is a read-side index for two-label families: first value ->
-	// *sync.Map(second value -> child). The flat m stays authoritative
-	// (snapshots and sortedChildKeys read only it); idx2 exists so a
-	// two-label With hit needs no strings.Join — it is repaired from m
-	// on every miss, so it can never disagree with it.
-	idx2 sync.Map
-	// idx3 extends the same scheme one level for three-label families
-	// (first value -> second value -> third value -> child) — the
-	// recovery counters' {kind}/{disposition} series ride this path.
-	idx3 sync.Map
-}
-
-// load2 resolves a two-value combination through the nested index —
-// the allocation-free hit path.
-func (v *vecCore) load2(v1, v2 string) (any, bool) {
-	inner, ok := v.idx2.Load(v1)
-	if !ok {
-		return nil, false
-	}
-	return inner.(*sync.Map).Load(v2)
-}
-
-// store2 indexes the canonical child (the one the flat map's
-// LoadOrStore settled on) under its two values.
-func (v *vecCore) store2(v1, v2 string, child any) {
-	inner, ok := v.idx2.Load(v1)
-	if !ok {
-		inner, _ = v.idx2.LoadOrStore(v1, &sync.Map{})
-	}
-	inner.(*sync.Map).LoadOrStore(v2, child)
-}
-
-// load3 resolves a three-value combination through the nested index.
-func (v *vecCore) load3(v1, v2, v3 string) (any, bool) {
-	mid, ok := v.idx3.Load(v1)
-	if !ok {
-		return nil, false
-	}
-	inner, ok := mid.(*sync.Map).Load(v2)
-	if !ok {
-		return nil, false
-	}
-	return inner.(*sync.Map).Load(v3)
-}
-
-// store3 indexes the canonical child under its three values.
-func (v *vecCore) store3(v1, v2, v3 string, child any) {
-	mid, ok := v.idx3.Load(v1)
-	if !ok {
-		mid, _ = v.idx3.LoadOrStore(v1, &sync.Map{})
-	}
-	inner, ok := mid.(*sync.Map).Load(v2)
-	if !ok {
-		inner, _ = mid.(*sync.Map).LoadOrStore(v2, &sync.Map{})
-	}
-	inner.(*sync.Map).LoadOrStore(v3, child)
-}
-
-// checkArity panics when With is called with the wrong number of
-// label values — a programming error, caught loudly like a wrong
-// printf verb rather than silently mis-filed telemetry.
-func (v *vecCore) checkArity(values []string) {
-	if len(values) != len(v.keys) {
-		panic("obs: " + v.name + ": wrong label cardinality")
-	}
-}
-
-// labels reconstructs the key->value map of one encoded child.
-func (v *vecCore) labels(key string) map[string]string {
-	var values []string
-	if len(v.keys) == 1 {
-		values = []string{key}
-	} else {
-		values = strings.Split(key, labelSep)
-	}
-	m := make(map[string]string, len(v.keys))
-	for i, k := range v.keys {
-		if i < len(values) {
-			m[k] = values[i]
-		}
-	}
-	return m
-}
-
-// sortedChildKeys returns the encoded child keys in deterministic
-// (sorted) order.
-func (v *vecCore) sortedChildKeys() []string {
-	var keys []string
-	v.m.Range(func(k, _ any) bool {
-		keys = append(keys, k.(string))
-		return true
-	})
-	sort.Strings(keys)
-	return keys
+// family is a labeled family of T metrics. Its children live in a
+// trie with one sync.Map level per label key: level i maps the i-th
+// label value to level i+1, and the last level maps the last value to
+// the child. The path from the root is the child's label values, so
+// no key is ever encoded. A family without keys keeps its one child
+// at the root under "".
+type family[T any] struct {
+	name     string
+	keys     []string  // in caller (With-positional) order
+	bounds   []float64 // sorted bucket bounds; histogram families only
+	newChild func(bounds []float64) *T
+	root     sync.Map
 }
 
 // CounterVec is a labeled counter family.
-type CounterVec struct{ vecCore }
-
-// With returns the child counter for the given label values (one per
-// registered key, in order), creating it on first use. Safe on nil
-// (returns a nil no-op counter); panics on wrong arity.
-func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	v.checkArity(values)
-	if len(values) == 2 {
-		if c, ok := v.load2(values[0], values[1]); ok {
-			return c.(*Counter)
-		}
-		c, _ := v.m.LoadOrStore(childKey(values), &Counter{})
-		v.store2(values[0], values[1], c)
-		return c.(*Counter)
-	}
-	if len(values) == 3 {
-		if c, ok := v.load3(values[0], values[1], values[2]); ok {
-			return c.(*Counter)
-		}
-		c, _ := v.m.LoadOrStore(childKey(values), &Counter{})
-		v.store3(values[0], values[1], values[2], c)
-		return c.(*Counter)
-	}
-	k := childKey(values)
-	if c, ok := v.m.Load(k); ok {
-		return c.(*Counter)
-	}
-	c, _ := v.m.LoadOrStore(k, &Counter{})
-	return c.(*Counter)
-}
+type CounterVec = family[Counter]
 
 // GaugeVec is a labeled gauge family.
-type GaugeVec struct{ vecCore }
-
-// With returns the child gauge for the given label values. Safe on
-// nil; panics on wrong arity.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	v.checkArity(values)
-	if len(values) == 2 {
-		if g, ok := v.load2(values[0], values[1]); ok {
-			return g.(*Gauge)
-		}
-		g, _ := v.m.LoadOrStore(childKey(values), &Gauge{})
-		v.store2(values[0], values[1], g)
-		return g.(*Gauge)
-	}
-	if len(values) == 3 {
-		if g, ok := v.load3(values[0], values[1], values[2]); ok {
-			return g.(*Gauge)
-		}
-		g, _ := v.m.LoadOrStore(childKey(values), &Gauge{})
-		v.store3(values[0], values[1], values[2], g)
-		return g.(*Gauge)
-	}
-	k := childKey(values)
-	if g, ok := v.m.Load(k); ok {
-		return g.(*Gauge)
-	}
-	g, _ := v.m.LoadOrStore(k, &Gauge{})
-	return g.(*Gauge)
-}
+type GaugeVec = family[Gauge]
 
 // HistogramVec is a labeled histogram family; every child shares the
 // family's bucket bounds.
-type HistogramVec struct {
-	vecCore
-	bounds []float64
-}
+type HistogramVec = family[Histogram]
 
-// With returns the child histogram for the given label values. Safe
-// on nil; panics on wrong arity.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
+// With returns the child for the given label values (one per
+// registered key, in order), creating it on first use. Safe on nil
+// (returns a nil no-op child); panics on wrong arity — a programming
+// error, caught loudly like a wrong printf verb rather than silently
+// mis-filed telemetry.
+func (f *family[T]) With(values ...string) *T {
+	if f == nil {
 		return nil
 	}
-	v.checkArity(values)
-	if len(values) == 2 {
-		if h, ok := v.load2(values[0], values[1]); ok {
-			return h.(*Histogram)
+	if len(values) != len(f.keys) {
+		panic("obs: " + f.name + ": wrong label cardinality")
+	}
+	level, last := &f.root, ""
+	if n := len(values); n > 0 {
+		for _, v := range values[:n-1] {
+			next, ok := level.Load(v)
+			if !ok {
+				next, _ = level.LoadOrStore(v, new(sync.Map))
+			}
+			level = next.(*sync.Map)
 		}
-		h, _ := v.m.LoadOrStore(childKey(values), newHistogram(v.bounds))
-		v.store2(values[0], values[1], h)
-		return h.(*Histogram)
+		last = values[n-1]
 	}
-	if len(values) == 3 {
-		if h, ok := v.load3(values[0], values[1], values[2]); ok {
-			return h.(*Histogram)
-		}
-		h, _ := v.m.LoadOrStore(childKey(values), newHistogram(v.bounds))
-		v.store3(values[0], values[1], values[2], h)
-		return h.(*Histogram)
+	child, ok := level.Load(last)
+	if !ok {
+		child, _ = level.LoadOrStore(last, f.newChild(f.bounds))
 	}
-	k := childKey(values)
-	if h, ok := v.m.Load(k); ok {
-		return h.(*Histogram)
-	}
-	h, _ := v.m.LoadOrStore(k, newHistogram(v.bounds))
-	return h.(*Histogram)
+	return child.(*T)
 }
 
-// sameStrings reports element-wise equality.
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// lookupVec returns the named family from fams, creating it on first
+// use. Re-registering an existing family with different keys panics —
+// the two call sites would silently shear one family into
+// incompatible series otherwise.
+func lookupVec[T any](r *Registry, fams map[string]*family[T], kind, name string,
+	keys []string, bounds []float64, newChild func([]float64) *T) *family[T] {
+	r.mu.RLock()
+	f := fams[name]
+	r.mu.RUnlock()
+	if f == nil {
+		r.mu.Lock()
+		if f = fams[name]; f == nil {
+			f = &family[T]{name: name, keys: slices.Clone(keys), bounds: bounds, newChild: newChild}
+			fams[name] = f
 		}
+		r.mu.Unlock()
 	}
-	return true
-}
-
-// sameBounds reports element-wise equality of bucket bounds.
-func sameBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+	if !slices.Equal(f.keys, keys) {
+		panic("obs: " + kind + " vec " + name + " re-registered with different label keys")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return f
 }
 
 // CounterVec returns the named counter family with the given label
-// keys, creating it on first use. Re-registering an existing family
-// with different keys panics — the two call sites would silently
-// shear one family into incompatible series otherwise.
+// keys, creating it on first use. Re-registering with different keys
+// panics.
 func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v := r.counterVecs[name]
-	r.mu.RUnlock()
-	if v == nil {
-		r.mu.Lock()
-		if v = r.counterVecs[name]; v == nil {
-			v = &CounterVec{vecCore{name: name, keys: append([]string(nil), keys...)}}
-			r.counterVecs[name] = v
-		}
-		r.mu.Unlock()
-	}
-	if !sameStrings(v.keys, keys) {
-		panic("obs: counter vec " + name + " re-registered with different label keys")
-	}
-	return v
+	return lookupVec(r, r.counterVecs, "counter", name, keys, nil,
+		func([]float64) *Counter { return new(Counter) })
 }
 
 // GaugeVec returns the named gauge family, creating it on first use.
@@ -305,21 +120,8 @@ func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	v := r.gaugeVecs[name]
-	r.mu.RUnlock()
-	if v == nil {
-		r.mu.Lock()
-		if v = r.gaugeVecs[name]; v == nil {
-			v = &GaugeVec{vecCore{name: name, keys: append([]string(nil), keys...)}}
-			r.gaugeVecs[name] = v
-		}
-		r.mu.Unlock()
-	}
-	if !sameStrings(v.keys, keys) {
-		panic("obs: gauge vec " + name + " re-registered with different label keys")
-	}
-	return v
+	return lookupVec(r, r.gaugeVecs, "gauge", name, keys, nil,
+		func([]float64) *Gauge { return new(Gauge) })
 }
 
 // HistogramVec returns the named histogram family with the given
@@ -330,33 +132,64 @@ func (r *Registry) HistogramVec(name string, keys []string, bounds ...float64) *
 	if r == nil {
 		return nil
 	}
-	want := bounds
-	if len(want) == 0 {
-		want = DefaultLatencyBuckets()
-	}
-	want = append([]float64(nil), want...)
-	sort.Float64s(want)
-	r.mu.RLock()
-	v := r.histVecs[name]
-	r.mu.RUnlock()
-	if v == nil {
-		r.mu.Lock()
-		if v = r.histVecs[name]; v == nil {
-			v = &HistogramVec{
-				vecCore: vecCore{name: name, keys: append([]string(nil), keys...)},
-				bounds:  want,
-			}
-			r.histVecs[name] = v
-		}
-		r.mu.Unlock()
-	}
-	if !sameStrings(v.keys, keys) {
-		panic("obs: histogram vec " + name + " re-registered with different label keys")
-	}
-	if len(bounds) > 0 && !sameBounds(v.bounds, want) {
+	want := bucketBounds(bounds)
+	v := lookupVec(r, r.histVecs, "histogram", name, keys, want, newHistogram)
+	if len(bounds) > 0 && !slices.Equal(v.bounds, want) {
 		panic("obs: histogram vec " + name + " re-registered with different bucket bounds")
 	}
 	return v
+}
+
+// series snapshots every family of one kind: entry renders one child
+// with its labels. A family's series are sorted by LabelString, ties
+// (possible only when values contain ',' or '=') by label values;
+// families without children are left out, and the map is nil when
+// none has any.
+func series[T, S any](fams map[string]*family[T], entry func(labels map[string]string, child *T) S) map[string][]S {
+	type item struct {
+		id     string
+		values []string
+		s      S
+	}
+	var out map[string][]S
+	for name, f := range fams {
+		var items []item
+		var walk func(level *sync.Map, path []string)
+		walk = func(level *sync.Map, path []string) {
+			level.Range(func(k, node any) bool {
+				values := append(path[:len(path):len(path)], k.(string))
+				if len(values) < len(f.keys) {
+					walk(node.(*sync.Map), values)
+					return true
+				}
+				labels := make(map[string]string, len(f.keys))
+				for i, key := range f.keys {
+					labels[key] = values[i]
+				}
+				items = append(items, item{LabelString(labels), values, entry(labels, node.(*T))})
+				return true
+			})
+		}
+		walk(&f.root, nil)
+		if len(items) == 0 {
+			continue
+		}
+		sort.Slice(items, func(i, j int) bool {
+			if items[i].id != items[j].id {
+				return items[i].id < items[j].id
+			}
+			return slices.Compare(items[i].values, items[j].values) < 0
+		})
+		ss := make([]S, len(items))
+		for i, it := range items {
+			ss[i] = it.s
+		}
+		if out == nil {
+			out = map[string][]S{}
+		}
+		out[name] = ss
+	}
+	return out
 }
 
 // LabeledCounter is one series of a counter family in a snapshot.

@@ -2,10 +2,12 @@ package obs
 
 import "testing"
 
-// The tentpole's hot-path criterion: incrementing a labeled counter
+// The labeled families' hot-path bar: incrementing a labeled counter
 // through With must stay within 3x of a flat Counter.Add (see
 // BenchmarkCounterInc in bench_test.go); the cached-child pattern the
-// pool uses must match the flat cost exactly.
+// pool uses must match the flat cost exactly. With pays one sync.Map
+// read per label, so each extra label key adds about the cost of a
+// one-label With.
 
 func BenchmarkCounterVecWithInc(b *testing.B) {
 	v := NewRegistry().CounterVec("bench_jobs_total", "tool")
@@ -45,9 +47,9 @@ func BenchmarkCounterVecWithIncThreeLabels(b *testing.B) {
 
 // TestWithAllocFree locks the hot-path contract as a hard test, not
 // just a benchmark number: resolving an existing child through With
-// must not allocate for one-, two-, and three-label families of any
-// kind. A regression here reappears in every pool-worker loop that
-// doesn't cache its child handle.
+// must not allocate for one- to four-label families of any kind. A
+// regression here reappears in every pool-worker loop that doesn't
+// cache its child handle.
 func TestWithAllocFree(t *testing.T) {
 	r := NewRegistry()
 	cv1 := r.CounterVec("alloc_c1_total", "tool")
@@ -57,6 +59,9 @@ func TestWithAllocFree(t *testing.T) {
 	cv3 := r.CounterVec("alloc_c3_total", "tool", "user", "reason")
 	gv3 := r.GaugeVec("alloc_g3", "tool", "user", "reason")
 	hv3 := r.HistogramVec("alloc_h3_seconds", []string{"tool", "user", "reason"})
+	cv4 := r.CounterVec("alloc_c4_total", "tool", "user", "shard", "reason")
+	gv4 := r.GaugeVec("alloc_g4", "tool", "user", "shard", "reason")
+	hv4 := r.HistogramVec("alloc_h4_seconds", []string{"tool", "user", "shard", "reason"})
 	// Create the children outside the measured region.
 	cv1.With("kbdd").Inc()
 	cv2.With("kbdd", "queue").Inc()
@@ -65,6 +70,9 @@ func TestWithAllocFree(t *testing.T) {
 	cv3.With("kbdd", "alice", "queue").Inc()
 	gv3.With("kbdd", "alice", "queue").Set(1)
 	hv3.With("kbdd", "alice", "queue").Observe(0.001)
+	cv4.With("kbdd", "alice", "7", "queue").Inc()
+	gv4.With("kbdd", "alice", "7", "queue").Set(1)
+	hv4.With("kbdd", "alice", "7", "queue").Observe(0.001)
 	cases := []struct {
 		name string
 		fn   func()
@@ -76,6 +84,9 @@ func TestWithAllocFree(t *testing.T) {
 		{"CounterVec/3", func() { cv3.With("kbdd", "alice", "queue").Inc() }},
 		{"GaugeVec/3", func() { gv3.With("kbdd", "alice", "queue").Set(2) }},
 		{"HistogramVec/3", func() { hv3.With("kbdd", "alice", "queue").Observe(0.002) }},
+		{"CounterVec/4", func() { cv4.With("kbdd", "alice", "7", "queue").Inc() }},
+		{"GaugeVec/4", func() { gv4.With("kbdd", "alice", "7", "queue").Set(2) }},
+		{"HistogramVec/4", func() { hv4.With("kbdd", "alice", "7", "queue").Observe(0.002) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(200, tc.fn); n != 0 {

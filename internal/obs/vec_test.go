@@ -209,3 +209,56 @@ func TestVecConcurrent(t *testing.T) {
 		t.Errorf("total = %d, want %d", total, workers*iters)
 	}
 }
+
+// TestVecSeparatorInValues: label values are kept apart by the family's
+// per-label index, not by a separator byte, so values containing the
+// old joined-key separator (0x1f) still file into distinct series.
+func TestVecSeparatorInValues(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("sep_total", "a", "b")
+	v.With("x\x1fy", "z").Add(10)
+	v.With("x", "y\x1fz").Inc()
+	got := r.Snapshot().CounterVecs["sep_total"]
+	want := []LabeledCounter{
+		{Labels: map[string]string{"a": "x\x1fy", "b": "z"}, Value: 10},
+		{Labels: map[string]string{"a": "x", "b": "y\x1fz"}, Value: 1},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("series = %#v, want %#v", got, want)
+	}
+}
+
+// TestVecTiedLabelStrings: values containing ',' or '=' can render two
+// series to one LabelString; the snapshot still orders them the same
+// way every time (by label values).
+func TestVecTiedLabelStrings(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		r := NewRegistry()
+		v := r.CounterVec("tie_total", "a", "b")
+		if i%2 == 0 {
+			v.With("x,b=y", "z").Add(1)
+			v.With("x", "y,b=z").Add(2)
+		} else {
+			v.With("x", "y,b=z").Add(2)
+			v.With("x,b=y", "z").Add(1)
+		}
+		got := r.Snapshot().CounterVecs["tie_total"]
+		if len(got) != 2 || got[0].Value != 2 || got[1].Value != 1 {
+			t.Fatalf("run %d: series = %#v, want values [2 1]", i, got)
+		}
+	}
+}
+
+// TestVecNoKeys: a family registered without label keys holds one
+// series, With() with no values.
+func TestVecNoKeys(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("solo_total")
+	v.With().Add(3)
+	v.With().Inc()
+	got := r.Snapshot().CounterVecs["solo_total"]
+	if len(got) != 1 || len(got[0].Labels) != 0 || got[0].Value != 4 {
+		t.Errorf("series = %#v, want one unlabeled series of 4", got)
+	}
+	mustPanic(t, "no-key family given a value", func() { v.With("x") })
+}

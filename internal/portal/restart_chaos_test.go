@@ -72,8 +72,18 @@ func restartWorkload(t *testing.T, j *portal.Journal) *portal.Pool {
 	return p
 }
 
-// journalRunBytes measures a clean full run's journal size, anchoring
-// the crash-budget sweep to real byte positions of this workload.
+// restartBudgets are the sweep's journal cut points in bytes: i/8 of a
+// clean run's journal for i = 1..7, at two measured lengths (17,956 and
+// 17,960 bytes). The length varies by a few bytes run to run because
+// job durations are journaled as varints, so the cut points are fixed
+// here to make the subtests, and their names, repeat.
+var restartBudgets = []int{
+	2244, 2245, 4489, 4490, 6733, 6735, 8978, 8980,
+	11222, 11225, 13467, 13470, 15711, 15715,
+}
+
+// journalRunBytes measures a clean full run's journal size, the anchor
+// restartBudgets must still span.
 func journalRunBytes(t *testing.T) int {
 	t.Helper()
 	ws := &memWS{}
@@ -88,8 +98,10 @@ func journalRunBytes(t *testing.T) int {
 
 func TestRestartChaosSweep(t *testing.T) {
 	base := journalRunBytes(t)
-	for i := 1; i <= 7; i++ {
-		budget := base * i / 8
+	if last := restartBudgets[len(restartBudgets)-1]; last >= base || last < base*3/4 {
+		t.Fatalf("last cut %d outside [3/4, 1) of the %d-byte journal — sweep anchor is stale", last, base)
+	}
+	for _, budget := range restartBudgets {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
 			runRestartChaos(t, budget)
 		})

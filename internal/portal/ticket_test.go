@@ -294,6 +294,7 @@ func TestTicketDeadlineExpiresRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTicketState(t, tk, portal.TicketRunning)
+	waitHubTimer(t, hub, deadline, 1)
 	hub.fire(deadline) // the watchdog catches a mid-run expiry
 	res, werr := tk.Wait(nil)
 	if !errors.Is(werr, portal.ErrDeadline) {
@@ -341,6 +342,7 @@ func TestTicketDeadlineShorterThanRetryBackoff(t *testing.T) {
 	// sleep (1h — far past the 75ms deadline). Expiry must cut the
 	// backoff short instead of letting the ticket sleep through it.
 	waitHubTimer(t, hub, backoff, 1)
+	waitHubTimer(t, hub, deadline, 1)
 	hub.fire(deadline)
 	res, werr := tk.Wait(nil)
 	if !errors.Is(werr, portal.ErrDeadline) {
