@@ -231,9 +231,9 @@ func portalStorm(w io.Writer, seed uint64, ob *obs.Observer, gate *readyGate) er
 		Retry:      portal.RetryPolicy{MaxAttempts: 2, BaseDelay: 200 * time.Microsecond, JitterFrac: 0.5},
 		Breaker:    portal.BreakerConfig{FailureThreshold: 6, Cooldown: 20 * time.Millisecond},
 		Seed:       seed,
+		Observer:   ob,
 	})
 	defer p.Close()
-	p.SetObserver(ob)
 	// /readyz follows the pool's breaker state for the duration of
 	// the drill; cleared before Close so a held process reads ready.
 	gate.set(p.Ready)
@@ -365,9 +365,9 @@ func fairnessDrill(w io.Writer, seed uint64, ob *obs.Observer, gate *readyGate) 
 			}
 			return "default"
 		},
+		Observer: ob,
 	})
 	defer p.Close()
-	p.SetObserver(ob)
 	gate.set(p.Ready)
 	defer gate.set(nil)
 
@@ -563,9 +563,8 @@ func recoveryDrill(w io.Writer, seed uint64, journalPath string, ob *obs.Observe
 	input := "2 cg\n2 -1\n-1 2\n1 1\n"
 	workload := func(j *portal.Journal, ob *obs.Observer) *portal.Pool {
 		p := portal.NewPool(portal.PoolConfig{
-			Workers: 4, QueueDepth: 64, Journal: j, Seed: seed,
+			Workers: 4, QueueDepth: 64, Journal: j, Seed: seed, Observer: ob,
 		})
-		p.SetObserver(ob)
 		// A deterministic ~1ms run time keeps several tickets genuinely
 		// mid-flight at the cut, so the restart has work to replay.
 		slow := fault.Wrap(portal.AxbTool(), seed,

@@ -31,7 +31,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	checkDRC := fs.Bool("drc", false, "design-rule-check the routed wires (violations exit nonzero)")
 	seed := fs.Int64("seed", 1, "seed for randomized stages")
 	workers := fs.Int("workers", 0, "routing and placement workers (0 = GOMAXPROCS, 1 = serial; result is identical either way)")
-	placeWorkers := fs.Int("place-workers", 0, "placement workers; overrides -workers for the place stage (0 = inherit)")
 	annealPlace := fs.Bool("anneal-place", false, "refine the legalized placement with parallel simulated annealing")
 	stats := fs.Bool("stats", false, "print the per-stage timing table and telemetry snapshot")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON snapshot instead of text")
@@ -50,14 +49,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		in = f
 	}
 	ob := obs.NewObserver(nil)
-	pw := *placeWorkers
-	if pw <= 0 {
-		pw = *workers
-	}
 	flow, err := vlsicad.RunFlow(in, vlsicad.FlowOpts{
 		WireModel: *wire, Seed: *seed, CheckDRC: *checkDRC, Obs: ob,
 		RouteWorkers: *workers,
-		AnnealPlace:  *annealPlace, PlaceWorkers: pw,
+		AnnealPlace:  *annealPlace, PlaceWorkers: *workers,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "vlsicad:", err)

@@ -55,9 +55,9 @@ func main() {
 		Retry:      portal.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, JitterFrac: 0.5},
 		Breaker:    portal.BreakerConfig{FailureThreshold: 5, Cooldown: 100 * time.Millisecond},
 		Journal:    jr,
+		Observer:   ob,
 	})
 	defer p.Close()
-	p.SetObserver(ob)
 	if *metricsAddr != "" {
 		// The live telemetry plane: scrape /metrics while the demo
 		// runs; /readyz follows the pool's breaker state.

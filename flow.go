@@ -27,16 +27,18 @@ import (
 	"vlsicad/internal/timing"
 )
 
+// Fixed physical-design parameters of the flow. The annealing chain
+// count — never the worker count — determines the refined placement.
+const (
+	flowUtilization = 0.5 // placement density, cells per slot
+	flowRouteScale  = 3   // routing tracks per placement slot
+	flowPlaceChains = 4   // annealing chains (FlowOpts.AnnealPlace)
+)
+
 // FlowOpts configures RunFlow.
 type FlowOpts struct {
-	// SkipSynthesis leaves the network as parsed.
-	SkipSynthesis bool
 	// MapObjective selects area (default) or delay mapping.
 	MapObjective techmap.Objective
-	// Utilization sets placement density (cells per slot); default 0.5.
-	Utilization float64
-	// RouteScale sets routing tracks per placement slot; default 3.
-	RouteScale int
 	// Seed drives the randomized stages (routing rip-up order).
 	Seed int64
 	// RouteWorkers sets the routing stage's worker count: 0 means
@@ -49,9 +51,6 @@ type FlowOpts struct {
 	// refinement is kept only when it improves HPWL, so enabling it
 	// never worsens the layout.
 	AnnealPlace bool
-	// PlaceChains sets the annealing chain count (0 means 4). The
-	// chain count — never the worker count — determines the result.
-	PlaceChains int
 	// PlaceWorkers bounds the placement stage's concurrency — the
 	// quadratic placer's per-level region solves and the annealing
 	// chains: 0 means GOMAXPROCS. Like RouteWorkers it changes only
@@ -165,12 +164,6 @@ func RunFlow(r io.Reader, opts FlowOpts) (*Flow, error) {
 // feeds a per-stage latency histogram; the finished spans land in
 // Flow.Trace and the timing table in Flow.Stages.
 func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
-	if opts.Utilization <= 0 || opts.Utilization > 1 {
-		opts.Utilization = 0.5
-	}
-	if opts.RouteScale <= 0 {
-		opts.RouteScale = 3
-	}
 	ob := opts.Obs
 	if ob == nil {
 		ob = obs.Default()
@@ -207,11 +200,9 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 	// sweep; verify with BDD equivalence (Week 2).
 	sp := root.StartChild("flow.synth")
 	work := nw.Clone()
-	if !opts.SkipSynthesis {
-		mls.ExtractKernels(work, "fx_", 10)
-		mls.Simplify(work)
-		mls.SweepConstants(work)
-	}
+	mls.ExtractKernels(work, "fx_", 10)
+	mls.Simplify(work)
+	mls.SweepConstants(work)
 	f.Synthesized = work
 	f.LiteralsAfter = work.Literals()
 	endStage(sp, "synth", nil)
@@ -272,7 +263,7 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 	// 3. Placement (Week 6): one cell per mapped gate; nets from the
 	// gate-level connectivity; pads for the primary inputs/outputs.
 	sp = root.StartChild("flow.place")
-	prob, cellOf, err := placementFromMapping(work, subj, mapping, opts.Utilization)
+	prob, cellOf, err := placementFromMapping(work, subj, mapping, flowUtilization)
 	if err != nil {
 		endStage(sp, "place", err)
 		return finish(nil, err)
@@ -315,10 +306,6 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 	f.Placement = legal
 	f.HPWL = prob.HPWL(legal)
 	if opts.AnnealPlace {
-		chains := opts.PlaceChains
-		if chains <= 0 {
-			chains = 4
-		}
 		// Chain telemetry mirrors the route stage's wave idiom: one
 		// labeled family (flow_place_chain_events_total{kind}) plus a
 		// child span per chain. OnChain fires in chain order after all
@@ -329,7 +316,7 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 			chainEvents.With("moves"), chainEvents.With("accepted"), chainEvents.With("recomputes")
 		res, aerr := place.Anneal(prob, place.AnnealOpts{
 			Seed:    opts.Seed,
-			Chains:  chains,
+			Chains:  flowPlaceChains,
 			Workers: opts.PlaceWorkers,
 			Initial: legal,
 			OnChain: func(cs place.ChainStats) {
@@ -360,7 +347,7 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 	// worker pool. Per-wave telemetry lands in child spans and
 	// counters; the Result itself is worker-count independent.
 	sp = root.StartChild("flow.route")
-	grid, nets := routingFromPlacement(prob, legal, opts.RouteScale, opts.Seed)
+	grid, nets := routingFromPlacement(prob, legal, flowRouteScale, opts.Seed)
 	f.Grid = grid
 	f.Nets = nets
 	workers := opts.RouteWorkers

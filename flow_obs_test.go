@@ -137,7 +137,7 @@ func TestFlowAnnealPlace(t *testing.T) {
 	run := func(workers int) (*Flow, *obs.Observer) {
 		ob := obs.NewObserver(obs.NewFakeClock(time.Unix(1700000000, 0).UTC(), time.Millisecond).Now)
 		f, err := RunFlow(strings.NewReader(obsTestBLIF),
-			FlowOpts{Seed: 3, AnnealPlace: true, PlaceChains: 3, PlaceWorkers: workers, Obs: ob})
+			FlowOpts{Seed: 3, AnnealPlace: true, PlaceWorkers: workers, Obs: ob})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,8 +182,8 @@ func TestFlowAnnealPlace(t *testing.T) {
 			chainSpans++
 		}
 	}
-	if chainSpans != 3 {
-		t.Errorf("flow.place.chain spans = %d, want 3 (one per chain)", chainSpans)
+	if chainSpans != 4 {
+		t.Errorf("flow.place.chain spans = %d, want 4 (one per chain)", chainSpans)
 	}
 }
 

@@ -21,9 +21,9 @@ func BenchmarkPoolSubmit(b *testing.B) {
 	p := NewPool(PoolConfig{
 		Workers:    runtime.GOMAXPROCS(0),
 		QueueDepth: 4 * runtime.GOMAXPROCS(0),
+		Observer:   obs.NewObserver(nil),
 	})
 	defer p.Close()
-	p.SetObserver(obs.NewObserver(nil))
 	if err := p.Register(echoTool()); err != nil {
 		b.Fatal(err)
 	}
@@ -54,9 +54,9 @@ func BenchmarkPoolSubmitJournal(b *testing.B) {
 		// result ever seen.
 		HistoryLimit: 32,
 		Journal:      NewJournal(&memSyncer{}, JournalOpts{CompactEvery: 1024}),
+		Observer:     obs.NewObserver(nil),
 	})
 	defer p.Close()
-	p.SetObserver(obs.NewObserver(nil))
 	if err := p.Register(echoTool()); err != nil {
 		b.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func BenchmarkRecoverPool(b *testing.B) {
 	ms := &memSyncer{}
 	src := NewPool(PoolConfig{
 		Workers: 4, QueueDepth: 128,
-		Journal: NewJournal(ms, JournalOpts{}),
+		Journal:  NewJournal(ms, JournalOpts{}),
+		Observer: obs.NewObserver(nil),
 	})
-	src.SetObserver(obs.NewObserver(nil))
 	if err := src.Register(echoTool()); err != nil {
 		b.Fatal(err)
 	}
@@ -137,9 +137,9 @@ func BenchmarkPoolSubmitAsync(b *testing.B) {
 	p := NewPool(PoolConfig{
 		Workers:    runtime.GOMAXPROCS(0),
 		QueueDepth: users * window,
+		Observer:   obs.NewObserver(nil),
 	})
 	defer p.Close()
-	p.SetObserver(obs.NewObserver(nil))
 	if err := p.Register(echoTool()); err != nil {
 		b.Fatal(err)
 	}
@@ -180,9 +180,9 @@ func BenchmarkPoolSubmitHistory(b *testing.B) {
 		Workers:      runtime.GOMAXPROCS(0),
 		QueueDepth:   4 * runtime.GOMAXPROCS(0),
 		HistoryLimit: 64,
+		Observer:     obs.NewObserver(nil),
 	})
 	defer p.Close()
-	p.SetObserver(obs.NewObserver(nil))
 	if err := p.Register(echoTool()); err != nil {
 		b.Fatal(err)
 	}
@@ -218,9 +218,9 @@ func BenchmarkPoolSubmitFaulty(b *testing.B) {
 		Workers:    runtime.GOMAXPROCS(0),
 		QueueDepth: 4 * runtime.GOMAXPROCS(0),
 		Retry:      RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond},
+		Observer:   obs.NewObserver(nil),
 	})
 	defer p.Close()
-	p.SetObserver(obs.NewObserver(nil))
 	if err := p.Register(flaky); err != nil {
 		b.Fatal(err)
 	}

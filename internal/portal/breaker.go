@@ -79,7 +79,8 @@ type Breaker struct {
 	probeOKs     int       // consecutive half-open probe successes
 
 	// onTransition, when set, observes every state change; the pool
-	// uses it to thread breaker flips into obs counters/events.
+	// sets it at Register, before publishing the breaker, to thread
+	// breaker flips into obs counters/events.
 	onTransition func(from, to BreakerState)
 }
 
@@ -89,20 +90,6 @@ func NewBreaker(cfg BreakerConfig, clock func() time.Time) *Breaker {
 		clock = time.Now
 	}
 	return &Breaker{cfg: cfg.withDefaults(), clock: clock}
-}
-
-// setClock swaps the breaker's time source under its lock.
-func (b *Breaker) setClock(clock func() time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.clock = clock
-}
-
-// setOnTransition swaps the transition observer under the lock.
-func (b *Breaker) setOnTransition(fn func(from, to BreakerState)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.onTransition = fn
 }
 
 // State returns the current state (transitioning open → half-open if

@@ -41,6 +41,7 @@ func chaosCfg() fault.Config {
 func runChaos(t *testing.T, seed uint64, users, jobs int) *obs.Observer {
 	t.Helper()
 	inj := fault.Wrap(echoTool{}, seed, chaosCfg())
+	ob := obs.NewObserver(nil)
 	p := portal.NewPool(portal.PoolConfig{
 		Workers:    8,
 		QueueDepth: 256,
@@ -48,9 +49,8 @@ func runChaos(t *testing.T, seed uint64, users, jobs int) *obs.Observer {
 		Retry:      portal.RetryPolicy{MaxAttempts: 2, BaseDelay: 100 * time.Microsecond, JitterFrac: 0.5},
 		Breaker:    portal.BreakerConfig{FailureThreshold: 8, Cooldown: 50 * time.Millisecond},
 		Seed:       seed,
+		Observer:   ob,
 	})
-	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +170,10 @@ func TestChaosSeedReproduces(t *testing.T) {
 			Garbage: 0.12, SlowDelay: 100 * time.Microsecond})
 		p := portal.NewPool(portal.PoolConfig{
 			Workers: 2, Timeout: 20 * time.Millisecond,
-			Retry: portal.RetryPolicy{MaxAttempts: 2, BaseDelay: 100 * time.Microsecond},
-			Seed:  2,
+			Retry:    portal.RetryPolicy{MaxAttempts: 2, BaseDelay: 100 * time.Microsecond},
+			Seed:     2,
+			Observer: obs.NewObserver(nil),
 		})
-		p.SetObserver(obs.NewObserver(nil))
 		if err := p.Register(inj); err != nil {
 			t.Fatal(err)
 		}
@@ -223,13 +223,13 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	ob := obs.NewObserver(clk.Now)
 	inj := fault.Script(echoTool{}, fault.Transient)
 	p := portal.NewPool(portal.PoolConfig{
-		Workers: 1,
-		Retry:   portal.RetryPolicy{MaxAttempts: 1},
-		Breaker: portal.BreakerConfig{FailureThreshold: 4, Cooldown: time.Minute},
+		Workers:  1,
+		Retry:    portal.RetryPolicy{MaxAttempts: 1},
+		Breaker:  portal.BreakerConfig{FailureThreshold: 4, Cooldown: time.Minute},
+		Observer: ob,
+		Clock:    clk.Now,
 	})
 	defer p.Close()
-	p.SetObserver(ob)
-	p.SetClock(clk.Now, nil)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +300,7 @@ func runHotUserStorm(t *testing.T, seed uint64) {
 	inj := fault.Wrap(echoTool{}, seed, fault.Config{
 		Panic: 0.05, Hang: 0.02, Transient: 0.08, Slow: 0.05,
 		Garbage: 0.05, Stall: 0.03, SlowDelay: 200 * time.Microsecond})
+	ob := obs.NewObserver(nil)
 	p := portal.NewPool(portal.PoolConfig{
 		Workers:    8,
 		QueueDepth: 64,
@@ -312,9 +313,8 @@ func runHotUserStorm(t *testing.T, seed uint64) {
 		QuotaRate:  0.001, // effectively burst-only during the storm
 		QuotaBurst: hotBurst,
 		FairShare:  0.25,
+		Observer:   ob,
 	})
-	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
 	}

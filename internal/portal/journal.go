@@ -117,7 +117,7 @@ type Journal struct {
 	bytes     int64
 	sinceSnap int // non-snapshot records since the last snapshot
 
-	// Metric children, rebound by bind on pool attach/SetObserver.
+	// Metric children, resolved by bind when a pool attaches.
 	recs   [6]*obs.Counter // pool_journal_records_total{kind}, indexed by kind byte
 	bytesC *obs.Counter    // pool_journal_bytes_total
 	errsC  *obs.Counter    // pool_journal_errors_total

@@ -49,8 +49,7 @@ func (rt releaseTool) Run(input string, cancel <-chan struct{}) (string, error) 
 func TestPoolAbandonNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	inj := fault.Script(echoTool{}, fault.Hang)
-	p := portal.NewPool(portal.PoolConfig{Workers: 4, Timeout: 5 * time.Millisecond})
-	p.SetObserver(obs.NewObserver(nil))
+	p := portal.NewPool(portal.PoolConfig{Workers: 4, Timeout: 5 * time.Millisecond, Observer: obs.NewObserver(nil)})
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
 	}

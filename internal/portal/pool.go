@@ -131,15 +131,15 @@ type PoolConfig struct {
 	// RecoverPool replays the log into a warm pool after a restart.
 	// Nil (the default) costs the hot path nothing.
 	Journal *Journal
-	// Observer, when non-nil, receives the pool's telemetry from
-	// construction on — early enough that RecoverPool's replay spans
-	// and counters land on it. Nil uses obs.Default(); SetObserver can
-	// still redirect later.
+	// Observer receives the pool's telemetry from construction on —
+	// early enough that RecoverPool's replay spans and counters land
+	// on it. Nil uses obs.Default().
 	Observer *obs.Observer
-	// Clock and After inject the pool's time source and timer at
-	// construction — the same injection SetClock offers, but early
-	// enough that recovered deadlines re-arm and replayed admission
-	// timestamps resolve deterministically in tests. Nil = real time.
+	// Clock and After are the pool's time source and timer, used for
+	// durations, timeout enforcement, retry backoff, deadlines, drain
+	// budgets, and breaker cooldowns; tests inject fakes so recovered
+	// deadlines re-arm and admission timestamps resolve
+	// deterministically. Nil = real time.
 	Clock func() time.Time
 	After func(time.Duration) <-chan time.Time
 }
@@ -185,11 +185,12 @@ type poolShard struct {
 }
 
 // toolMetrics caches one tool's labeled series, resolved once at
-// Register (and on SetObserver) so the worker hot path pays only the
-// child metric's atomic cost — never a label lookup per job.
+// Register so the worker hot path pays only the child metric's atomic
+// cost — never a label lookup per job.
 type toolMetrics struct {
 	jobs         *obs.Counter   // pool_tool_jobs_total{tool}
 	retries      *obs.Counter   // pool_tool_retries_total{tool}
+	panics       *obs.Counter   // pool_tool_panics_total{tool}
 	shedQueue    *obs.Counter   // pool_tool_shed_total{tool,reason=queue}
 	shedBreaker  *obs.Counter   // pool_tool_shed_total{tool,reason=breaker}
 	shedQuota    *obs.Counter   // pool_tool_shed_total{tool,reason=quota}
@@ -204,6 +205,7 @@ func resolveToolMetrics(ob *obs.Observer, tool string) *toolMetrics {
 	return &toolMetrics{
 		jobs:         ob.CounterVec("pool_tool_jobs_total", "tool").With(tool),
 		retries:      ob.CounterVec("pool_tool_retries_total", "tool").With(tool),
+		panics:       ob.CounterVec("pool_tool_panics_total", "tool").With(tool),
 		shedQueue:    shed.With(tool, "queue"),
 		shedBreaker:  shed.With(tool, "breaker"),
 		shedQuota:    shed.With(tool, "quota"),
@@ -272,15 +274,17 @@ type TicketOpts struct {
 type Pool struct {
 	cfg PoolConfig
 
-	mu        sync.RWMutex // guards tools, breakers, clock/after/obs; read-heavy
-	tools     map[string]Tool
-	breakers  map[string]*Breaker
-	toolStats map[string]*toolMetrics
-	shardJobs []*obs.Counter // pool_shard_jobs_total{shard}, index-aligned with shards
-	lm        *lifecycleMetrics
+	// The wiring below is fixed by newPool and read without a lock.
 	clock     func() time.Time
 	after     func(time.Duration) <-chan time.Time
 	obs       *obs.Observer
+	lm        *lifecycleMetrics
+	shardJobs [historyShards]*obs.Counter // pool_shard_jobs_total{shard}, index-aligned with shards
+
+	mu        sync.RWMutex // guards tools, breakers, toolStats; read-heavy
+	tools     map[string]Tool
+	breakers  map[string]*Breaker
+	toolStats map[string]*toolMetrics
 
 	rngMu    sync.Mutex // jitter stream has its own lock off the hot path
 	rngState uint64
@@ -348,6 +352,7 @@ func newPool(cfg PoolConfig) *Pool {
 		clock:     clock,
 		after:     after,
 		obs:       observer,
+		lm:        resolveLifecycleMetrics(observer),
 		rngState:  cfg.Seed,
 		quota:     newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst),
 		running:   map[*Ticket]struct{}{},
@@ -355,11 +360,11 @@ func newPool(cfg PoolConfig) *Pool {
 		live:      map[uint64]*Ticket{},
 	}
 	p.fq = newFairQueue(cfg.QueueDepth, perUserCap)
+	shardJobs := observer.CounterVec("pool_shard_jobs_total", "shard")
 	for i := range p.shards {
 		p.shards[i].history = map[string][]JobResult{}
+		p.shardJobs[i] = shardJobs.With(strconv.Itoa(i))
 	}
-	p.resolveShardCounters()
-	p.lm = resolveLifecycleMetrics(p.obs)
 	p.jr.bind(p.obs)
 	return p
 }
@@ -417,11 +422,6 @@ func (p *Pool) CloseWithTimeout(d time.Duration) bool {
 	if !already {
 		p.fq.closeQueue()
 	}
-	p.mu.RLock()
-	after := p.after
-	ob := p.obs
-	p.mu.RUnlock()
-
 	drained := make(chan struct{})
 	go func() {
 		p.wg.Wait()
@@ -433,10 +433,10 @@ func (p *Pool) CloseWithTimeout(d time.Duration) bool {
 			p.CompactJournal()
 		}
 		return true
-	case <-after(d):
+	case <-p.after(d):
 	}
 	for _, tk := range p.fq.drainAll() {
-		ob.Gauge("pool_queue_depth").Add(-1)
+		p.obs.Gauge("pool_queue_depth").Add(-1)
 		p.finalizeNonRun(tk, ErrDeadline, "draining")
 	}
 	p.runMu.Lock()
@@ -465,34 +465,6 @@ func (p *Pool) closing() bool {
 	return p.closed
 }
 
-// SetObserver redirects the pool's telemetry (nil detaches it). The
-// per-tool, per-shard, and lifecycle labeled children are re-resolved
-// against the new observer so cached handles keep pointing at live
-// series.
-func (p *Pool) SetObserver(o *obs.Observer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.obs = o
-	p.resolveShardCounters()
-	p.lm = resolveLifecycleMetrics(o)
-	p.jr.bind(o)
-	for name, br := range p.breakers {
-		p.toolStats[name] = resolveToolMetrics(o, name)
-		p.toolStats[name].breakerState.Set(breakerStateValue(br.State()))
-		p.wireBreaker(br, name)
-	}
-}
-
-// resolveShardCounters rebinds pool_shard_jobs_total{shard} children.
-// Callers must hold p.mu (or be the constructor).
-func (p *Pool) resolveShardCounters() {
-	vec := p.obs.CounterVec("pool_shard_jobs_total", "shard")
-	p.shardJobs = make([]*obs.Counter, len(p.shards))
-	for i := range p.shardJobs {
-		p.shardJobs[i] = vec.With(strconv.Itoa(i))
-	}
-}
-
 // breakerStateValue encodes a breaker state for the
 // portal_breaker_state gauge: 0 closed, 1 open, 2 half-open.
 func breakerStateValue(s BreakerState) float64 {
@@ -506,24 +478,6 @@ func breakerStateValue(s BreakerState) float64 {
 	}
 }
 
-// SetClock injects the duration clock and the timer source used for
-// timeout enforcement, retry backoff, deadlines, and drain budgets.
-// Either may be nil to keep the current one. Registered breakers and the quota buckets follow the new
-// clock.
-func (p *Pool) SetClock(now func() time.Time, after func(time.Duration) <-chan time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if now != nil {
-		p.clock = now
-		for _, br := range p.breakers {
-			br.setClock(now)
-		}
-	}
-	if after != nil {
-		p.after = after
-	}
-}
-
 // Register installs a tool and its circuit breaker; registering a
 // duplicate name is an error.
 func (p *Pool) Register(t Tool) error {
@@ -533,32 +487,24 @@ func (p *Pool) Register(t Tool) error {
 	if _, dup := p.tools[name]; dup {
 		return fmt.Errorf("portal: tool %q already registered", name)
 	}
-	p.tools[name] = t
+	tm := resolveToolMetrics(p.obs, name)
+	tm.breakerState.Set(breakerStateValue(BreakerClosed))
+	transitions := p.obs.CounterVec("pool_breaker_transitions_total", "tool", "to")
 	br := NewBreaker(p.cfg.Breaker, p.clock)
-	p.toolStats[name] = resolveToolMetrics(p.obs, name)
-	p.toolStats[name].breakerState.Set(breakerStateValue(BreakerClosed))
-	p.wireBreaker(br, name)
-	p.breakers[name] = br
-	return nil
-}
-
-// wireBreaker points a breaker's transition hook at the current
-// observer: every flip moves the portal_breaker_state{tool} gauge,
-// counts a labeled transition, bumps the flat aggregate, and logs an
-// event. Callers must hold p.mu.
-func (p *Pool) wireBreaker(br *Breaker, name string) {
-	ob := p.obs
-	tool := name
-	stateGauge := p.toolStats[name].breakerState
-	transitions := ob.CounterVec("pool_breaker_transitions_total", "tool", "to")
-	br.setOnTransition(func(from, to BreakerState) {
-		stateGauge.Set(breakerStateValue(to))
-		transitions.With(tool, to.String()).Inc()
-		ob.Counter("pool_breaker_" + to.String()).Inc()
-		ob.Emit("pool.breaker", map[string]string{
-			"tool": tool, "from": from.String(), "to": to.String(),
+	// Every flip moves the portal_breaker_state{tool} gauge, counts a
+	// labeled transition, bumps the flat aggregate, and logs an event.
+	br.onTransition = func(from, to BreakerState) {
+		tm.breakerState.Set(breakerStateValue(to))
+		transitions.With(name, to.String()).Inc()
+		p.obs.Counter("pool_breaker_" + to.String()).Inc()
+		p.obs.Emit("pool.breaker", map[string]string{
+			"tool": name, "from": from.String(), "to": to.String(),
 		})
-	})
+	}
+	p.tools[name] = t
+	p.breakers[name] = br
+	p.toolStats[name] = tm
+	return nil
 }
 
 // Tools lists the registered tool names, sorted.
@@ -630,11 +576,8 @@ func (p *Pool) SubmitAsyncOpts(user, tool, input string, opts TicketOpts) (*Tick
 	t, ok := p.tools[tool]
 	br := p.breakers[tool]
 	tm := p.toolStats[tool]
-	ob := p.obs
-	lm := p.lm
-	clock := p.clock
-	after := p.after
 	p.mu.RUnlock()
+	ob, lm := p.obs, p.lm
 	if !ok {
 		ob.Counter("pool_jobs_unknown_tool").Inc()
 		return nil, fmt.Errorf("portal: no tool %q", tool)
@@ -645,7 +588,7 @@ func (p *Pool) SubmitAsyncOpts(user, tool, input string, opts TicketOpts) (*Tick
 		ob.Emit("pool.shed", map[string]string{"tool": tool, "user": user, "reason": "breaker"})
 		return nil, fmt.Errorf("portal: tool %q: %w", tool, err)
 	}
-	now := clock()
+	now := p.clock()
 	if !p.quota.admit(user, now) {
 		br.Release()
 		p.journalShed(user, now)
@@ -721,7 +664,7 @@ func (p *Pool) SubmitAsyncOpts(user, tool, input string, opts TicketOpts) (*Tick
 	lm.admitted.Inc()
 	ob.Gauge("pool_queue_depth").Add(1)
 	if d > 0 {
-		go p.watchTicket(tk, d, after)
+		go p.watchTicket(tk, d)
 	}
 	return tk, nil
 }
@@ -745,9 +688,9 @@ func (p *Pool) Submit(user, tool, input string) (JobResult, error) {
 // the deadline against the pool clock when it pops the ticket, so
 // expiry is deterministic under a fake clock even if the fake timer
 // never fires.)
-func (p *Pool) watchTicket(tk *Ticket, d time.Duration, after func(time.Duration) <-chan time.Time) {
+func (p *Pool) watchTicket(tk *Ticket, d time.Duration) {
 	select {
-	case <-after(d):
+	case <-p.after(d):
 		p.expireTicket(tk)
 	case <-tk.done:
 	}
@@ -827,15 +770,12 @@ func (p *Pool) finalizeNonRun(tk *Ticket, cause error, where string) {
 	close(tk.done)
 
 	tk.br.Release()
-	p.mu.RLock()
-	ob, lm := p.obs, p.lm
-	p.mu.RUnlock()
 	if state == "expired" {
-		lm.expired.Inc()
-		lm.expiry(where).Inc()
-		ob.Emit("pool.deadline", map[string]string{"tool": tk.tool, "user": tk.user, "where": where})
+		p.lm.expired.Inc()
+		p.lm.expiry(where).Inc()
+		p.obs.Emit("pool.deadline", map[string]string{"tool": tk.tool, "user": tk.user, "where": where})
 	} else {
-		lm.cancelled.Inc()
+		p.lm.cancelled.Inc()
 	}
 	sp.SetLabel("state", state)
 	sp.End()
@@ -939,24 +879,21 @@ func (p *Pool) finishTicket(tk *Ticket, res JobResult, rawErr error) {
 	p.jmu.Unlock()
 	close(tk.done)
 
-	p.mu.RLock()
-	ob, lm := p.obs, p.lm
-	p.mu.RUnlock()
 	switch state {
 	case "expired":
-		lm.expired.Inc()
+		p.lm.expired.Inc()
 		if where == "" {
 			where = "running"
 		}
-		lm.expiry(where).Inc()
-		ob.Emit("pool.deadline", map[string]string{"tool": tk.tool, "user": tk.user, "where": where})
+		p.lm.expiry(where).Inc()
+		p.obs.Emit("pool.deadline", map[string]string{"tool": tk.tool, "user": tk.user, "where": where})
 	case "cancelled":
-		lm.cancelled.Inc()
+		p.lm.cancelled.Inc()
 	default:
 		if doneState == doneReplayed {
-			lm.replayed.Inc()
+			p.lm.replayed.Inc()
 		} else {
-			lm.completed.Inc()
+			p.lm.completed.Inc()
 		}
 	}
 	sp.SetLabel("state", state)
@@ -977,22 +914,16 @@ func (p *Pool) worker() {
 		if tk == nil {
 			return
 		}
-		p.mu.RLock()
-		ob := p.obs
-		lm := p.lm
-		shardJobs := p.shardJobs
-		clock := p.clock
-		p.mu.RUnlock()
-		ob.Gauge("pool_queue_depth").Add(-1)
-		now := clock()
-		lm.queueWait.ObserveDuration(now.Sub(tk.queuedAt))
+		p.obs.Gauge("pool_queue_depth").Add(-1)
+		now := p.clock()
+		p.lm.queueWait.ObserveDuration(now.Sub(tk.queuedAt))
 		if !p.startTicket(tk, now) {
 			// Cancelled or expired while queued: already finalized.
 			p.fq.release(tk.user)
 			continue
 		}
-		res, rawErr := p.runJob(tk, ob)
-		shardJobs[p.shardIndex(tk.user)].Inc()
+		res, rawErr := p.runJob(tk)
+		p.shardJobs[p.shardIndex(tk.user)].Inc()
 		// History is appended inside finishTicket, atomically with the
 		// ledger and journal updates under jmu.
 		p.finishTicket(tk, res, rawErr)
@@ -1005,10 +936,8 @@ func (p *Pool) worker() {
 // attempt and the backoff sleep abort promptly when the ticket's quit
 // channel fires (deadline or cancel) — then breaker recording and
 // telemetry.
-func (p *Pool) runJob(tk *Ticket, ob *obs.Observer) (JobResult, error) {
-	p.mu.RLock()
-	clock, after := p.clock, p.after
-	p.mu.RUnlock()
+func (p *Pool) runJob(tk *Ticket) (JobResult, error) {
+	ob, clock, after := p.obs, p.clock, p.after
 	ob.Gauge("pool_jobs_inflight").Add(1)
 	start := clock()
 
@@ -1080,7 +1009,8 @@ type runOutcome struct {
 // layers of isolation:
 //
 //  1. panic recovery — a crashing Run becomes a failed result
-//     wrapping ErrToolPanic (portal_panics_recovered counter);
+//     wrapping ErrToolPanic (portal_panics_recovered and
+//     pool_tool_panics_total{tool} counters);
 //  2. timeout + cooperative cancellation — after timeout the cancel
 //     channel closes and the tool gets GracePeriod to acknowledge;
 //  3. abandonment — a tool that ignores cancellation is left running
@@ -1102,14 +1032,14 @@ type runOutcome struct {
 // (IsTransient, ErrToolPanic) without string matching.
 func execTool(tk *Ticket, timeout time.Duration,
 	after func(time.Duration) <-chan time.Time, ob *obs.Observer) (JobResult, error) {
-	t, tool, input := tk.t, tk.tool, tk.input
+	t, tool, input, tm := tk.t, tk.tool, tk.input, tk.tm
 	cancel := make(chan struct{})
 	done := make(chan runOutcome, 1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				ob.Counter("portal_panics_recovered").Inc()
-				ob.Counter("portal_panics_recovered:" + tool).Inc()
+				tm.panics.Inc()
 				done <- runOutcome{err: fmt.Errorf("%w: %v", ErrToolPanic, r)}
 			}
 		}()

@@ -20,10 +20,9 @@ func echoTool() Tool {
 }
 
 func TestPoolSubmitAndHistory(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 4})
-	defer p.Close()
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
+	p := NewPool(PoolConfig{Workers: 4, Observer: ob})
+	defer p.Close()
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +67,9 @@ func TestPoolSubmitAndHistory(t *testing.T) {
 }
 
 func TestPoolUnknownTool(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 1})
-	defer p.Close()
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
+	p := NewPool(PoolConfig{Workers: 1, Observer: ob})
+	defer p.Close()
 	if _, err := p.Submit("u", "vivado", ""); err == nil ||
 		!strings.Contains(err.Error(), "no tool") {
 		t.Fatalf("err = %v", err)
@@ -101,10 +99,9 @@ func TestPoolQueueBackpressure(t *testing.T) {
 	const workers, depth = 2, 2
 	release := make(chan struct{})
 	started := make(chan struct{}, workers)
-	p := NewPool(PoolConfig{Workers: workers, QueueDepth: depth, Timeout: time.Hour})
-	defer p.Close()
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
+	p := NewPool(PoolConfig{Workers: workers, QueueDepth: depth, Timeout: time.Hour, Observer: ob})
+	defer p.Close()
 	err := p.Register(toolFunc{name: "block", desc: "holds its worker",
 		run: func(input string, cancel <-chan struct{}) (string, error) {
 			started <- struct{}{}
@@ -175,10 +172,9 @@ func TestPoolQueueBackpressure(t *testing.T) {
 // TestPoolPanicIsolation: a crashing Tool.Run becomes a failed
 // JobResult, not a dead process.
 func TestPoolPanicIsolation(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 2})
-	defer p.Close()
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
+	p := NewPool(PoolConfig{Workers: 2, Observer: ob})
+	defer p.Close()
 	err := p.Register(toolFunc{name: "boom", desc: "always panics",
 		run: func(input string, cancel <-chan struct{}) (string, error) {
 			panic("index out of range in student input")
@@ -197,6 +193,9 @@ func TestPoolPanicIsolation(t *testing.T) {
 	m := ob.Snapshot().Metrics
 	if m.Counters["portal_panics_recovered"] != 1 {
 		t.Fatalf("panics counter = %d", m.Counters["portal_panics_recovered"])
+	}
+	if v, ok := m.CounterSeries("pool_tool_panics_total", map[string]string{"tool": "boom"}); !ok || v != 1 {
+		t.Fatalf("pool_tool_panics_total{tool=boom} = %d (present %v)", v, ok)
 	}
 	if m.Counters["pool_jobs_error"] != 1 {
 		t.Fatalf("error counter = %d", m.Counters["pool_jobs_error"])
@@ -227,11 +226,10 @@ func flakyTool(name string, failures int) Tool {
 }
 
 func TestPoolRetryTransient(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 1,
+	ob := obs.NewObserver(nil)
+	p := NewPool(PoolConfig{Workers: 1, Observer: ob,
 		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, JitterFrac: 0.5}})
 	defer p.Close()
-	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
 	if err := p.Register(flakyTool("flaky", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +256,10 @@ func TestPoolRetryTransient(t *testing.T) {
 }
 
 func TestPoolRetryExhausted(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 1,
+	ob := obs.NewObserver(nil)
+	p := NewPool(PoolConfig{Workers: 1, Observer: ob,
 		Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond}})
 	defer p.Close()
-	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
 	if err := p.Register(flakyTool("flaky", 100)); err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +294,9 @@ func TestPoolRetryExhausted(t *testing.T) {
 func TestPoolBreakerTripShedRecover(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(5000, 0).UTC(), 0)
 	ob := obs.NewObserver(clk.Now)
-	p := NewPool(PoolConfig{Workers: 1,
+	p := NewPool(PoolConfig{Workers: 1, Observer: ob, Clock: clk.Now,
 		Breaker: BreakerConfig{FailureThreshold: 3, Cooldown: 10 * time.Second}})
 	defer p.Close()
-	p.SetObserver(ob)
-	p.SetClock(clk.Now, nil)
 
 	var mu sync.Mutex
 	healthy := false
@@ -391,11 +386,10 @@ func TestPoolBreakerTripShedRecover(t *testing.T) {
 // the injected timer source (no wall-clock waiting) and checks the
 // shared abandonment accounting.
 func TestPoolTimeoutAndAbandon(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 1, Timeout: time.Hour})
-	defer p.Close()
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
-	p.SetClock(nil, firedOnce(2)) // timeout and grace fire instantly
+	p := NewPool(PoolConfig{Workers: 1, Timeout: time.Hour, Observer: ob,
+		After: firedOnce(2)}) // timeout and grace fire instantly
+	defer p.Close()
 	release := make(chan struct{})
 	err := p.Register(toolFunc{name: "runaway", desc: "ignores cancel",
 		run: func(input string, cancel <-chan struct{}) (string, error) {
@@ -448,10 +442,9 @@ func TestPoolTimeoutAndAbandon(t *testing.T) {
 // (run with -race) and checks per-user history integrity across the
 // shard map.
 func TestPoolShardedHistoryConcurrent(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 8, QueueDepth: 256})
-	defer p.Close()
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
+	p := NewPool(PoolConfig{Workers: 8, QueueDepth: 256, Observer: ob})
+	defer p.Close()
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}
@@ -494,6 +487,71 @@ func TestPoolShardedHistoryConcurrent(t *testing.T) {
 	}
 }
 
+// TestPoolRegisterWhileSubmitting registers tools while other
+// goroutines submit to an already-registered tool and to the ones
+// being registered (run with -race). Register must publish each tool
+// with its breaker and labeled series already wired: every admitted
+// ticket terminates and lands on its tool's pool_tool_jobs_total.
+func TestPoolRegisterWhileSubmitting(t *testing.T) {
+	const tools, submitters, jobs = 16, 4, 64
+	ob := obs.NewObserver(nil)
+	p := NewPool(PoolConfig{Workers: 4, Observer: ob})
+	defer p.Close()
+	if err := p.Register(echoTool()); err != nil {
+		t.Fatal(err)
+	}
+	echo := echoTool().(toolFunc).run
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < tools; i++ {
+			if err := p.Register(toolFunc{name: fmt.Sprintf("t%d", i), desc: "echo", run: echo}); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	var mu sync.Mutex
+	admitted := map[string]int64{}
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			user := fmt.Sprintf("user%d", s)
+			for i := 0; i < jobs; i++ {
+				tool := "echo"
+				if i%2 == 1 {
+					tool = fmt.Sprintf("t%d", (i/2+s)%tools)
+				}
+				tk, err := p.SubmitAsync(user, tool, user)
+				if err != nil {
+					if !strings.Contains(err.Error(), "no tool") {
+						t.Errorf("%s -> %s: %v", user, tool, err)
+					}
+					continue
+				}
+				res, err := tk.Wait(nil)
+				if st := tk.State(); err != nil || st != TicketDone || res.Output != user {
+					t.Errorf("%s -> %s: state %v, err %v, output %q", user, tool, st, err, res.Output)
+				}
+				mu.Lock()
+				admitted[tool]++
+				mu.Unlock()
+			}
+		}(s)
+	}
+	wg.Wait()
+	if got := p.Tools(); len(got) != tools+1 {
+		t.Fatalf("Tools() = %v, want echo and t0..t%d", got, tools-1)
+	}
+	m := ob.Snapshot().Metrics
+	for tool, n := range admitted {
+		if v, _ := m.CounterSeries("pool_tool_jobs_total", map[string]string{"tool": tool}); v != n {
+			t.Errorf("pool_tool_jobs_total{tool=%s} = %d, want %d", tool, v, n)
+		}
+	}
+}
+
 // TestHistoryNPaging: the pool serves a newest-first page of at most
 // n entries — the "scroll for older outputs" read path without copying
 // a whole semester of history.
@@ -529,9 +587,8 @@ func TestHistoryNPaging(t *testing.T) {
 // entries, so per-user memory is bounded no matter how long the
 // course runs.
 func TestPoolHistoryLimit(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 1, HistoryLimit: 4})
+	p := NewPool(PoolConfig{Workers: 1, HistoryLimit: 4, Observer: obs.NewObserver(nil)})
 	defer p.Close()
-	p.SetObserver(obs.NewObserver(nil))
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}

@@ -95,10 +95,10 @@ func TestPoolQuotaShedsEndToEnd(t *testing.T) {
 			}
 			return "default"
 		},
+		Observer: ob,
+		Clock:    clk.Now,
 	})
 	defer p.Close()
-	p.SetObserver(ob)
-	p.SetClock(clk.Now, nil)
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,8 @@ func TestPoolFairShareShedsEndToEnd(t *testing.T) {
 		Workers:    1,
 		QueueDepth: 4,
 		FairShare:  0.5,
+		Observer:   ob,
 	})
-	p.SetObserver(ob)
 	block := make(chan struct{})
 	gate := toolFunc{name: "gate", desc: "blocks until released",
 		run: func(input string, cancel <-chan struct{}) (string, error) {

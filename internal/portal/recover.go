@@ -278,11 +278,7 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 		}
 	}
 
-	p.mu.RLock()
 	ob := p.obs
-	after := p.after
-	clock := p.clock
-	p.mu.RUnlock()
 	sp := ob.StartSpan("portal.recover")
 
 	// A ticket that was running (in any previous lifetime) stays
@@ -327,7 +323,7 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 	// bypasses the queue and share caps: these tickets were already
 	// admitted once and must not be shed by their own recovery.
 	disp := ob.CounterVec("pool_recovery_replayed_total", "disposition")
-	now := clock()
+	now := p.clock()
 	for _, seqNo := range order {
 		rec, ok := st.live[seqNo]
 		if !ok {
@@ -373,7 +369,7 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 			p.fq.restore(tk)
 			ob.Gauge("pool_queue_depth").Add(1)
 			if !rec.deadline.IsZero() {
-				go p.watchTicket(tk, rec.deadline.Sub(now), after)
+				go p.watchTicket(tk, rec.deadline.Sub(now))
 			}
 		}
 	}

@@ -28,16 +28,16 @@ func scrape(t *testing.T, h http.Handler, path string) (int, []byte) {
 // scrape taken mid-flight must be well-formed, and afterwards the
 // per-tool labeled series must reflect what happened.
 func TestPoolScrapeUnderChaos(t *testing.T) {
+	ob := obs.NewObserver(nil)
 	p := NewPool(PoolConfig{
 		Workers:    4,
 		QueueDepth: 32,
 		Timeout:    time.Second,
 		Retry:      RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond},
 		Breaker:    BreakerConfig{FailureThreshold: 1 << 30, Cooldown: time.Millisecond},
+		Observer:   ob,
 	})
 	defer p.Close()
-	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +134,13 @@ func TestPoolScrapeUnderChaos(t *testing.T) {
 // again after cooldown recovery, then 503 for good once the pool
 // closes.
 func TestReadyzFollowsBreakerAndClose(t *testing.T) {
-	p := NewPool(PoolConfig{
-		Workers: 2,
-		Timeout: time.Second,
-		Breaker: BreakerConfig{FailureThreshold: 2, Cooldown: 20 * time.Millisecond},
-	})
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
+	p := NewPool(PoolConfig{
+		Workers:  2,
+		Timeout:  time.Second,
+		Breaker:  BreakerConfig{FailureThreshold: 2, Cooldown: 20 * time.Millisecond},
+		Observer: ob,
+	})
 	boom := toolFunc{name: "boom", desc: "always fails",
 		run: func(input string, cancel <-chan struct{}) (string, error) {
 			return "", errors.New("synthetic failure")
@@ -194,10 +194,9 @@ func TestReadyzFollowsBreakerAndClose(t *testing.T) {
 // TestPoolLiveScrapeEndToEnd exercises the real network path: a pool
 // wired to obs.Serve, scraped over TCP while jobs run.
 func TestPoolLiveScrapeEndToEnd(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 2, Timeout: time.Second})
-	defer p.Close()
 	ob := obs.NewObserver(nil)
-	p.SetObserver(ob)
+	p := NewPool(PoolConfig{Workers: 2, Timeout: time.Second, Observer: ob})
+	defer p.Close()
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}

@@ -85,9 +85,8 @@ func waitHubTimer(t *testing.T, hub *timerHub, d time.Duration, n int) {
 }
 
 func TestTicketWaitAfterCompletionAndDoubleWait(t *testing.T) {
-	p := portal.NewPool(portal.PoolConfig{Workers: 2})
+	p := portal.NewPool(portal.PoolConfig{Workers: 2, Observer: obs.NewObserver(nil)})
 	defer p.Close()
-	p.SetObserver(obs.NewObserver(nil))
 	if err := p.Register(echoTool{}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +117,8 @@ func TestTicketWaitAfterCompletionAndDoubleWait(t *testing.T) {
 }
 
 func TestTicketWaitContextExpiry(t *testing.T) {
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Observer: obs.NewObserver(nil)})
 	defer p.Close()
-	p.SetObserver(obs.NewObserver(nil))
 	rt := releaseTool{release: make(chan struct{})}
 	if err := p.Register(rt); err != nil {
 		t.Fatal(err)
@@ -145,8 +143,7 @@ func TestTicketWaitContextExpiry(t *testing.T) {
 
 func TestTicketCancelQueued(t *testing.T) {
 	ob := obs.NewObserver(nil)
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
-	p.SetObserver(ob)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Observer: ob})
 	rt := releaseTool{release: make(chan struct{})}
 	if err := p.Register(rt); err != nil {
 		t.Fatal(err)
@@ -193,8 +190,7 @@ func TestTicketCancelQueued(t *testing.T) {
 func TestTicketCancelWhileRunning(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ob := obs.NewObserver(nil)
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
-	p.SetObserver(ob)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Observer: ob})
 	// Stall: blocks past any deadline but yields to cancellation —
 	// cancel must terminate it through quit without abandoning it.
 	inj := fault.Script(echoTool{}, fault.Stall)
@@ -233,9 +229,7 @@ func TestTicketDeadlineExpiresQueued(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(8000, 0).UTC(), 0)
 	ob := obs.NewObserver(clk.Now)
 	hub := newTimerHub()
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
-	p.SetObserver(ob)
-	p.SetClock(clk.Now, hub.after)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Observer: ob, Clock: clk.Now, After: hub.after})
 	rt := releaseTool{release: make(chan struct{})}
 	if err := p.Register(rt); err != nil {
 		t.Fatal(err)
@@ -282,9 +276,7 @@ func TestTicketDeadlineExpiresRunning(t *testing.T) {
 	ob := obs.NewObserver(nil)
 	hub := newTimerHub()
 	const deadline = 75 * time.Millisecond
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
-	p.SetObserver(ob)
-	p.SetClock(nil, hub.after)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Observer: ob, After: hub.after})
 	inj := fault.Script(echoTool{}, fault.Stall)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
@@ -325,11 +317,11 @@ func TestTicketDeadlineShorterThanRetryBackoff(t *testing.T) {
 	const deadline = 75 * time.Millisecond
 	const backoff = time.Hour
 	p := portal.NewPool(portal.PoolConfig{
-		Workers: 1,
-		Retry:   portal.RetryPolicy{MaxAttempts: 5, BaseDelay: backoff},
+		Workers:  1,
+		Retry:    portal.RetryPolicy{MaxAttempts: 5, BaseDelay: backoff},
+		Observer: ob,
+		After:    hub.after,
 	})
-	p.SetObserver(ob)
-	p.SetClock(nil, hub.after)
 	inj := fault.Script(echoTool{}, fault.Transient)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
@@ -360,8 +352,7 @@ func TestTicketDeadlineShorterThanRetryBackoff(t *testing.T) {
 
 func TestCloseDrainsQueuedTickets(t *testing.T) {
 	ob := obs.NewObserver(nil)
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
-	p.SetObserver(ob)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Observer: ob})
 	rt := releaseTool{release: make(chan struct{})}
 	if err := p.Register(rt); err != nil {
 		t.Fatal(err)
@@ -424,9 +415,7 @@ func TestCloseWithTimeoutForceDrain(t *testing.T) {
 	ob := obs.NewObserver(nil)
 	hub := newTimerHub()
 	const budget = 30 * time.Second
-	p := portal.NewPool(portal.PoolConfig{Workers: 1})
-	p.SetObserver(ob)
-	p.SetClock(nil, hub.after)
+	p := portal.NewPool(portal.PoolConfig{Workers: 1, Observer: ob, After: hub.after})
 	inj := fault.Script(echoTool{}, fault.Stall)
 	if err := p.Register(inj); err != nil {
 		t.Fatal(err)
@@ -473,8 +462,7 @@ func TestCloseWithTimeoutForceDrain(t *testing.T) {
 
 func TestCloseRacingSubmitAsync(t *testing.T) {
 	ob := obs.NewObserver(nil)
-	p := portal.NewPool(portal.PoolConfig{Workers: 4, QueueDepth: 64})
-	p.SetObserver(ob)
+	p := portal.NewPool(portal.PoolConfig{Workers: 4, QueueDepth: 64, Observer: ob})
 	if err := p.Register(echoTool{}); err != nil {
 		t.Fatal(err)
 	}
