@@ -1,10 +1,12 @@
 package vlsicad
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"vlsicad/internal/bench"
+	"vlsicad/internal/route"
 )
 
 const adderBLIF = `
@@ -96,6 +98,43 @@ func TestRunFlowDRCClean(t *testing.T) {
 	}
 	if len(f.DRC) != 0 {
 		t.Errorf("legally routed design has %d DRC violations: %v", len(f.DRC), f.DRC[0])
+	}
+}
+
+// TestRunFlowGeneratedDesignsLegal flows generated designs of the
+// benchmark's sizes (16 inputs; 40, 50 and 60 nodes) through quadratic
+// placement, where about one net in eight fails to route and rip-up
+// works hardest. The routed layout must be DRC-clean, and no path may
+// touch another net's pin or share a cell with another path.
+func TestRunFlowGeneratedDesignsLegal(t *testing.T) {
+	for i, nodes := range []int{40, 50, 60} {
+		nw := bench.Network(bench.NetworkSpec{Name: fmt.Sprintf("gen%d", nodes), Inputs: 16, Nodes: nodes, Outputs: 8}, int64(i+1))
+		f, err := RunFlowOnNetwork(nw, FlowOpts{CheckDRC: true, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Routing.Failed) == 0 {
+			t.Errorf("%s: every net routed; the design no longer exercises rip-up", nw.Name)
+		}
+		if len(f.DRC) != 0 {
+			t.Errorf("%s: %d DRC violations, first %v", nw.Name, len(f.DRC), f.DRC[0])
+		}
+		pinOf := map[route.Point]string{}
+		for _, n := range f.Nets {
+			pinOf[n.A], pinOf[n.B] = n.Name, n.Name
+		}
+		used := map[route.Point]string{}
+		for _, n := range f.Nets {
+			for _, pt := range f.Routing.Paths[n.Name] {
+				if owner, pin := pinOf[pt]; pin && owner != n.Name {
+					t.Errorf("%s: net %s crosses pin %v of net %s", nw.Name, n.Name, pt, owner)
+				}
+				if prev, dup := used[pt]; dup {
+					t.Errorf("%s: nets %s and %s share %v", nw.Name, prev, n.Name, pt)
+				}
+				used[pt] = n.Name
+			}
+		}
 	}
 }
 

@@ -127,9 +127,11 @@ func Jacobi(a *Sparse, b []float64, tol float64, maxIter int) ([]float64, Result
 }
 
 // JacobiInto solves A·x = b by Jacobi iteration into a caller-provided
-// solution vector, starting from x = 0 and allocating nothing once the
-// scratch pool is warm. len(x) must equal a.N. Results are
-// bit-identical to Jacobi.
+// solution vector, starting from x = 0. len(x) must equal a.N. The
+// iteration alternates between x and a second iterate owned by the
+// matrix's frozen image, so it allocates nothing once the image
+// exists; two JacobiInto calls on one matrix must therefore not run
+// concurrently. Results are bit-identical to Jacobi.
 func JacobiInto(x []float64, a *Sparse, b []float64, tol float64, maxIter int) Result {
 	n := a.N
 	for i := range x {
@@ -140,14 +142,8 @@ func JacobiInto(x []float64, a *Sparse, b []float64, tol float64, maxIter int) R
 		return Result{Converged: true}
 	}
 	f := a.Freeze()
-	sc := acquireCGScratch(n, false)
-	defer cgScratchPool.Put(sc)
-	// Iterate entirely in pooled buffers, then copy the final iterate
-	// into the caller-visible x — x must never alias pool memory.
-	cur, next, r := sc.r1, sc.p1, sc.ap1
-	for i := range cur {
-		cur[i] = 0
-	}
+	f.iter = growF64(f.iter, n)
+	cur, next := x, f.iter
 	var res Result
 	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
 		for i := 0; i < n; i++ {
@@ -165,11 +161,7 @@ func JacobiInto(x []float64, a *Sparse, b []float64, tol float64, maxIter int) R
 			next[i] = s / d
 		}
 		cur, next = next, cur
-		f.MatVecInto(r, cur)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		res.Residual = norm(r) / bn
+		res.Residual = f.residualNorm(cur, b) / bn
 		if res.Residual < tol {
 			res.Converged = true
 			break
@@ -188,8 +180,8 @@ func GaussSeidel(a *Sparse, b []float64, tol float64, maxIter int) ([]float64, R
 
 // GaussSeidelInto solves A·x = b by Gauss–Seidel iteration into a
 // caller-provided solution vector, starting from x = 0 and allocating
-// nothing once the scratch pool is warm. len(x) must equal a.N.
-// Results are bit-identical to GaussSeidel.
+// nothing once the matrix is frozen. len(x) must equal a.N. Results
+// are bit-identical to GaussSeidel.
 func GaussSeidelInto(x []float64, a *Sparse, b []float64, tol float64, maxIter int) Result {
 	n := a.N
 	for i := range x {
@@ -200,9 +192,6 @@ func GaussSeidelInto(x []float64, a *Sparse, b []float64, tol float64, maxIter i
 		return Result{Converged: true}
 	}
 	f := a.Freeze()
-	sc := acquireCGScratch(n, false)
-	defer cgScratchPool.Put(sc)
-	r := sc.r1
 	var res Result
 	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
 		for i := 0; i < n; i++ {
@@ -219,11 +208,7 @@ func GaussSeidelInto(x []float64, a *Sparse, b []float64, tol float64, maxIter i
 			}
 			x[i] = s / d
 		}
-		f.MatVecInto(r, x)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		res.Residual = norm(r) / bn
+		res.Residual = f.residualNorm(x, b) / bn
 		if res.Residual < tol {
 			res.Converged = true
 			return res

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -256,5 +257,55 @@ func TestRender(t *testing.T) {
 	}
 	if !strings.Contains(s, "a") {
 		t.Error("wire glyph missing from render")
+	}
+}
+
+// TestRipupKeepsPinsReserved routes a flow-density instance on which
+// rip-up attempts are kept, and checks that no path touches another
+// net's pin, that no two paths share a cell, and that every pin is
+// still blocked when RouteAll returns.
+func TestRipupKeepsPinsReserved(t *testing.T) {
+	g, nets := randomInstance(3, 30, 30, 90, 60)
+	noRipup := RouteAll(g.Clone(), nets, Opts{Alg: AStar, Order: OrderShortFirst, RipupRounds: -1, Seed: 3})
+	work := g.Clone()
+	opts := Opts{Alg: AStar, Order: OrderShortFirst, RipupRounds: 5, Seed: 3}
+	res := RouteAll(work, nets, opts)
+	if len(res.Paths) <= len(noRipup.Paths) {
+		t.Fatalf("rip-up kept no attempt (%d routed with, %d without); the instance no longer exercises it",
+			len(res.Paths), len(noRipup.Paths))
+	}
+	for _, workers := range []int{2, 4} {
+		opts.Workers = workers
+		if par := RouteAll(g.Clone(), nets, opts); !reflect.DeepEqual(par, res) {
+			t.Errorf("workers=%d: result differs from the serial engine's", workers)
+		}
+	}
+	pinOf := map[Point]string{}
+	for _, n := range nets {
+		pinOf[n.A], pinOf[n.B] = n.Name, n.Name
+	}
+	used := map[Point]string{}
+	for _, n := range nets {
+		p, ok := res.Paths[n.Name]
+		if !ok {
+			continue
+		}
+		if err := Validate(g, n, p); err != nil {
+			t.Errorf("net %s: %v", n.Name, err)
+		}
+		for _, pt := range p {
+			if owner, pin := pinOf[pt]; pin && owner != n.Name {
+				t.Errorf("net %s crosses pin %v of net %s", n.Name, pt, owner)
+			}
+			if prev, dup := used[pt]; dup {
+				t.Errorf("nets %s and %s share %v", prev, n.Name, pt)
+			}
+			used[pt] = n.Name
+		}
+	}
+	for pt, name := range pinOf {
+		if !work.Blocked(pt) {
+			t.Errorf("pin %v of net %s is unblocked after RouteAll", pt, name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,7 +58,7 @@ const (
 func RouteNet(g *Grid, net Net, alg Algorithm) (Path, int, int, error) {
 	st := getState(g.W, g.H)
 	defer putState(st)
-	return routeNetState(g, net, alg, st)
+	return routeNetState(g, net, alg, st, nil)
 }
 
 // Order selects the net-processing order for RouteAll.
@@ -119,16 +120,16 @@ type Result struct {
 }
 
 // RouteAll routes every net, marking used cells as blocked for later
-// nets, then runs rip-up-and-reroute rounds on failures: each failed
-// net gets the blocking wires of one randomly chosen earlier net
-// ripped up, both are rerouted. With Opts.Workers > 1 the first phase
-// runs net-parallel in waves (see Opts.Workers); the rip-up rounds
-// always run serially on whatever still fails.
+// nets, then runs up to Opts.RipupRounds rip-up-and-reroute rounds on
+// the nets that failed (see ripupRounds). Every net's pins are blocked
+// before the first net routes and stay blocked for the whole run, so
+// no wire ever crosses a foreign pin. With Opts.Workers > 1 the first
+// phase runs net-parallel in waves (see Opts.Workers); the rip-up
+// rounds always run serially on whatever still fails.
 func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 	if opts.RipupRounds == 0 {
 		opts.RipupRounds = 3
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	order := make([]int, len(nets))
 	for i := range order {
 		order[i] = i
@@ -165,121 +166,25 @@ func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 		}
 	}
 	res := &Result{Paths: map[string]Path{}}
-	blockPath := func(p Path) {
-		for _, pt := range p {
-			g.Block(pt)
-		}
-	}
-	unblockPath := func(p Path) {
-		for _, pt := range p {
-			g.Unblock(pt)
-		}
-	}
-	routeOne := func(ni int) bool {
-		path, _, exp, err := RouteNet(g, nets[ni], opts.Alg)
-		res.Expanded += exp
-		if err != nil {
-			return false
-		}
-		res.Paths[nets[ni].Name] = path
-		blockPath(path)
-		return true
-	}
 	var failed []int
 	if opts.Workers > 1 {
 		failed = routeWaves(g, nets, order, opts, res)
 	} else {
 		for _, ni := range order {
-			if !routeOne(ni) {
+			path, _, exp, err := RouteNet(g, nets[ni], opts.Alg)
+			res.Expanded += exp
+			if err != nil {
 				failed = append(failed, ni)
-			}
-		}
-	}
-	// candidates returns routed nets whose paths cross the failed
-	// net's bounding box (the likely blockers), falling back to all.
-	candidates := func(n Net) []string {
-		x0, x1 := n.A.X, n.B.X
-		if x0 > x1 {
-			x0, x1 = x1, x0
-		}
-		y0, y1 := n.A.Y, n.B.Y
-		if y0 > y1 {
-			y0, y1 = y1, y0
-		}
-		margin := 2
-		var hit, all []string
-		for name, p := range res.Paths {
-			all = append(all, name)
-			for _, pt := range p {
-				if pt.X >= x0-margin && pt.X <= x1+margin && pt.Y >= y0-margin && pt.Y <= y1+margin {
-					hit = append(hit, name)
-					break
-				}
-			}
-		}
-		sort.Strings(hit)
-		sort.Strings(all)
-		if len(hit) > 0 {
-			return hit
-		}
-		return all
-	}
-	idxOf := map[string]int{}
-	for i := range nets {
-		idxOf[nets[i].Name] = i
-	}
-	for round := 0; round < opts.RipupRounds && len(failed) > 0; round++ {
-		var still []int
-		for _, ni := range failed {
-			names := candidates(nets[ni])
-			if len(names) == 0 {
-				still = append(still, ni)
 				continue
 			}
-			// Rip up every net crossing the failed net's bounding box,
-			// route the failed net first, then reroute the victims
-			// (shuffled). Keep the outcome only if the total routed
-			// count does not decrease; otherwise restore the old state.
-			before := len(res.Paths)
-			saved := map[string]Path{}
-			for _, name := range names {
-				saved[name] = res.Paths[name]
-				unblockPath(res.Paths[name])
-				delete(res.Paths, name)
+			res.Paths[nets[ni].Name] = path
+			for _, pt := range path {
+				g.Block(pt)
 			}
-			order := append([]string(nil), names...)
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			ok := routeOne(ni)
-			var reFailed []int
-			for _, name := range order {
-				if !routeOne(idxOf[name]) {
-					reFailed = append(reFailed, idxOf[name])
-				}
-			}
-			after := len(res.Paths)
-			if !ok || after < before {
-				// Revert: drop everything routed in this attempt and
-				// restore the saved paths.
-				if ok {
-					unblockPath(res.Paths[nets[ni].Name])
-					delete(res.Paths, nets[ni].Name)
-				}
-				for _, name := range names {
-					if p, routed := res.Paths[name]; routed {
-						unblockPath(p)
-						delete(res.Paths, name)
-					}
-				}
-				for name, p := range saved {
-					res.Paths[name] = p
-					blockPath(p)
-				}
-				still = append(still, ni)
-				continue
-			}
-			still = append(still, reFailed...)
 		}
-		failed = still
+	}
+	if len(failed) > 0 && opts.RipupRounds > 0 {
+		failed = ripupRounds(g, nets, failed, opts, res)
 	}
 	for _, ni := range failed {
 		res.Failed = append(res.Failed, nets[ni].Name)
@@ -290,6 +195,123 @@ func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 		res.Vias += p.Vias()
 	}
 	return res
+}
+
+// ripupPenalty is what the victim search charges, on top of the step
+// cost, for entering a cell of another net's wire. Lower values rip
+// more nets per attempt; higher ones send the search on long detours
+// around wires it could have ripped.
+const ripupPenalty = 20
+
+// ripupRounds is RouteAll's serial second phase. For each failed net
+// it runs one penalized search (routeNetState with an owner array)
+// that may cross other nets' wires at ripupPenalty per cell but never
+// an obstacle or a foreign pin. It rips up exactly the nets on that
+// path, routes the failed net, then reroutes the victims in
+// seeded-shuffle order. The attempt is kept if the routed count does
+// not drop; otherwise every path it routed is ripped and the victims'
+// old paths are restored. Ripping a net frees only the wire cells
+// between its endpoints: pins stay blocked for the whole run. Returns
+// the nets still failed, in the order the last round met them.
+func ripupRounds(g *Grid, nets []Net, failed []int, opts Opts, res *Result) []int {
+	rng := rand.New(rand.NewSource(opts.Seed))
+	plane := g.W * g.H
+	flat := func(p Point) int { return p.L*plane + p.Y*g.W + p.X }
+	// owner maps each wire cell (a path's interior) to its net's
+	// index, and every other cell to -1.
+	owner := make([]int32, Layers*plane)
+	for i := range owner {
+		owner[i] = -1
+	}
+	wire := func(p Path) Path {
+		if len(p) < 2 {
+			return nil
+		}
+		return p[1 : len(p)-1]
+	}
+	place := func(ni int, p Path) {
+		res.Paths[nets[ni].Name] = p
+		for _, pt := range p {
+			g.Block(pt)
+		}
+		for _, pt := range wire(p) {
+			owner[flat(pt)] = int32(ni)
+		}
+	}
+	rip := func(ni int) Path {
+		p := res.Paths[nets[ni].Name]
+		delete(res.Paths, nets[ni].Name)
+		for _, pt := range wire(p) {
+			g.Unblock(pt)
+			owner[flat(pt)] = -1
+		}
+		return p
+	}
+	for ni := range nets {
+		if p, ok := res.Paths[nets[ni].Name]; ok {
+			place(ni, p)
+		}
+	}
+	st := getState(g.W, g.H)
+	defer putState(st)
+	route := func(ni int) bool {
+		path, _, exp, err := routeNetState(g, nets[ni], opts.Alg, st, nil)
+		res.Expanded += exp
+		if err != nil {
+			return false
+		}
+		place(ni, path)
+		return true
+	}
+	var victims, redo []int
+	var saved []Path
+	for round := 0; round < opts.RipupRounds && len(failed) > 0; round++ {
+		var still []int
+		for _, ni := range failed {
+			path, _, exp, err := routeNetState(g, nets[ni], opts.Alg, st, owner)
+			res.Expanded += exp
+			if err != nil {
+				still = append(still, ni)
+				continue
+			}
+			victims = victims[:0]
+			for _, pt := range path {
+				if v := int(owner[flat(pt)]); v >= 0 && !slices.Contains(victims, v) {
+					victims = append(victims, v)
+				}
+			}
+			before := len(res.Paths)
+			saved = saved[:0]
+			for _, v := range victims {
+				saved = append(saved, rip(v))
+			}
+			redo = append(redo[:0], victims...)
+			rng.Shuffle(len(redo), func(i, j int) { redo[i], redo[j] = redo[j], redo[i] })
+			ok := route(ni)
+			var reFailed []int
+			for _, v := range redo {
+				if !route(v) {
+					reFailed = append(reFailed, v)
+				}
+			}
+			if ok && len(res.Paths) >= before {
+				still = append(still, reFailed...)
+				continue
+			}
+			// Revert: rip everything this attempt routed (rip leaves
+			// an unrouted net alone), then restore the old paths.
+			rip(ni)
+			for _, v := range victims {
+				rip(v)
+			}
+			for i, v := range victims {
+				place(v, saved[i])
+			}
+			still = append(still, ni)
+		}
+		failed = still
+	}
+	return failed
 }
 
 // spec is one wave net's speculative result.
@@ -348,7 +370,7 @@ func routeWaves(g *Grid, nets []Net, order []int, opts Opts, res *Result) []int 
 					if i >= n {
 						return
 					}
-					path, _, exp, err := routeNetState(g, nets[batch[i]], opts.Alg, st)
+					path, _, exp, err := routeNetState(g, nets[batch[i]], opts.Alg, st, nil)
 					specs[i].path = path
 					specs[i].expanded = exp
 					specs[i].failed = err != nil

@@ -135,7 +135,13 @@ func (st *searchState) hpop() pqItem {
 // search's read set in st.touched for the wave engine's conflict
 // test. The expansion order, tie-breaking and results are identical
 // to the original container/heap implementation.
-func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState) (Path, int, int, error) {
+//
+// A non-nil owner turns it into the rip-up phase's victim search: a
+// blocked cell that owner maps to a net (a wire cell) is passable at
+// ripupPenalty on top of the step cost, while obstacles and other
+// nets' pins stay impassable. The penalty only raises step costs, so
+// the Manhattan heuristic stays admissible.
+func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState, owner []int32) (Path, int, int, error) {
 	if !g.In(net.A) || !g.In(net.B) {
 		return nil, 0, 0, fmt.Errorf("route: net %s pin off grid", net.Name)
 	}
@@ -146,15 +152,25 @@ func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState) (Path, int,
 	flat := func(p Point) int32 { return int32(p.L*plane + p.Y*w + p.X) }
 	aIdx, bIdx := flat(net.A), flat(net.B)
 	b0, b1 := g.blocked[0], g.blocked[1]
-	// usable: a net's own pins are usable even when blocked.
-	usable := func(idx int32) bool {
+	// enter is the extra cost of stepping onto idx, or -1 if idx is
+	// impassable. A net's own pins are usable even when blocked.
+	enter := func(idx int32) int {
 		if idx == aIdx || idx == bIdx {
-			return true
+			return 0
 		}
+		var blocked bool
 		if int(idx) < plane {
-			return !b0[idx]
+			blocked = b0[idx]
+		} else {
+			blocked = b1[int(idx)-plane]
 		}
-		return !b1[int(idx)-plane]
+		switch {
+		case !blocked:
+			return 0
+		case owner != nil && owner[idx] >= 0:
+			return ripupPenalty
+		}
+		return -1
 	}
 	unit, nonPref, via := g.Cost.Unit, g.Cost.NonPref, g.Cost.Via
 	bx, by := net.B.X, net.B.Y
@@ -178,7 +194,17 @@ func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState) (Path, int,
 	st.touched = append(st.touched, aIdx)
 	st.hpush(pqItem{idx: aIdx, cost: 0, prio: heur(net.A.X, net.A.Y)})
 
-	relax := func(q int32, from int32, nd, qx, qy int) {
+	// relax offers q the cost of one step from `from`, unless q is
+	// finalized or impassable.
+	relax := func(q int32, from int32, step, qx, qy int) {
+		if st.fin[q] == epoch {
+			return
+		}
+		c := enter(q)
+		if c < 0 {
+			return
+		}
+		nd := step + c
 		if st.seen[q] != epoch {
 			st.seen[q] = epoch
 			st.touched = append(st.touched, q)
@@ -232,33 +258,21 @@ func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState) (Path, int,
 		// Neighbor order matches the original router: +x, -x, +y,
 		// -y, via — expansion order decides cost ties.
 		if x+1 < w {
-			if q := it.idx + 1; usable(q) && st.fin[q] != epoch {
-				relax(q, it.idx, it.cost+hCost, x+1, y)
-			}
+			relax(it.idx+1, it.idx, it.cost+hCost, x+1, y)
 		}
 		if x > 0 {
-			if q := it.idx - 1; usable(q) && st.fin[q] != epoch {
-				relax(q, it.idx, it.cost+hCost, x-1, y)
-			}
+			relax(it.idx-1, it.idx, it.cost+hCost, x-1, y)
 		}
 		if y+1 < h {
-			if q := it.idx + int32(w); usable(q) && st.fin[q] != epoch {
-				relax(q, it.idx, it.cost+vCost, x, y+1)
-			}
+			relax(it.idx+int32(w), it.idx, it.cost+vCost, x, y+1)
 		}
 		if y > 0 {
-			if q := it.idx - int32(w); usable(q) && st.fin[q] != epoch {
-				relax(q, it.idx, it.cost+vCost, x, y-1)
-			}
+			relax(it.idx-int32(w), it.idx, it.cost+vCost, x, y-1)
 		}
-		var q int32
 		if l == 0 {
-			q = it.idx + int32(plane)
+			relax(it.idx+int32(plane), it.idx, it.cost+via, x, y)
 		} else {
-			q = it.idx - int32(plane)
-		}
-		if usable(q) && st.fin[q] != epoch {
-			relax(q, it.idx, it.cost+via, x, y)
+			relax(it.idx-int32(plane), it.idx, it.cost+via, x, y)
 		}
 	}
 	return nil, 0, expanded, fmt.Errorf("route: net %s unroutable", net.Name)

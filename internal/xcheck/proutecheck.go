@@ -145,6 +145,7 @@ func GenPRoute(seed uint64) *PRouteInstance {
 //
 //	RouteAll Workers=1            vs  Workers=2..4 × WaveSizes   (byte identity)
 //	every routed path             vs  route.Validate              (legality on the obstacle grid)
+//	every routed path             —   touches no foreign pin      (pins stay reserved)
 //	all routed paths together     —   pairwise cell-disjoint      (no two nets share a cell)
 //	RouteAllMulti trees           —   pins on tree, cell-disjoint, each net routed xor failed
 func (c *Checker) CheckPRoute(pi *PRouteInstance) []Mismatch {
@@ -184,11 +185,10 @@ func (c *Checker) CheckPRoute(pi *PRouteInstance) []Mismatch {
 		}
 	}
 
-	// Legality on the obstacle-only grid, and pairwise disjointness.
-	// Two paths may only share a cell that is some net's pin: a net's
-	// own pins are usable even when blocked, so a later net may route
-	// through a pin an earlier path crossed — any other overlap means
-	// a wave commit raced.
+	// Legality on the obstacle-only grid, pin reservation, and
+	// pairwise disjointness. A path may touch a pin cell only if the
+	// pin is its own net's, and two paths may share only a cell that
+	// is a pin of both nets.
 	obstacles := pi.Grid()
 	pinCell := map[route.Point]bool{}
 	for _, n := range pi.Nets {
@@ -204,7 +204,12 @@ func (c *Checker) CheckPRoute(pi *PRouteInstance) []Mismatch {
 			bad("net %s: serial path is illegal on the obstacle grid: %v", n.Name, err)
 		}
 		for _, pt := range p {
-			if prev, dup := owner[pt]; dup && !pinCell[pt] {
+			own := pt == n.A || pt == n.B
+			if pinCell[pt] && !own {
+				bad("net %s crosses a foreign pin at (%d,%d,%d)", n.Name, pt.X, pt.Y, pt.L)
+				break
+			}
+			if prev, dup := owner[pt]; dup && !own {
 				bad("nets %s and %s overlap at non-pin cell (%d,%d,%d)", prev, n.Name, pt.X, pt.Y, pt.L)
 				break
 			}
