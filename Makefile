@@ -24,12 +24,15 @@ bench:
 # Record the performance trajectory: run the hot-path benchmarks at a
 # real benchtime and parse them into BENCH_FILE (see EXPERIMENTS.md
 # for the format). Compare against the committed BENCH_PR*.json files
-# to see drift across PRs.
+# to see drift across PRs. Both targets run at GOMAXPROCS 1 (-cpu 1):
+# allocs/op depends on the proc count (parallel code allocates per
+# worker), so recording and gating must use the same one, whatever
+# the host's core count.
 BENCH_FILE ?= BENCH_PR10.json
 BENCH_PKGS ?= ./internal/obs ./internal/portal ./internal/route ./internal/mooc ./internal/place ./internal/linsolve ./internal/techmap
 BENCH_TIME ?= 0.5s
 bench-record:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -timeout 30m $(BENCH_PKGS) \
+	$(GO) test -cpu 1 -bench=. -benchmem -benchtime=$(BENCH_TIME) -timeout 30m $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchrecord -out $(BENCH_FILE)
 
 # Allocation-regression gate: re-measure the benchmarks and fail if
@@ -41,7 +44,7 @@ bench-record:
 # reports setup allocations as steady state and false-positives.
 BENCH_BASELINE ?= $(BENCH_FILE)
 bench-gate:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -timeout 30m $(BENCH_PKGS) \
+	$(GO) test -cpu 1 -bench=. -benchmem -benchtime=$(BENCH_TIME) -timeout 30m $(BENCH_PKGS) \
 		| $(GO) run ./cmd/benchrecord -compare $(BENCH_BASELINE)
 
 # Replay the golden differential-testing corpus (byte-identical

@@ -19,7 +19,11 @@
 // benchmark present in both documents allocates more per op in the new
 // one than -tolerance allows. Only allocs/op is gated — it is a count
 // the runtime reports exactly, independent of machine load, so a 1x
-// benchtime run gates reliably where ns/op would flake.
+// benchtime run gates reliably where ns/op would flake. The count does
+// depend on GOMAXPROCS (parallel code allocates per worker), so the
+// gate compares only single-proc runs: -compare also exits nonzero
+// when a benchmark line on stdin carries a -N GOMAXPROCS suffix, which
+// `go test` prints whenever GOMAXPROCS is not 1 (run it with -cpu 1).
 package main
 
 import (
@@ -73,13 +77,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// New measurements come from a second JSON file when given,
 		// otherwise from bench output on stdin (the Makefile pipe form).
 		var current Document
+		var multiProc []string
 		if fs.NArg() > 0 {
 			current, err = readDocument(fs.Arg(0))
 		} else {
-			current, err = Parse(stdin)
+			current, multiProc, err = Parse(stdin)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "benchrecord: %v\n", err)
+			return 1
+		}
+		if len(multiProc) > 0 {
+			fmt.Fprintf(stderr, "benchrecord: %d benchmark lines ran at GOMAXPROCS > 1 (first: %s); allocs/op is gated at -cpu 1 only\n",
+				len(multiProc), multiProc[0])
 			return 1
 		}
 		if len(current) == 0 {
@@ -98,7 +108,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	doc, err := Parse(stdin)
+	doc, _, err := Parse(stdin)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchrecord: %v\n", err)
 		return 1
@@ -127,9 +137,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // Parse reads `go test -bench` output and collects benchmark lines.
 // Package context comes from the trailing "ok <pkg> <time>" / leading
 // "pkg: <pkg>" lines; a benchmark seen before any package marker is
-// keyed by bare name.
-func Parse(r io.Reader) (Document, error) {
-	doc := Document{}
+// keyed by bare name. multiProc lists, in input order, the lines whose
+// name carried a -N GOMAXPROCS suffix (stripped in the document).
+func Parse(r io.Reader) (doc Document, multiProc []string, err error) {
+	doc = Document{}
 	// Benchmarks print before their package's "ok" summary line, so
 	// buffer each package's results until the marker names it.
 	pending := map[string]BenchResult{}
@@ -158,14 +169,17 @@ func Parse(r io.Reader) (Document, error) {
 			name, res, ok := parseBenchLine(f)
 			if ok {
 				pending[name] = res
+				if name != f[0] {
+					multiProc = append(multiProc, f[0])
+				}
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	flush("")
-	return doc, nil
+	return doc, multiProc, nil
 }
 
 // parseBenchLine decodes one "BenchmarkX-8  N  12.3 ns/op [...]" line.

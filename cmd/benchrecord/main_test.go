@@ -27,10 +27,17 @@ ok  	vlsicad/internal/route	1.2s
 ?   	vlsicad/cmd/grader	[no test files]
 `
 
+// singleProcOutput is sampleBenchOutput as `go test -cpu 1` prints
+// it: no benchmark name carries a GOMAXPROCS suffix.
+var singleProcOutput = strings.Replace(sampleBenchOutput, "BenchmarkCounterVecWithInc-8", "BenchmarkCounterVecWithInc", 1)
+
 func TestParse(t *testing.T) {
-	doc, err := Parse(strings.NewReader(sampleBenchOutput))
+	doc, multiProc, err := Parse(strings.NewReader(sampleBenchOutput))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(multiProc) != 1 || multiProc[0] != "BenchmarkCounterVecWithInc-8" {
+		t.Errorf("multiProc = %q, want the one suffixed line", multiProc)
 	}
 	if len(doc) != 4 {
 		t.Fatalf("parsed %d benchmarks: %v", len(doc), doc)
@@ -56,7 +63,7 @@ func TestParse(t *testing.T) {
 }
 
 func TestMarshalStable(t *testing.T) {
-	doc, err := Parse(strings.NewReader(sampleBenchOutput))
+	doc, _, err := Parse(strings.NewReader(sampleBenchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +165,14 @@ func TestRunCompare(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 
 	// Record a baseline from the sample output...
-	if code := run([]string{"-out", old}, strings.NewReader(sampleBenchOutput), &stdout, &stderr); code != 0 {
+	if code := run([]string{"-out", old}, strings.NewReader(singleProcOutput), &stdout, &stderr); code != 0 {
 		t.Fatalf("record: exit %d, stderr: %s", code, stderr.String())
 	}
 
 	// ...identical re-measurement passes the gate (stdin form).
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-compare", old}, strings.NewReader(sampleBenchOutput), &stdout, &stderr); code != 0 {
+	if code := run([]string{"-compare", old}, strings.NewReader(singleProcOutput), &stdout, &stderr); code != 0 {
 		t.Fatalf("self-compare: exit %d, stderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "within") {
@@ -173,7 +180,7 @@ func TestRunCompare(t *testing.T) {
 	}
 
 	// A regressed re-measurement fails (two-file form).
-	regressed := strings.Replace(sampleBenchOutput, "295 allocs/op", "600 allocs/op", 1)
+	regressed := strings.Replace(singleProcOutput, "295 allocs/op", "600 allocs/op", 1)
 	newFile := filepath.Join(dir, "new.json")
 	stdout.Reset()
 	stderr.Reset()
@@ -192,7 +199,26 @@ func TestRunCompare(t *testing.T) {
 	// Missing baseline file is an error, not a pass.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-compare", filepath.Join(dir, "nope.json")}, strings.NewReader(sampleBenchOutput), &stdout, &stderr); code != 1 {
+	if code := run([]string{"-compare", filepath.Join(dir, "nope.json")}, strings.NewReader(singleProcOutput), &stdout, &stderr); code != 1 {
 		t.Errorf("missing baseline: exit %d", code)
+	}
+}
+
+// TestRunCompareRejectsMultiProc: allocs/op moves with GOMAXPROCS, so
+// the gate refuses bench output measured at more than one proc even
+// when every count is within tolerance.
+func TestRunCompareRejectsMultiProc(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "old.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-out", old}, strings.NewReader(singleProcOutput), &stdout, &stderr); code != 0 {
+		t.Fatalf("record: exit %d, stderr: %s", code, stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-compare", old}, strings.NewReader(sampleBenchOutput), &stdout, &stderr); code != 1 {
+		t.Fatalf("multi-proc compare: exit %d, stdout %q", code, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "BenchmarkCounterVecWithInc-8") {
+		t.Errorf("stderr = %q, want the suffixed line named", stderr.String())
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"vlsicad/internal/bench"
 	"vlsicad/internal/grader"
@@ -33,7 +32,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	global := fs.Bool("global", false, "run coarse global routing and print the congestion map")
 	caseName := fs.String("case", "fract", "benchmark case")
 	seed := fs.Int64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "routing workers (0 = GOMAXPROCS, 1 = serial; result is identical either way)")
 	render := fs.Int("render", -1, "render this layer as ASCII after routing")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -82,22 +80,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, gg.CongestionMap())
 		return 0
 	}
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	waves, conflicts := 0, 0
 	res := route.RouteAll(g, nets, route.Opts{
 		Alg: route.AStar, Order: route.OrderShortFirst, RipupRounds: 5, Seed: *seed,
-		Workers: w,
-		OnWave:  func(ws route.WaveStats) { waves++; conflicts += ws.Conflicts },
 	})
 	fmt.Fprintf(stdout, "case=%s grid=%dx%d nets=%d routed=%d failed=%d completion=%.1f%% wirelength=%d vias=%d\n",
 		c.Name, g.W, g.H, len(nets), len(res.Paths), len(res.Failed),
 		100*float64(len(res.Paths))/float64(len(nets)), res.Length, res.Vias)
-	if w > 1 {
-		fmt.Fprintf(stdout, "workers=%d waves=%d conflicts=%d\n", w, waves, conflicts)
-	}
 	if *render >= 0 && *render < route.Layers {
 		fmt.Fprint(stdout, route.Render(g, *render, res.Paths))
 	}

@@ -30,7 +30,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	wire := fs.Bool("wire", false, "include Elmore wire delays in timing")
 	checkDRC := fs.Bool("drc", false, "design-rule-check the routed wires (violations exit nonzero)")
 	seed := fs.Int64("seed", 1, "seed for randomized stages")
-	workers := fs.Int("workers", 0, "routing and placement workers (0 = GOMAXPROCS, 1 = serial; result is identical either way)")
+	workers := fs.Int("workers", 0, "placement workers (0 = GOMAXPROCS, 1 = serial; result is identical either way)")
 	annealPlace := fs.Bool("anneal-place", false, "refine the legalized placement with parallel simulated annealing")
 	stats := fs.Bool("stats", false, "print the per-stage timing table and telemetry snapshot")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON snapshot instead of text")
@@ -51,8 +51,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	ob := obs.NewObserver(nil)
 	flow, err := vlsicad.RunFlow(in, vlsicad.FlowOpts{
 		WireModel: *wire, Seed: *seed, CheckDRC: *checkDRC, Obs: ob,
-		RouteWorkers: *workers,
-		AnnealPlace:  *annealPlace, PlaceWorkers: *workers,
+		AnnealPlace: *annealPlace, PlaceWorkers: *workers,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "vlsicad:", err)

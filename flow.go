@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,11 +40,6 @@ type FlowOpts struct {
 	MapObjective techmap.Objective
 	// Seed drives the randomized stages (routing rip-up order).
 	Seed int64
-	// RouteWorkers sets the routing stage's worker count: 0 means
-	// GOMAXPROCS, 1 forces the serial engine. The routed Result is
-	// byte-identical for every value — parallelism changes only wall
-	// clock, never the answer.
-	RouteWorkers int
 	// AnnealPlace refines the legalized placement with simulated
 	// annealing (place.Anneal, incremental cost, parallel chains). The
 	// refinement is kept only when it improves HPWL, so enabling it
@@ -53,8 +47,8 @@ type FlowOpts struct {
 	AnnealPlace bool
 	// PlaceWorkers bounds the placement stage's concurrency — the
 	// quadratic placer's per-level region solves and the annealing
-	// chains: 0 means GOMAXPROCS. Like RouteWorkers it changes only
-	// wall clock; the placement is byte-identical for every value.
+	// chains: 0 means GOMAXPROCS. It changes only wall clock; the
+	// placement is byte-identical for every value.
 	PlaceWorkers int
 	// WireModel enables Elmore wire delays in timing (per routed net).
 	WireModel bool
@@ -269,11 +263,10 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 		return finish(nil, err)
 	}
 	f.PlaceProblem = prob
-	// Level telemetry mirrors the route stage's wave idiom: one labeled
-	// family (flow_quad_events_total{kind}) plus a child span per
-	// bipartition level. OnLevel fires in level order on this
-	// goroutine, so the series and spans are deterministic for any
-	// PlaceWorkers value.
+	// Level telemetry: one labeled family (flow_quad_events_total{kind})
+	// plus a child span per bipartition level. OnLevel fires in level
+	// order on this goroutine, so the series and spans are
+	// deterministic for any PlaceWorkers value.
 	quadEvents := ob.CounterVec("flow_quad_events_total", "kind")
 	quadRegions, quadLeaves, quadIters :=
 		quadEvents.With("regions"), quadEvents.With("leaves"), quadEvents.With("cg_iterations")
@@ -306,9 +299,9 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 	f.Placement = legal
 	f.HPWL = prob.HPWL(legal)
 	if opts.AnnealPlace {
-		// Chain telemetry mirrors the route stage's wave idiom: one
-		// labeled family (flow_place_chain_events_total{kind}) plus a
-		// child span per chain. OnChain fires in chain order after all
+		// Chain telemetry, as for the quadratic levels: one labeled
+		// family (flow_place_chain_events_total{kind}) plus a child
+		// span per chain. OnChain fires in chain order after all
 		// chains finish, so the series and spans are deterministic for
 		// any PlaceWorkers value.
 		chainEvents := ob.CounterVec("flow_place_chain_events_total", "kind")
@@ -343,41 +336,16 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 	}
 	endStage(sp, "place", nil)
 
-	// 4. Routing (Week 7): wave-parallel net routing on a bounded
-	// worker pool. Per-wave telemetry lands in child spans and
-	// counters; the Result itself is worker-count independent.
+	// 4. Routing (Week 7): maze routing with targeted rip-up.
 	sp = root.StartChild("flow.route")
 	grid, nets := routingFromPlacement(prob, legal, flowRouteScale, opts.Seed)
 	f.Grid = grid
 	f.Nets = nets
-	workers := opts.RouteWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Wave telemetry: one labeled family instead of three flat
-	// counters, so a scrape shows committed/conflict/requeue rates as
-	// comparable series of flow_route_wave_events_total{kind}.
-	waveEvents := ob.CounterVec("flow_route_wave_events_total", "kind")
-	committed, conflicts, requeued :=
-		waveEvents.With("committed"), waveEvents.With("conflict"), waveEvents.With("requeued")
 	f.Routing = route.RouteAll(grid, nets, route.Opts{
 		Alg:         route.AStar,
 		Order:       route.OrderShortFirst,
 		RipupRounds: 5,
 		Seed:        opts.Seed,
-		Workers:     workers,
-		OnWave: func(ws route.WaveStats) {
-			wsp := sp.StartChild("flow.route.wave")
-			wsp.SetLabel("wave", strconv.Itoa(ws.Index))
-			wsp.SetLabel("nets", strconv.Itoa(ws.Nets))
-			wsp.SetLabel("committed", strconv.Itoa(ws.Committed))
-			wsp.SetLabel("conflicts", strconv.Itoa(ws.Conflicts))
-			wsp.SetLabel("requeued", strconv.Itoa(ws.Requeued))
-			committed.Add(int64(ws.Committed))
-			conflicts.Add(int64(ws.Conflicts))
-			requeued.Add(int64(ws.Requeued))
-			wsp.End()
-		},
 	})
 	f.WireLength = f.Routing.Length
 	f.Vias = f.Routing.Vias

@@ -34,10 +34,8 @@ const obsTestBLIF = `.model adder2
 // as a child span of the flow root.
 func TestFlowStagesAndSpans(t *testing.T) {
 	ob := obs.NewObserver(obs.NewFakeClock(time.Unix(1700000000, 0).UTC(), time.Millisecond).Now)
-	// RouteWorkers 2 exercises the wave engine (and its labeled wave
-	// telemetry) even when GOMAXPROCS is 1; the Result is identical.
 	f, err := RunFlow(strings.NewReader(obsTestBLIF),
-		FlowOpts{Seed: 1, CheckDRC: true, RouteWorkers: 2, Obs: ob})
+		FlowOpts{Seed: 1, CheckDRC: true, Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +61,7 @@ func TestFlowStagesAndSpans(t *testing.T) {
 	}
 	children := map[string]bool{}
 	for _, sp := range f.Trace[1:] {
-		// Stage spans hang off the root; wave spans off the route
+		// Stage spans hang off the root; level spans off the place
 		// stage — either way the parent must be inside this trace.
 		if !inTrace[sp.Parent] {
 			t.Errorf("span %s not parented inside the flow trace", sp.Name)
@@ -84,9 +82,6 @@ func TestFlowStagesAndSpans(t *testing.T) {
 		if !ok || h.Count != 1 {
 			t.Errorf("histogram series for stage %s count = %d (present %v), want 1", w, h.Count, ok)
 		}
-	}
-	if v, ok := m.CounterSeries("flow_route_wave_events_total", map[string]string{"kind": "committed"}); !ok || v <= 0 {
-		t.Errorf("flow_route_wave_events_total{kind=committed} = %d (present %v)", v, ok)
 	}
 	if tab := f.StageTable(); !strings.Contains(tab, "synth") || !strings.Contains(tab, "total") {
 		t.Errorf("stage table:\n%s", tab)

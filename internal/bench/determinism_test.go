@@ -11,7 +11,7 @@ import (
 
 // fractPipeline runs the placer+router benchmark pipeline on fract
 // exactly as cmd/router does.
-func fractPipeline(t *testing.T, workers int) *route.Result {
+func fractPipeline(t *testing.T) *route.Result {
 	t.Helper()
 	var c *Case
 	for _, bc := range Suite() {
@@ -32,38 +32,32 @@ func fractPipeline(t *testing.T, workers int) *route.Result {
 	g, nets := Routing(*c, legal, p, 1, 0.02)
 	return route.RouteAll(g, nets, route.Opts{
 		Alg: route.AStar, Order: route.OrderShortFirst, RipupRounds: 5, Seed: 1,
-		Workers: workers,
 	})
 }
 
 // TestPipelineDeterministicAndWorkerIndependent locks the full
 // place-and-route pipeline: repeated runs are byte-identical (this
 // caught CG summing in map iteration order, fixed in linsolve), and
-// neither the parallel router nor the core count changes the answer.
-// It runs at GOMAXPROCS 1, 2 and 4 in one process, so a single-core
-// machine still exercises the concurrent schedules.
+// the core count does not change the answer. It runs at GOMAXPROCS
+// 1, 2 and 4 in one process, so a single-core machine still
+// exercises the concurrent placer schedules.
 func TestPipelineDeterministicAndWorkerIndependent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref *route.Result
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		serial1 := fractPipeline(t, 1)
+		run1 := fractPipeline(t)
 		if ref == nil {
-			ref = serial1
+			ref = run1
 		}
-		if !reflect.DeepEqual(ref, serial1) {
-			t.Errorf("GOMAXPROCS=%d: serial pipeline differs from GOMAXPROCS=1: routed %d/%d wl %d/%d",
-				procs, len(serial1.Paths), len(ref.Paths), serial1.Length, ref.Length)
+		if !reflect.DeepEqual(ref, run1) {
+			t.Errorf("GOMAXPROCS=%d: pipeline differs from GOMAXPROCS=1: routed %d/%d wl %d/%d",
+				procs, len(run1.Paths), len(ref.Paths), run1.Length, ref.Length)
 		}
-		serial2 := fractPipeline(t, 1)
-		if !reflect.DeepEqual(serial1, serial2) {
-			t.Errorf("GOMAXPROCS=%d: two serial pipeline runs differ: routed %d/%d wl %d/%d",
-				procs, len(serial1.Paths), len(serial2.Paths), serial1.Length, serial2.Length)
-		}
-		par := fractPipeline(t, 4)
-		if !reflect.DeepEqual(serial1, par) {
-			t.Errorf("GOMAXPROCS=%d: parallel pipeline differs from serial: routed %d vs %d, wl %d vs %d",
-				procs, len(par.Paths), len(serial1.Paths), par.Length, serial1.Length)
+		run2 := fractPipeline(t)
+		if !reflect.DeepEqual(run1, run2) {
+			t.Errorf("GOMAXPROCS=%d: two pipeline runs differ: routed %d/%d wl %d/%d",
+				procs, len(run1.Paths), len(run2.Paths), run1.Length, run2.Length)
 		}
 	}
 }

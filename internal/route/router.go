@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Net is a two-pin connection request.
@@ -80,34 +78,6 @@ type Opts struct {
 	Order       Order
 	RipupRounds int // extra rounds attempting failed nets (default 3)
 	Seed        int64
-
-	// Workers selects the engine: <=1 routes nets strictly serially;
-	// >1 routes waves of nets concurrently on that many goroutines
-	// and commits their paths in order-index sequence. The Result is
-	// byte-identical for every Workers value and every GOMAXPROCS
-	// (DESIGN.md §8): commit order, not completion order, decides
-	// conflicts, and a conflicting net is re-queued and re-routed
-	// against the exact grid state the serial engine would have seen.
-	Workers int
-	// WaveSize caps how many nets are routed speculatively per wave;
-	// 0 means 4×Workers. Any value yields the same Result.
-	WaveSize int
-	// OnWave, when non-nil, receives one WaveStats per finished wave
-	// (parallel engine only). Telemetry stays out of Result so serial
-	// and parallel results stay comparable byte-for-byte.
-	OnWave func(WaveStats)
-}
-
-// WaveStats summarizes one wave of the parallel engine. It holds work
-// counts only, so it is deterministic; callers time waves on their
-// own clock.
-type WaveStats struct {
-	Index     int // wave number, from 0
-	Nets      int // nets routed speculatively this wave
-	Committed int // paths committed
-	Failed    int // nets proven unroutable this wave
-	Conflicts int // read-set collisions detected (0 or 1)
-	Requeued  int // nets pushed back to the next wave
 }
 
 // Result reports a full routing run.
@@ -119,13 +89,12 @@ type Result struct {
 	Expanded int
 }
 
-// RouteAll routes every net, marking used cells as blocked for later
-// nets, then runs up to Opts.RipupRounds rip-up-and-reroute rounds on
-// the nets that failed (see ripupRounds). Every net's pins are blocked
-// before the first net routes and stay blocked for the whole run, so
-// no wire ever crosses a foreign pin. With Opts.Workers > 1 the first
-// phase runs net-parallel in waves (see Opts.Workers); the rip-up
-// rounds always run serially on whatever still fails.
+// RouteAll routes every net in order on one search scratch, marking
+// used cells as blocked for later nets, then runs up to
+// Opts.RipupRounds rip-up-and-reroute rounds on the nets that failed
+// (see ripupRounds). Every net's pins are blocked before the first net
+// routes and stay blocked for the whole run, so no wire ever crosses a
+// foreign pin.
 func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 	if opts.RipupRounds == 0 {
 		opts.RipupRounds = 3
@@ -166,25 +135,23 @@ func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 		}
 	}
 	res := &Result{Paths: map[string]Path{}}
+	st := getState(g.W, g.H)
+	defer putState(st)
 	var failed []int
-	if opts.Workers > 1 {
-		failed = routeWaves(g, nets, order, opts, res)
-	} else {
-		for _, ni := range order {
-			path, _, exp, err := RouteNet(g, nets[ni], opts.Alg)
-			res.Expanded += exp
-			if err != nil {
-				failed = append(failed, ni)
-				continue
-			}
-			res.Paths[nets[ni].Name] = path
-			for _, pt := range path {
-				g.Block(pt)
-			}
+	for _, ni := range order {
+		path, _, exp, err := routeNetState(g, nets[ni], opts.Alg, st, nil)
+		res.Expanded += exp
+		if err != nil {
+			failed = append(failed, ni)
+			continue
+		}
+		res.Paths[nets[ni].Name] = path
+		for _, pt := range path {
+			g.Block(pt)
 		}
 	}
 	if len(failed) > 0 && opts.RipupRounds > 0 {
-		failed = ripupRounds(g, nets, failed, opts, res)
+		failed = ripupRounds(g, nets, failed, opts, res, st)
 	}
 	for _, ni := range failed {
 		res.Failed = append(res.Failed, nets[ni].Name)
@@ -203,17 +170,18 @@ func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 // around wires it could have ripped.
 const ripupPenalty = 20
 
-// ripupRounds is RouteAll's serial second phase. For each failed net
-// it runs one penalized search (routeNetState with an owner array)
-// that may cross other nets' wires at ripupPenalty per cell but never
-// an obstacle or a foreign pin. It rips up exactly the nets on that
-// path, routes the failed net, then reroutes the victims in
-// seeded-shuffle order. The attempt is kept if the routed count does
-// not drop; otherwise every path it routed is ripped and the victims'
-// old paths are restored. Ripping a net frees only the wire cells
-// between its endpoints: pins stay blocked for the whole run. Returns
-// the nets still failed, in the order the last round met them.
-func ripupRounds(g *Grid, nets []Net, failed []int, opts Opts, res *Result) []int {
+// ripupRounds is RouteAll's second phase, on its search scratch st.
+// For each failed net it runs one penalized search (routeNetState
+// with an owner array) that may cross other nets' wires at
+// ripupPenalty per cell but never an obstacle or a foreign pin. It
+// rips up exactly the nets on that path, routes the failed net, then
+// reroutes the victims in seeded-shuffle order. The attempt is kept
+// if the routed count does not drop; otherwise every path it routed
+// is ripped and the victims' old paths are restored. Ripping a net
+// frees only the wire cells between its endpoints: pins stay blocked
+// for the whole run. Returns the nets still failed, in the order the
+// last round met them.
+func ripupRounds(g *Grid, nets []Net, failed []int, opts Opts, res *Result, st *searchState) []int {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	plane := g.W * g.H
 	flat := func(p Point) int { return p.L*plane + p.Y*g.W + p.X }
@@ -252,8 +220,6 @@ func ripupRounds(g *Grid, nets []Net, failed []int, opts Opts, res *Result) []in
 			place(ni, p)
 		}
 	}
-	st := getState(g.W, g.H)
-	defer putState(st)
 	route := func(ni int) bool {
 		path, _, exp, err := routeNetState(g, nets[ni], opts.Alg, st, nil)
 		res.Expanded += exp
@@ -310,119 +276,6 @@ func ripupRounds(g *Grid, nets []Net, failed []int, opts Opts, res *Result) []in
 			still = append(still, ni)
 		}
 		failed = still
-	}
-	return failed
-}
-
-// spec is one wave net's speculative result.
-type spec struct {
-	path     Path
-	expanded int
-	failed   bool
-	touched  []int32 // search read set, reused wave-to-wave
-}
-
-// routeWaves is the net-parallel first phase: route the next WaveSize
-// nets of the order concurrently against the current grid as a
-// read-only snapshot, then commit in order-index sequence. A net
-// whose search read set intersects a cell committed earlier in the
-// same wave — or that follows such a net in the wave — is re-queued,
-// so every committed path (and every recorded failure) is exactly
-// what the serial engine would have produced; see DESIGN.md §8 for
-// the argument. Returns the failed net indices in serial order.
-func routeWaves(g *Grid, nets []Net, order []int, opts Opts, res *Result) []int {
-	workers := opts.Workers
-	waveSize := opts.WaveSize
-	if waveSize <= 0 {
-		waveSize = 4 * workers
-	}
-	plane := g.W * g.H
-	// stamp marks cells committed in the current wave (by epoch), the
-	// conflict test for later order indices of the same wave.
-	stamp := make([]uint32, Layers*plane)
-	var epoch uint32
-	specs := make([]spec, waveSize)
-	pending := order
-	var failed []int
-	for waveIdx := 0; len(pending) > 0; waveIdx++ {
-		n := waveSize
-		if n > len(pending) {
-			n = len(pending)
-		}
-		batch := pending[:n]
-		// Search phase: the grid is a read-only snapshot; workers
-		// claim batch slots by atomic counter. Each worker keeps one
-		// pooled searchState for its whole run.
-		var next int32
-		nw := workers
-		if nw > n {
-			nw = n
-		}
-		var wg sync.WaitGroup
-		for wi := 0; wi < nw; wi++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				st := getState(g.W, g.H)
-				defer putState(st)
-				for {
-					i := int(atomic.AddInt32(&next, 1)) - 1
-					if i >= n {
-						return
-					}
-					path, _, exp, err := routeNetState(g, nets[batch[i]], opts.Alg, st, nil)
-					specs[i].path = path
-					specs[i].expanded = exp
-					specs[i].failed = err != nil
-					specs[i].touched = append(specs[i].touched[:0], st.touched...)
-				}
-			}()
-		}
-		wg.Wait()
-		// Commit phase, strictly in order-index sequence.
-		epoch++
-		committed, failedHere, conflicts := 0, 0, 0
-		commitEnd := n
-		for i := 0; i < n; i++ {
-			s := &specs[i]
-			hit := false
-			for _, c := range s.touched {
-				if stamp[c] == epoch {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				// This net's search read cells an earlier commit of
-				// this wave just claimed; its result (and those of
-				// every net after it, which assumed this net routed
-				// against the same snapshot) may diverge from the
-				// serial engine. Re-queue them all for the next wave.
-				conflicts++
-				commitEnd = i
-				break
-			}
-			res.Expanded += s.expanded
-			if s.failed {
-				failed = append(failed, batch[i])
-				failedHere++
-				continue
-			}
-			res.Paths[nets[batch[i]].Name] = s.path
-			for _, pt := range s.path {
-				g.Block(pt)
-				stamp[pt.L*plane+pt.Y*g.W+pt.X] = epoch
-			}
-			committed++
-		}
-		pending = pending[commitEnd:]
-		if opts.OnWave != nil {
-			opts.OnWave(WaveStats{
-				Index: waveIdx, Nets: n, Committed: committed,
-				Failed: failedHere, Conflicts: conflicts,
-				Requeued: n - commitEnd,
-			})
-		}
 	}
 	return failed
 }

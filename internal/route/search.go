@@ -23,7 +23,7 @@ type pqItem struct {
 	prio int
 }
 
-// searchState is the per-worker scratch of one maze expansion. All
+// searchState is the scratch of one maze expansion. All
 // per-cell arrays are indexed by flat cell index
 // l*(W*H) + y*W + x and validated against epoch, so starting a new
 // search is O(1): bump the epoch.
@@ -36,11 +36,6 @@ type searchState struct {
 	fin   []uint32 // vertex finalized iff fin[i] == epoch
 	epoch uint32
 	heap  []pqItem
-	// touched lists every cell relaxed by the current search, in
-	// first-touch order. It doubles as the search's read set:
-	// the wave engine's conflict test (DESIGN.md §8) checks it
-	// against cells committed earlier in the same wave.
-	touched []int32
 }
 
 var statePool = sync.Pool{New: func() interface{} { return &searchState{} }}
@@ -84,7 +79,6 @@ func (st *searchState) begin() {
 		st.epoch = 1
 	}
 	st.heap = st.heap[:0]
-	st.touched = st.touched[:0]
 }
 
 // The heap replicates container/heap's sift order exactly (so routes
@@ -131,9 +125,7 @@ func (st *searchState) hpop() pqItem {
 	return it
 }
 
-// routeNetState is RouteNet on caller-provided scratch. It leaves the
-// search's read set in st.touched for the wave engine's conflict
-// test. The expansion order, tie-breaking and results are identical
+// routeNetState is RouteNet on caller-provided scratch. The expansion order, tie-breaking and results are identical
 // to the original container/heap implementation.
 //
 // A non-nil owner turns it into the rip-up phase's victim search: a
@@ -191,7 +183,6 @@ func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState, owner []int
 	epoch := st.epoch
 	st.seen[aIdx] = epoch
 	st.dist[aIdx] = 0
-	st.touched = append(st.touched, aIdx)
 	st.hpush(pqItem{idx: aIdx, cost: 0, prio: heur(net.A.X, net.A.Y)})
 
 	// relax offers q the cost of one step from `from`, unless q is
@@ -207,7 +198,6 @@ func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState, owner []int
 		nd := step + c
 		if st.seen[q] != epoch {
 			st.seen[q] = epoch
-			st.touched = append(st.touched, q)
 			st.dist[q] = nd
 			st.prev[q] = from
 			st.hpush(pqItem{idx: q, cost: nd, prio: nd + heur(qx, qy)})

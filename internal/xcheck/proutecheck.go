@@ -2,17 +2,15 @@ package xcheck
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 
 	"vlsicad/internal/route"
 )
 
-// PRouteInstance is a parallel-routing test case: a two-layer grid
-// with obstacles, a full net list (two-pin and multi-pin), and the
-// RouteAll configuration. The two-pin oracle is the serial engine
-// itself: the wave-parallel router must produce a byte-identical
-// Result. Multi-pin nets route serially and are checked for legality.
+// PRouteInstance is a full-net-list routing test case: a two-layer
+// grid with obstacles, a full net list (two-pin and multi-pin), and
+// the RouteAll configuration. Every routed path and multi-pin tree is
+// checked for legality, pin reservation and disjointness.
 type PRouteInstance struct {
 	Seed        uint64
 	W, H        int
@@ -68,11 +66,11 @@ func (pi *PRouteInstance) Grid() *route.Grid {
 	return g
 }
 
-// GenPRoute generates a parallel-routing instance: a 16..32 × 16..32
-// grid with ~12% blocked cells, 10..28 two-pin nets with mutually
-// distinct pins (dense enough that waves regularly conflict), 3..6
-// multi-pin nets, and a randomly chosen algorithm, net order, rip-up
-// budget and routing seed.
+// GenPRoute generates a full-net-list routing instance: a 16..32 ×
+// 16..32 grid with ~12% blocked cells, 10..28 two-pin nets with
+// mutually distinct pins (dense enough that nets compete for
+// corridors), 3..6 multi-pin nets, and a randomly chosen algorithm,
+// net order, rip-up budget and routing seed.
 func GenPRoute(seed uint64) *PRouteInstance {
 	rng := NewRNG(seed)
 	pi := &PRouteInstance{
@@ -140,10 +138,8 @@ func GenPRoute(seed uint64) *PRouteInstance {
 	return pi
 }
 
-// CheckPRoute cross-validates the wave-parallel router against the
-// serial engine on one instance:
+// CheckPRoute checks RouteAll and RouteAllMulti on one instance:
 //
-//	RouteAll Workers=1            vs  Workers=2..4 × WaveSizes   (byte identity)
 //	every routed path             vs  route.Validate              (legality on the obstacle grid)
 //	every routed path             —   touches no foreign pin      (pins stay reserved)
 //	all routed paths together     —   pairwise cell-disjoint      (no two nets share a cell)
@@ -155,35 +151,8 @@ func (c *Checker) CheckPRoute(pi *PRouteInstance) []Mismatch {
 			Detail: fmt.Sprintf(format, args...), Dump: pi.Dump()})
 	}
 
-	base := route.Opts{Alg: pi.Alg, Order: pi.Order, RipupRounds: pi.RipupRounds, Seed: pi.RouteSeed}
-	serial := route.RouteAll(pi.Grid(), pi.Nets, base)
-
-	for _, cfg := range []struct{ workers, wave int }{{2, 0}, {3, 5}, {4, 2}} {
-		opts := base
-		opts.Workers, opts.WaveSize = cfg.workers, cfg.wave
-		par := route.RouteAll(pi.Grid(), pi.Nets, opts)
-		if reflect.DeepEqual(serial, par) {
-			continue
-		}
-		switch {
-		case par.Expanded != serial.Expanded:
-			bad("workers=%d wave=%d: expanded %d differs from serial %d",
-				cfg.workers, cfg.wave, par.Expanded, serial.Expanded)
-		case !reflect.DeepEqual(par.Failed, serial.Failed):
-			bad("workers=%d wave=%d: failed nets %v differ from serial %v",
-				cfg.workers, cfg.wave, par.Failed, serial.Failed)
-		default:
-			name := "?"
-			for n, p := range serial.Paths {
-				if !reflect.DeepEqual(p, par.Paths[n]) {
-					name = n
-					break
-				}
-			}
-			bad("workers=%d wave=%d: result differs from serial (first differing net %s)",
-				cfg.workers, cfg.wave, name)
-		}
-	}
+	res := route.RouteAll(pi.Grid(), pi.Nets,
+		route.Opts{Alg: pi.Alg, Order: pi.Order, RipupRounds: pi.RipupRounds, Seed: pi.RouteSeed})
 
 	// Legality on the obstacle-only grid, pin reservation, and
 	// pairwise disjointness. A path may touch a pin cell only if the
@@ -196,12 +165,12 @@ func (c *Checker) CheckPRoute(pi *PRouteInstance) []Mismatch {
 	}
 	owner := map[route.Point]string{}
 	for _, n := range pi.Nets {
-		p, ok := serial.Paths[n.Name]
+		p, ok := res.Paths[n.Name]
 		if !ok {
 			continue
 		}
 		if err := route.Validate(obstacles, n, p); err != nil {
-			bad("net %s: serial path is illegal on the obstacle grid: %v", n.Name, err)
+			bad("net %s: path is illegal on the obstacle grid: %v", n.Name, err)
 		}
 		for _, pt := range p {
 			own := pt == n.A || pt == n.B

@@ -3,12 +3,9 @@ package xcheck
 import (
 	"strings"
 	"testing"
-
-	"vlsicad/internal/route"
 )
 
-// TestPRouteOracleOnCorpusSeeds runs the parallel-vs-serial oracle
-// over the golden-corpus seed stream (the same instances the corpus
+// TestPRouteOracleOnCorpusSeeds runs the proute oracles over the golden-corpus seed stream (the same instances the corpus
 // sweep replays, without needing the files on disk).
 func TestPRouteOracleOnCorpusSeeds(t *testing.T) {
 	c := &Checker{}
@@ -17,32 +14,6 @@ func TestPRouteOracleOnCorpusSeeds(t *testing.T) {
 		for _, m := range c.CheckPRoute(GenPRoute(seed)) {
 			t.Errorf("%v", m)
 		}
-	}
-}
-
-// TestPRouteConflictHeavySeeds replays the pinned conflict-heavy
-// seeds: the oracle must stay clean AND the instances must still
-// provoke wave conflicts — if a generator change makes them placid,
-// the pins are stale and should be re-swept.
-func TestPRouteConflictHeavySeeds(t *testing.T) {
-	c := &Checker{}
-	totalConflicts := 0
-	for _, seed := range conflictHeavySeeds {
-		pi := GenPRoute(seed)
-		for _, m := range c.CheckPRoute(pi) {
-			t.Errorf("%v", m)
-		}
-		route.RouteAll(pi.Grid(), pi.Nets, route.Opts{
-			Alg: pi.Alg, Order: pi.Order, RipupRounds: pi.RipupRounds, Seed: pi.RouteSeed,
-			Workers: 4,
-			OnWave: func(ws route.WaveStats) {
-				totalConflicts += ws.Conflicts
-			},
-		})
-	}
-	if totalConflicts < len(conflictHeavySeeds) {
-		t.Errorf("pinned seeds provoked only %d conflicts across %d instances; re-sweep for contended seeds",
-			totalConflicts, len(conflictHeavySeeds))
 	}
 }
 
