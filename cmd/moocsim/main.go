@@ -4,7 +4,7 @@
 // demographics (Figure 10) and the survey word cloud (Figure 11) —
 // plus a grading-telemetry report (-fig telemetry) aggregating
 // machine grading across a cohort sample, a portal-resilience
-// report (-fig portal) driving the sharded job pool through a seeded
+// report (-fig portal) driving the job pool through a seeded
 // fault storm, with the obs metrics snapshot the live course staff
 // would watch, a fairness drill (-fig fairness) where one hot
 // user floods the async ticket API against nine normal users while
@@ -223,7 +223,7 @@ func (g *readyGate) check() error {
 // wrapped in a deterministic fault injector; concurrent users submit
 // jobs; the report shows what the isolation machinery absorbed.
 func portalStorm(w io.Writer, seed uint64, ob *obs.Observer, gate *readyGate) error {
-	fmt.Fprintln(w, "=== portal resilience drill (sharded pool, seeded faults) ===")
+	fmt.Fprintln(w, "=== portal resilience drill (job pool, seeded faults) ===")
 	p := portal.NewPool(portal.PoolConfig{
 		Workers:    4,
 		QueueDepth: 64,

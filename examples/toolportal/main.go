@@ -1,6 +1,6 @@
 // Toolportal demonstrates the paper's Figure 4 cloud architecture in
 // miniature: a participant submits text jobs to the five deployed EDA
-// tools through the resilient job pool (sharded workers, bounded
+// tools through the resilient job pool (bounded workers, bounded
 // queue, retry with backoff, per-tool circuit breakers), a flaky tool
 // shows retries absorbing transient faults, the async ticket
 // lifecycle runs submit-and-come-back-later (Wait, deadline expiry,

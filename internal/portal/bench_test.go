@@ -12,7 +12,7 @@ import (
 )
 
 // Sustained-submission throughput, parallel users: bounded workers
-// over the fair queue, per-shard history locks. Numbers are recorded
+// over the fair queue, one history lock. Numbers are recorded
 // in EXPERIMENTS.md.
 
 func benchUsers() int { return 4 * runtime.GOMAXPROCS(0) }
@@ -174,7 +174,7 @@ func BenchmarkPoolSubmitAsync(b *testing.B) {
 // BenchmarkPoolSubmitHistory is the mixed portal workload: every
 // submission is followed by two history-page reads (the paper's
 // "scroll for older outputs" page, paged via HistoryN so read cost
-// stays O(page), not O(lifetime)), spread across the history shards.
+// stays O(page), not O(lifetime)), spread across many users.
 func BenchmarkPoolSubmitHistory(b *testing.B) {
 	p := NewPool(PoolConfig{
 		Workers:      runtime.GOMAXPROCS(0),

@@ -172,18 +172,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	return c
 }
 
-// historyShards is the number of user-hash-mapped history shards, so
-// per-user bookkeeping doesn't serialize the whole portal behind one
-// lock.
-const historyShards = 16
-
-// poolShard is one slice of the user-keyed state. Sharding by user
-// hash keeps history appends for unrelated users on different locks.
-type poolShard struct {
-	mu      sync.Mutex
-	history map[string][]JobResult
-}
-
 // toolMetrics caches one tool's labeled series, resolved once at
 // Register so the worker hot path pays only the child metric's atomic
 // cost — never a label lookup per job.
@@ -266,20 +254,19 @@ type TicketOpts struct {
 }
 
 // Pool is the portal's job engine: N workers over a round-robin fair
-// bounded queue and sharded per-user history, with an
-// async ticket lifecycle (SubmitAsync/Wait/Cancel, per-job
-// deadlines), per-user admission quotas, panic isolation, retry with
-// exponential backoff for transient failures, and per-tool circuit
-// breakers. All telemetry flows through internal/obs.
+// bounded queue and per-user history, with an async ticket lifecycle
+// (SubmitAsync/Wait/Cancel, per-job deadlines), per-user admission
+// quotas, panic isolation, retry with exponential backoff for
+// transient failures, and per-tool circuit breakers. All telemetry
+// flows through internal/obs.
 type Pool struct {
 	cfg PoolConfig
 
 	// The wiring below is fixed by newPool and read without a lock.
-	clock     func() time.Time
-	after     func(time.Duration) <-chan time.Time
-	obs       *obs.Observer
-	lm        *lifecycleMetrics
-	shardJobs [historyShards]*obs.Counter // pool_shard_jobs_total{shard}, index-aligned with shards
+	clock func() time.Time
+	after func(time.Duration) <-chan time.Time
+	obs   *obs.Observer
+	lm    *lifecycleMetrics
 
 	mu        sync.RWMutex // guards tools, breakers, toolStats; read-heavy
 	tools     map[string]Tool
@@ -289,23 +276,24 @@ type Pool struct {
 	rngMu    sync.Mutex // jitter stream has its own lock off the hot path
 	rngState uint64
 
-	shards [historyShards]poolShard
-	fq     *fairQueue
-	quota  *quotaTable
-
-	runMu   sync.Mutex // guards running, the set of tickets held by workers
-	running map[*Ticket]struct{}
+	fq    *fairQueue
+	quota *quotaTable
 
 	// jmu is the recovery-consistency lock: it guards the sequence
-	// counter, the live-ticket set, the conservation ledger, and every
-	// journal append — so a compaction snapshot can never observe a
-	// ticket half-transitioned. Lock order: jmu before shard.mu,
-	// tk.mu, and quota.mu; never the reverse.
+	// counter, the live-ticket set (every non-terminal ticket), the
+	// conservation ledger, and every journal append — so a compaction
+	// snapshot can never observe a ticket half-transitioned. Lock
+	// order: jmu before histMu, tk.mu, and quota.mu; never the reverse.
 	jmu    sync.Mutex
 	jr     *Journal // nil = journaling off
 	seq    uint64   // last assigned ticket sequence
 	live   map[uint64]*Ticket
 	ledger Ledger
+
+	// histMu guards history. Writers already hold jmu, so it only
+	// keeps History readers off jmu.
+	histMu  sync.Mutex
+	history map[string][]JobResult
 
 	lifeMu sync.RWMutex // guards closed against concurrent Close
 	closed bool
@@ -355,16 +343,11 @@ func newPool(cfg PoolConfig) *Pool {
 		lm:        resolveLifecycleMetrics(observer),
 		rngState:  cfg.Seed,
 		quota:     newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst),
-		running:   map[*Ticket]struct{}{},
 		jr:        cfg.Journal,
 		live:      map[uint64]*Ticket{},
+		history:   map[string][]JobResult{},
 	}
 	p.fq = newFairQueue(cfg.QueueDepth, perUserCap)
-	shardJobs := observer.CounterVec("pool_shard_jobs_total", "shard")
-	for i := range p.shards {
-		p.shards[i].history = map[string][]JobResult{}
-		p.shardJobs[i] = shardJobs.With(strconv.Itoa(i))
-	}
 	p.jr.bind(p.obs)
 	return p
 }
@@ -391,21 +374,7 @@ func (p *Pool) classOf(user string) string {
 // draining — before the workers exit. No admitted ticket is ever
 // lost: Wait on any of them returns. Blocks until the drain is done;
 // use CloseWithTimeout to bound it. Safe to call more than once.
-func (p *Pool) Close() {
-	p.lifeMu.Lock()
-	already := p.closed
-	p.closed = true
-	p.lifeMu.Unlock()
-	if !already {
-		p.fq.closeQueue()
-	}
-	p.wg.Wait()
-	if !already {
-		// A clean shutdown leaves a compact journal: one snapshot
-		// record a restart replays wholesale.
-		p.CompactJournal()
-	}
-}
+func (p *Pool) Close() { p.shutdown(nil) }
 
 // CloseWithTimeout is Close with a drain budget: it waits up to d for
 // the graceful drain, then forces the rest — still-queued tickets
@@ -415,6 +384,12 @@ func (p *Pool) Close() {
 // admitted ticket still terminates exactly once. Reports whether the
 // graceful drain finished within budget.
 func (p *Pool) CloseWithTimeout(d time.Duration) bool {
+	return p.shutdown(p.after(d))
+}
+
+// shutdown is the one close path: drain gracefully until timer fires,
+// then force the rest. Close passes a nil timer, which never fires.
+func (p *Pool) shutdown(timer <-chan time.Time) bool {
 	p.lifeMu.Lock()
 	already := p.closed
 	p.closed = true
@@ -427,34 +402,36 @@ func (p *Pool) CloseWithTimeout(d time.Duration) bool {
 		p.wg.Wait()
 		close(drained)
 	}()
+	graceful := true
 	select {
 	case <-drained:
-		if !already {
-			p.CompactJournal()
+	case <-timer:
+		graceful = false
+		for _, tk := range p.fq.drainAll() {
+			p.obs.Gauge("pool_queue_depth").Add(-1)
+			p.finish(tk, JobResult{}, ErrDeadline, false, "draining")
 		}
-		return true
-	case <-p.after(d):
-	}
-	for _, tk := range p.fq.drainAll() {
-		p.obs.Gauge("pool_queue_depth").Add(-1)
-		p.finalizeNonRun(tk, ErrDeadline, "draining")
-	}
-	p.runMu.Lock()
-	for tk := range p.running {
-		tk.mu.Lock()
-		if tk.state == TicketRunning && tk.quitErr == nil {
-			tk.quitErr = ErrDeadline
-			tk.quitWhere = "draining"
-			close(tk.quit)
+		// Every non-terminal ticket is in live; the queued ones were
+		// just finished, so only running ones remain to interrupt.
+		p.jmu.Lock()
+		for _, tk := range p.live {
+			tk.mu.Lock()
+			if tk.state == TicketRunning && tk.quitErr == nil {
+				tk.quitErr = ErrDeadline
+				tk.quitWhere = "draining"
+				close(tk.quit)
+			}
+			tk.mu.Unlock()
 		}
-		tk.mu.Unlock()
+		p.jmu.Unlock()
+		<-drained
 	}
-	p.runMu.Unlock()
-	<-drained
 	if !already {
+		// A clean shutdown leaves a compact journal: one snapshot
+		// record a restart replays wholesale.
 		p.CompactJournal()
 	}
-	return false
+	return graceful
 }
 
 // closing reports whether Close has begun — used to label deadline
@@ -529,21 +506,6 @@ func (p *Pool) BreakerState(tool string) (BreakerState, bool) {
 		return BreakerClosed, false
 	}
 	return br.State(), true
-}
-
-// shardIndex maps a user to their history shard by FNV-1a hash.
-func (p *Pool) shardIndex(user string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(user); i++ {
-		h ^= uint64(user[i])
-		h *= 1099511628211
-	}
-	return int(h % historyShards)
-}
-
-// shard returns the user's history shard.
-func (p *Pool) shard(user string) *poolShard {
-	return &p.shards[p.shardIndex(user)]
 }
 
 // jitter draws a uniform sample in [0, 1) from the pool's seeded
@@ -697,7 +659,7 @@ func (p *Pool) watchTicket(tk *Ticket, d time.Duration) {
 }
 
 // expireTicket enforces tk's deadline wherever the ticket currently
-// is: a queued ticket is finalized immediately; a running one is
+// is: a queued ticket is finished immediately; a running one is
 // interrupted through its quit channel and finishes via the normal
 // worker path; a terminal one is left alone.
 func (p *Pool) expireTicket(tk *Ticket) {
@@ -723,62 +685,8 @@ func (p *Pool) expireTicket(tk *Ticket) {
 		if draining {
 			where = "draining"
 		}
-		p.finalizeNonRun(tk, ErrDeadline, where)
+		p.finish(tk, JobResult{}, ErrDeadline, false, where)
 	}
-}
-
-// finalizeNonRun moves a ticket that never started running to its
-// terminal state — cancel or deadline expiry while queued, or a
-// forced drain. The breaker's admission slot is released rather than
-// recorded (the tool never got a chance to fail) and no history entry
-// is written (nothing ran). Idempotent: the first caller wins.
-func (p *Pool) finalizeNonRun(tk *Ticket, cause error, where string) {
-	// The whole transition happens under jmu so a compaction snapshot
-	// sees the ticket either live or durably terminal, never between.
-	p.jmu.Lock()
-	tk.mu.Lock()
-	if tk.state != TicketQueued {
-		tk.mu.Unlock()
-		p.jmu.Unlock()
-		return
-	}
-	tk.state = TicketDone
-	tk.err = cause
-	res := JobResult{Tool: tk.tool, Input: tk.input, When: tk.queuedAt, Err: cause.Error(), Replayed: tk.replayed}
-	tk.res = res
-	sp := tk.sp
-	tk.mu.Unlock()
-
-	state := "cancelled"
-	doneState := doneCancelled
-	if errors.Is(cause, ErrDeadline) {
-		state = "expired"
-		doneState = doneExpired
-	}
-	switch doneState {
-	case doneExpired:
-		p.ledger.Expired++
-	default:
-		p.ledger.Cancelled++
-	}
-	delete(p.live, tk.seq)
-	if p.jr != nil {
-		p.jr.appendDone(doneRec{seq: tk.seq, state: doneState, ran: false, res: res})
-		p.maybeCompactLocked()
-	}
-	p.jmu.Unlock()
-	close(tk.done)
-
-	tk.br.Release()
-	if state == "expired" {
-		p.lm.expired.Inc()
-		p.lm.expiry(where).Inc()
-		p.obs.Emit("pool.deadline", map[string]string{"tool": tk.tool, "user": tk.user, "where": where})
-	} else {
-		p.lm.cancelled.Inc()
-	}
-	sp.SetLabel("state", state)
-	sp.End()
 }
 
 // startTicket transitions a popped ticket into the running state,
@@ -798,14 +706,11 @@ func (p *Pool) startTicket(tk *Ticket, now time.Time) bool {
 		if p.closing() {
 			where = "draining"
 		}
-		p.finalizeNonRun(tk, ErrDeadline, where)
+		p.finish(tk, JobResult{}, ErrDeadline, false, where)
 		return false
 	}
 	tk.state = TicketRunning
 	tk.mu.Unlock()
-	p.runMu.Lock()
-	p.running[tk] = struct{}{}
-	p.runMu.Unlock()
 	if p.jr != nil {
 		p.jmu.Lock()
 		p.jr.appendStart(tk.seq)
@@ -814,91 +719,93 @@ func (p *Pool) startTicket(tk *Ticket, now time.Time) bool {
 	return true
 }
 
-// finishTicket appends the executed ticket's history entry, publishes
-// its terminal state, and ends its span. rawErr classifies the
-// lifecycle outcome: ErrDeadline and ErrCancelled are terminal
-// lifecycle errors; anything else (tool failure, timeout) is a
-// completed run whose details live in res. History, ledger, live-set
-// removal, and the journal's done record commit atomically under jmu,
-// so a compaction snapshot can never double- or zero-count the
-// ticket.
-func (p *Pool) finishTicket(tk *Ticket, res JobResult, rawErr error) {
-	p.runMu.Lock()
-	delete(p.running, tk)
-	p.runMu.Unlock()
-
-	var cause error
-	if errors.Is(rawErr, ErrDeadline) || errors.Is(rawErr, ErrCancelled) {
-		cause = rawErr
-	}
-	res.Replayed = tk.replayed
-
-	state := "completed"
-	doneState := doneCompleted
+// finish is the one terminal transition, for every way a ticket ends:
+// the worker after a run (ran), and Cancel, deadline expiry, the forced
+// drain, and recovery's orphaned or expired tickets for one that never
+// ran. cause classifies the outcome: ErrDeadline and ErrCancelled are
+// lifecycle errors Wait returns; anything else (tool failure, timeout)
+// is a completed run whose details live in res. A ticket that never
+// ran finishes only from TicketQueued (the first caller wins), gets a
+// result synthesized from its admission, writes no history, and gives
+// its breaker slot back — the tool never got a chance to fail. where
+// is the deadline-expiry site; a run takes it from the quit interrupt.
+// History, ledger, live-set removal, and the journal's done record
+// commit atomically under jmu, so a compaction snapshot sees the
+// ticket either live or durably terminal, never between.
+func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool, where string) {
+	state, doneState := "completed", doneCompleted
 	switch {
 	case errors.Is(cause, ErrDeadline):
-		state = "expired"
-		doneState = doneExpired
+		state, doneState = "expired", doneExpired
 	case errors.Is(cause, ErrCancelled):
-		state = "cancelled"
-		doneState = doneCancelled
+		state, doneState = "cancelled", doneCancelled
 	default:
+		cause = nil
 		if tk.replayed {
 			doneState = doneReplayed
 		}
 	}
 
-	p.jmu.Lock()
-	sh := p.shard(tk.user)
-	sh.mu.Lock()
-	sh.history[tk.user] = appendHistory(sh.history[tk.user], res, p.cfg.HistoryLimit)
-	sh.mu.Unlock()
-	switch doneState {
-	case doneExpired:
-		p.ledger.Expired++
-	case doneCancelled:
-		p.ledger.Cancelled++
-	case doneReplayed:
-		p.ledger.Replayed++
-	default:
-		p.ledger.Completed++
+	if !ran {
+		res = JobResult{Tool: tk.tool, Input: tk.input, When: tk.queuedAt, Err: cause.Error()}
 	}
-	delete(p.live, tk.seq)
-	if p.jr != nil {
-		p.jr.appendDone(doneRec{seq: tk.seq, state: doneState, ran: true, res: res})
-		p.maybeCompactLocked()
-	}
+	res.Replayed = tk.replayed
 
+	p.jmu.Lock()
+	if ran {
+		// The worker owns a running ticket, so no claim is needed; the
+		// entry lands before the ticket reads as done.
+		p.histMu.Lock()
+		p.history[tk.user] = appendHistory(p.history[tk.user], res, p.cfg.HistoryLimit)
+		p.histMu.Unlock()
+	}
 	tk.mu.Lock()
+	if !ran && tk.state != TicketQueued {
+		tk.mu.Unlock()
+		p.jmu.Unlock()
+		return
+	}
+	if ran {
+		where = tk.quitWhere
+	}
 	tk.state = TicketDone
 	tk.res = res
 	tk.err = cause
-	where := tk.quitWhere
 	sp := tk.sp
 	tk.mu.Unlock()
+
+	p.ledger.count(doneState)
+	delete(p.live, tk.seq)
+	if p.jr != nil {
+		p.jr.appendDone(doneRec{seq: tk.seq, state: doneState, ran: ran, res: res})
+		p.maybeCompactLocked()
+	}
 	p.jmu.Unlock()
 	close(tk.done)
 
-	switch state {
-	case "expired":
+	if !ran {
+		tk.br.Release()
+	}
+	switch doneState {
+	case doneExpired:
 		p.lm.expired.Inc()
 		if where == "" {
 			where = "running"
 		}
 		p.lm.expiry(where).Inc()
 		p.obs.Emit("pool.deadline", map[string]string{"tool": tk.tool, "user": tk.user, "where": where})
-	case "cancelled":
+	case doneCancelled:
 		p.lm.cancelled.Inc()
+	case doneReplayed:
+		p.lm.replayed.Inc()
 	default:
-		if doneState == doneReplayed {
-			p.lm.replayed.Inc()
-		} else {
-			p.lm.completed.Inc()
-		}
+		p.lm.completed.Inc()
 	}
 	sp.SetLabel("state", state)
-	sp.SetLabel("attempts", strconv.Itoa(res.Attempts))
-	sp.SetLabel("timed_out", strconv.FormatBool(res.TimedOut))
+	if ran {
+		sp.SetLabel("attempts", strconv.Itoa(res.Attempts))
+		sp.SetLabel("timed_out", strconv.FormatBool(res.TimedOut))
+	}
 	sp.End()
 }
 
@@ -918,15 +825,12 @@ func (p *Pool) worker() {
 		now := p.clock()
 		p.lm.queueWait.ObserveDuration(now.Sub(tk.queuedAt))
 		if !p.startTicket(tk, now) {
-			// Cancelled or expired while queued: already finalized.
+			// Cancelled or expired while queued: already finished.
 			p.fq.release(tk.user)
 			continue
 		}
 		res, rawErr := p.runJob(tk)
-		p.shardJobs[p.shardIndex(tk.user)].Inc()
-		// History is appended inside finishTicket, atomically with the
-		// ledger and journal updates under jmu.
-		p.finishTicket(tk, res, rawErr)
+		p.finish(tk, res, rawErr, true, "")
 		p.fq.release(tk.user)
 	}
 }
@@ -1096,13 +1000,11 @@ func execTool(tk *Ticket, timeout time.Duration,
 	return res, rawErr
 }
 
-// History returns the user's retained past results, newest first,
-// from the user's shard.
+// History returns the user's retained past results, newest first.
 func (p *Pool) History(user string) []JobResult {
-	sh := p.shard(user)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return reverseHistory(sh.history[user], len(sh.history[user]))
+	p.histMu.Lock()
+	defer p.histMu.Unlock()
+	return reverseHistory(p.history[user], len(p.history[user]))
 }
 
 // Ready reports whether the pool can usefully accept work — the
@@ -1111,10 +1013,7 @@ func (p *Pool) History(user string) []JobResult {
 // shedding 100% of load); a half-open breaker counts as ready since
 // probes are being admitted.
 func (p *Pool) Ready() error {
-	p.lifeMu.RLock()
-	closed := p.closed
-	p.lifeMu.RUnlock()
-	if closed {
+	if p.closing() {
 		return ErrPoolClosed
 	}
 	p.mu.RLock()
@@ -1137,10 +1036,9 @@ func (p *Pool) Ready() error {
 // HistoryN returns the user's n most recent results, newest first —
 // one page of the history view, without copying the whole record.
 func (p *Pool) HistoryN(user string, n int) []JobResult {
-	sh := p.shard(user)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return reverseHistory(sh.history[user], n)
+	p.histMu.Lock()
+	defer p.histMu.Unlock()
+	return reverseHistory(p.history[user], n)
 }
 
 // reverseHistory copies the newest min(n, len(h)) entries of h in
@@ -1178,14 +1076,11 @@ func (p *Pool) snapshotLocked() *poolSnapshot {
 	s := newPoolSnapshot()
 	s.ledger = p.ledger
 	s.nextSeq = p.seq
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for user, h := range sh.history {
-			s.hist[user] = append([]JobResult(nil), h...)
-		}
-		sh.mu.Unlock()
+	p.histMu.Lock()
+	for user, h := range p.history {
+		s.hist[user] = append([]JobResult(nil), h...)
 	}
+	p.histMu.Unlock()
 	s.quota = p.quota.snapshot()
 	for seq, tk := range p.live {
 		tk.mu.Lock()

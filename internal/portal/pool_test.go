@@ -438,10 +438,10 @@ func TestPoolTimeoutAndAbandon(t *testing.T) {
 	t.Fatal("abandoned runaway never drained")
 }
 
-// TestPoolShardedHistoryConcurrent hammers many users concurrently
-// (run with -race) and checks per-user history integrity across the
-// shard map.
-func TestPoolShardedHistoryConcurrent(t *testing.T) {
+// TestPoolHistoryConcurrent hammers many users concurrently (run with
+// -race) and checks that each user's history keeps its submission
+// order.
+func TestPoolHistoryConcurrent(t *testing.T) {
 	ob := obs.NewObserver(nil)
 	p := NewPool(PoolConfig{Workers: 8, QueueDepth: 256, Observer: ob})
 	defer p.Close()

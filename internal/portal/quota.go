@@ -36,10 +36,18 @@ func newQuotaTable(rate float64, burst int) *quotaTable {
 
 func (q *quotaTable) enabled() bool { return q.rate > 0 }
 
-// admit spends one token from the user's bucket, refilling for the
-// time elapsed since their last admission. Reports false when the
-// bucket is dry — the caller sheds with ErrQuotaExceeded.
+// admit spends one token from the user's bucket. Reports false when
+// the bucket is dry — the caller sheds with ErrQuotaExceeded.
 func (q *quotaTable) admit(user string, now time.Time) bool {
+	return q.touch(user, now, true)
+}
+
+// touch refills the user's bucket for the time elapsed since its last
+// touch and, when spend is set, takes one token if one is there,
+// reporting whether it did. A shed admission touches without spending:
+// it still refills the bucket and advances its timestamp. Journal
+// replay drives the same method, so recovered buckets match exactly.
+func (q *quotaTable) touch(user string, now time.Time, spend bool) bool {
 	if !q.enabled() {
 		return true
 	}
@@ -56,7 +64,7 @@ func (q *quotaTable) admit(user string, now time.Time) bool {
 		}
 		b.last = now
 	}
-	if b.tokens >= 1 {
+	if spend && b.tokens >= 1 {
 		b.tokens--
 		return true
 	}

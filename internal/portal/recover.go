@@ -37,6 +37,21 @@ func (l Ledger) Balanced() bool {
 	return l.Admitted == l.Completed+l.Expired+l.Cancelled+l.Replayed
 }
 
+// count books one terminal transition, by its done-record state, in
+// its bucket — the one rule the live pool and journal replay share.
+func (l *Ledger) count(state byte) {
+	switch state {
+	case doneExpired:
+		l.Expired++
+	case doneCancelled:
+		l.Cancelled++
+	case doneReplayed:
+		l.Replayed++
+	default:
+		l.Completed++
+	}
+}
+
 // Ledger returns a snapshot of the pool's ticket conservation
 // counters.
 func (p *Pool) Ledger() Ledger {
@@ -81,6 +96,9 @@ type RecoveryReport struct {
 // error — the state up to the last good record is still returned.
 func replayJournal(data []byte, cfg PoolConfig) (*poolSnapshot, []uint64, *RecoveryReport, error) {
 	st := newPoolSnapshot()
+	// Quota buckets replay through a real table, so every admission and
+	// shed touches them by the live rule.
+	quota := newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst)
 	rep := &RecoveryReport{}
 	var order []uint64
 	seen := map[uint64]struct{}{}
@@ -151,7 +169,7 @@ func replayJournal(data []byte, cfg PoolConfig) (*poolSnapshot, []uint64, *Recov
 				if rec.seq > st.nextSeq {
 					st.nextSeq = rec.seq
 				}
-				quotaReplayTouch(st.quota, rec.user, rec.queuedAt, cfg, true)
+				quota.touch(rec.user, rec.queuedAt, true)
 			}
 		case recStart:
 			if rec, ok := st.live[seq]; ok {
@@ -163,21 +181,14 @@ func replayJournal(data []byte, cfg PoolConfig) (*poolSnapshot, []uint64, *Recov
 				break // duplicate or unknown: first terminal record wins
 			}
 			delete(st.live, done.seq)
-			switch done.state {
-			case doneExpired:
-				st.ledger.Expired++
-			case doneCancelled:
-				st.ledger.Cancelled++
-			case doneReplayed:
-				st.ledger.Replayed++
-			default:
-				st.ledger.Completed++
-			}
+			st.ledger.count(done.state)
 			if done.ran {
 				st.hist[rec.user] = appendHistory(st.hist[rec.user], done.res, cfg.HistoryLimit)
 			}
 		case recSnapshot:
 			st = snap
+			quota = newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst)
+			quota.restore(st.quota)
 			rep.SnapshotUsed = true
 			floor = st.nextSeq
 			order = order[:0]
@@ -188,12 +199,13 @@ func replayJournal(data []byte, cfg PoolConfig) (*poolSnapshot, []uint64, *Recov
 			}
 			sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 		case recShed:
-			quotaReplayTouch(st.quota, user, at, cfg, false)
+			quota.touch(user, at, false)
 		}
 
 		rep.Records++
 		off += 8 + int(n)
 	}
+	st.quota = quota.snapshot()
 	rep.Bytes = int64(off)
 	if corrupt == nil {
 		rep.TornBytes = int64(len(data) - off)
@@ -222,30 +234,6 @@ func appendHistory(h []JobResult, res JobResult, lim int) []JobResult {
 		h = append(h[:0:0], h[len(h)-lim:]...)
 	}
 	return h
-}
-
-// quotaReplayTouch replays one admission's (spend=true) or shed's
-// (spend=false) effect on a user's token bucket, mirroring
-// quotaTable.admit exactly.
-func quotaReplayTouch(m map[string]quotaBucket, user string, now time.Time, cfg PoolConfig, spend bool) {
-	if cfg.QuotaRate <= 0 {
-		return
-	}
-	burst := float64(cfg.QuotaBurst)
-	b, ok := m[user]
-	if !ok {
-		b = quotaBucket{tokens: burst, last: now}
-	} else if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * cfg.QuotaRate
-		if b.tokens > burst {
-			b.tokens = burst
-		}
-		b.last = now
-	}
-	if spend && b.tokens >= 1 {
-		b.tokens--
-	}
-	m[user] = b
 }
 
 // RecoverPool replays a ticket journal into a warm pool: ledger,
@@ -281,56 +269,21 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 	ob := p.obs
 	sp := ob.StartSpan("portal.recover")
 
-	// A ticket that was running (in any previous lifetime) stays
-	// marked for at-least-once accounting even across chained crashes.
-	for _, rec := range st.live {
-		rec.replayed = rec.replayed || rec.running
-	}
-
-	// Install the replayed state.
+	// Install the replayed state, restored tickets included: every one
+	// enters live, so the chain snapshot below comes from the same
+	// snapshotLocked a compaction uses.
+	tickets := make([]*Ticket, 0, len(order))
 	p.jmu.Lock()
 	p.seq = st.nextSeq
 	p.ledger = st.ledger
-	p.jmu.Unlock()
-	for user, h := range st.hist {
-		sh := p.shard(user)
-		sh.mu.Lock()
-		sh.history[user] = h
-		sh.mu.Unlock()
-	}
+	p.histMu.Lock()
+	p.history = st.hist
+	p.histMu.Unlock()
 	p.quota.restore(st.quota)
-	rep.Ledger = st.ledger
-
-	// Chain durability: make the restored state the new journal's
-	// first record, so recovery-after-recovery never needs the old
-	// log. Restored tickets are snapshotted as queued — none has
-	// started in this pool yet.
-	if p.jr != nil {
-		chain := newPoolSnapshot()
-		chain.ledger = st.ledger
-		chain.nextSeq = st.nextSeq
-		chain.hist = st.hist
-		chain.quota = st.quota
-		for seq, rec := range st.live {
-			cp := *rec
-			cp.running = false
-			chain.live[seq] = &cp
-		}
-		p.jr.append(recSnapshot, encodeSnapshot(chain))
-	}
-
-	// Re-enqueue live tickets in original admission order. restore
-	// bypasses the queue and share caps: these tickets were already
-	// admitted once and must not be shed by their own recovery.
-	disp := ob.CounterVec("pool_recovery_replayed_total", "disposition")
-	now := p.clock()
 	for _, seqNo := range order {
-		rec, ok := st.live[seqNo]
-		if !ok {
-			continue
-		}
+		rec := st.live[seqNo]
 		p.mu.RLock()
-		t, haveTool := p.tools[rec.tool]
+		t := p.tools[rec.tool]
 		br := p.breakers[rec.tool]
 		tm := p.toolStats[rec.tool]
 		p.mu.RUnlock()
@@ -339,27 +292,46 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 			queuedAt: rec.queuedAt, deadline: rec.deadline,
 			t: t, br: br, tm: tm, p: p,
 			done: make(chan struct{}), quit: make(chan struct{}),
-			seq: rec.seq, replayed: rec.replayed,
+			// A ticket that was running (in any previous lifetime) stays
+			// marked for at-least-once accounting even across chained
+			// crashes.
+			seq: rec.seq, replayed: rec.replayed || rec.running,
 		}
 		tsp := ob.StartSpan("portal.ticket")
 		tsp.SetLabel("tool", rec.tool)
 		tsp.SetLabel("user", rec.user)
 		tsp.SetLabel("recovered", strconv.FormatBool(true))
 		tk.sp = tsp
-		p.jmu.Lock()
 		p.live[tk.seq] = tk
-		p.jmu.Unlock()
+		tickets = append(tickets, tk)
+	}
+	// Chain durability: make the restored state the new journal's
+	// first record, so recovery-after-recovery never needs the old
+	// log. Restored tickets snapshot as queued — none has started in
+	// this pool yet.
+	if p.jr != nil {
+		p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
+	}
+	p.jmu.Unlock()
+	rep.Ledger = st.ledger
+
+	// Dispatch live tickets in original admission order. restore
+	// bypasses the queue and share caps: these tickets were already
+	// admitted once and must not be shed by their own recovery.
+	disp := ob.CounterVec("pool_recovery_replayed_total", "disposition")
+	now := p.clock()
+	for _, tk := range tickets {
 		switch {
-		case !haveTool:
+		case tk.t == nil:
 			rep.Orphaned++
 			disp.With("orphaned").Inc()
-			p.finalizeNonRun(tk, fmt.Errorf("portal: recovered ticket for unregistered tool %q: %w", rec.tool, ErrCancelled), "")
-		case !rec.deadline.IsZero() && !now.Before(rec.deadline):
+			p.finish(tk, JobResult{}, fmt.Errorf("portal: recovered ticket for unregistered tool %q: %w", tk.tool, ErrCancelled), false, "")
+		case !tk.deadline.IsZero() && !now.Before(tk.deadline):
 			rep.Expired++
 			disp.With("expired").Inc()
-			p.finalizeNonRun(tk, ErrDeadline, "queued")
+			p.finish(tk, JobResult{}, ErrDeadline, false, "queued")
 		default:
-			if rec.running {
+			if st.live[tk.seq].running {
 				rep.Rerun++
 				disp.With("rerun").Inc()
 			} else {
@@ -368,8 +340,8 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 			}
 			p.fq.restore(tk)
 			ob.Gauge("pool_queue_depth").Add(1)
-			if !rec.deadline.IsZero() {
-				go p.watchTicket(tk, rec.deadline.Sub(now))
+			if !tk.deadline.IsZero() {
+				go p.watchTicket(tk, tk.deadline.Sub(now))
 			}
 		}
 	}

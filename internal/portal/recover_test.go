@@ -2,6 +2,7 @@ package portal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -204,46 +205,165 @@ func TestRecoverOrphanedToolCancelled(t *testing.T) {
 	}
 }
 
-func TestRecoverQuotaBucketsPreserved(t *testing.T) {
-	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), 0)
-	cfg := PoolConfig{Workers: 1, Clock: clk.Now, QuotaRate: 0.001, QuotaBurst: 2}
-	p, ms := journaledPool(cfg, JournalOpts{})
-	if err := p.Register(echoTool()); err != nil {
-		t.Fatal(err)
+// lastSnapshotAt returns the byte offset of the journal's last
+// snapshot record (0 when there is none).
+func lastSnapshotAt(data []byte) int {
+	last := 0
+	for off := 0; off+8 < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if data[off+8] == recSnapshot {
+			last = off
+		}
+		off += 8 + n
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := p.Submit("hot", "echo", "x"); err != nil {
+	return last
+}
+
+// TestRecoverQuotaBucketsPreserved replays every way admission
+// touches a token bucket — a spend, a quota shed, a spend refunded by
+// a fair-share or queue-full shed — and a bucket table reset at a
+// compaction snapshot. Recovered buckets must equal the live pool's
+// exactly. A ticking clock keeps refills fractional.
+func TestRecoverQuotaBucketsPreserved(t *testing.T) {
+	// wedge pins one gate ticket on the only worker and queues n more
+	// behind it, so the next submission meets a full lane or queue.
+	wedge := func(t *testing.T, p *Pool, n int) {
+		started := make(chan string, 1)
+		release := make(chan struct{})
+		if err := p.Register(gateTool("gate", started, release)); err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { close(release) })
+		if _, err := p.SubmitAsync("hot", "gate", "pin"); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		for i := 0; i < n; i++ {
+			if _, err := p.SubmitAsync("hot", "gate", fmt.Sprintf("q%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Burst spent: the shed touches the bucket and must be journaled.
-	if _, err := p.Submit("hot", "echo", "x"); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
+	cases := []struct {
+		name    string
+		cfg     PoolConfig
+		opts    JournalOpts
+		drive   func(t *testing.T, p *Pool) error
+		wantErr error
+	}{
+		{
+			name: "quota shed",
+			cfg:  PoolConfig{QuotaRate: 0.001, QuotaBurst: 2},
+			drive: func(t *testing.T, p *Pool) error {
+				for i := 0; i < 2; i++ {
+					if _, err := p.Submit("hot", "echo", "x"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, err := p.Submit("hot", "echo", "x")
+				return err
+			},
+			wantErr: ErrQuotaExceeded,
+		},
+		{
+			name: "fair-share shed refunds",
+			cfg:  PoolConfig{QuotaRate: 3, QuotaBurst: 5, QueueDepth: 4, FairShare: 0.5},
+			drive: func(t *testing.T, p *Pool) error {
+				wedge(t, p, 2)
+				_, err := p.SubmitAsync("hot", "gate", "over")
+				return err
+			},
+			wantErr: ErrQuotaExceeded,
+		},
+		{
+			name: "queue-full shed refunds",
+			cfg:  PoolConfig{QuotaRate: 3, QuotaBurst: 5, QueueDepth: 2},
+			drive: func(t *testing.T, p *Pool) error {
+				wedge(t, p, 2)
+				_, err := p.SubmitAsync("hot", "gate", "over")
+				return err
+			},
+			wantErr: ErrQueueFull,
+		},
+		{
+			name: "reset at snapshot",
+			cfg:  PoolConfig{QuotaRate: 3, QuotaBurst: 3},
+			opts: JournalOpts{CompactEvery: 2},
+			drive: func(t *testing.T, p *Pool) error {
+				for i := 0; i < 3; i++ {
+					for _, user := range []string{"hot", "cold"} {
+						if _, err := p.Submit(user, "echo", "x"); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				// The shed lands after the last snapshot record.
+				var err error
+				for err == nil {
+					_, err = p.SubmitAsync("hot", "echo", "burst")
+				}
+				return err
+			},
+			wantErr: ErrQuotaExceeded,
+		},
 	}
-	want := p.quota.snapshot()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), 7*time.Millisecond)
+			cfg := tc.cfg
+			cfg.Workers, cfg.Clock = 1, clk.Now
+			p, ms := journaledPool(cfg, tc.opts)
+			// Cleanups run last-in first-out: the gate opens first.
+			t.Cleanup(p.Close)
+			if err := p.Register(echoTool()); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.drive(t, p); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			want := p.quota.snapshot()
 
-	p2, _, err := RecoverPool(PoolConfig{Workers: 1, Clock: clk.Now,
-		QuotaRate: 0.001, QuotaBurst: 2, Observer: obs.NewObserver(nil)},
-		bytes.NewReader(ms.Bytes()), echoTool())
-	if err != nil {
-		t.Fatal(err)
+			// With compaction on, the log from its last snapshot record
+			// on must recover the same buckets: replay resets its table
+			// there.
+			data := ms.Bytes()
+			logs := [][]byte{data}
+			if tc.opts.CompactEvery > 0 {
+				logs = append(logs, data[lastSnapshotAt(data):])
+			}
+			cfg.Journal, cfg.Observer = nil, obs.NewObserver(nil)
+			var p2 *Pool
+			for _, log := range logs {
+				pr, rep, err := RecoverPool(cfg, bytes.NewReader(log), echoTool())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pr.Close()
+				if rep.SnapshotUsed != (tc.opts.CompactEvery > 0) {
+					t.Fatalf("SnapshotUsed = %v with CompactEvery %d", rep.SnapshotUsed, tc.opts.CompactEvery)
+				}
+				if got := pr.quota.snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("quota buckets diverged (%d-byte log):\n got %+v\nwant %+v", len(log), got, want)
+				}
+				p2 = pr
+			}
+			if tc.name != "quota shed" {
+				return
+			}
+			// The hot user stays shed across the restart; a cold user is
+			// not.
+			if _, err := p2.Submit("hot", "echo", "x"); !errors.Is(err, ErrQuotaExceeded) {
+				t.Fatalf("hot user err = %v, want ErrQuotaExceeded after recovery", err)
+			}
+			if _, err := p2.Submit("cold", "echo", "x"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	defer p2.Close()
-	if got := p2.quota.snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("quota buckets diverged:\n got %+v\nwant %+v", got, want)
-	}
-	// The hot user stays shed across the restart; a cold user is not.
-	if _, err := p2.Submit("hot", "echo", "x"); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("hot user err = %v, want ErrQuotaExceeded after recovery", err)
-	}
-	if _, err := p2.Submit("cold", "echo", "x"); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
 }
 
 // TestRecoverHistoryLimitExact pins byte-identical history retention:
-// the shard's raw slice — including the 2×limit block-trim boundary —
+// the pool's raw slice — including the 2×limit block-trim boundary —
 // replays exactly, under a ticking fake clock so no two results look
 // alike.
 func TestRecoverHistoryLimitExact(t *testing.T) {
@@ -268,7 +388,7 @@ func TestRecoverHistoryLimitExact(t *testing.T) {
 	}
 	// The raw retained slice (not just the page) matches too, so the
 	// next trim fires at the same append on both pools.
-	if !reflect.DeepEqual(p2.shard("u").history["u"], p.shard("u").history["u"]) {
+	if !reflect.DeepEqual(p2.history["u"], p.history["u"]) {
 		t.Fatal("raw retained history (trim boundary) diverged")
 	}
 	p.Close()

@@ -139,7 +139,7 @@ func (tk *Ticket) Wait(ctx context.Context) (JobResult, error) {
 	return tk.res, tk.err
 }
 
-// Cancel terminates the job: a queued ticket is finalized immediately
+// Cancel terminates the job: a queued ticket is finished immediately
 // with ErrCancelled (it never runs); a running one is interrupted
 // through quit and finishes with ErrCancelled after the usual
 // cancel + grace window. Idempotent, and a no-op once terminal.
@@ -158,7 +158,7 @@ func (tk *Ticket) Cancel() {
 		return
 	default:
 		tk.mu.Unlock()
-		tk.p.finalizeNonRun(tk, ErrCancelled, "")
+		tk.p.finish(tk, JobResult{}, ErrCancelled, false, "")
 	}
 }
 
