@@ -29,7 +29,7 @@ bench:
 # worker), so recording and gating must use the same one, whatever
 # the host's core count.
 BENCH_FILE ?= BENCH_PR10.json
-BENCH_PKGS ?= ./internal/obs ./internal/portal ./internal/route ./internal/mooc ./internal/place ./internal/linsolve ./internal/techmap
+BENCH_PKGS ?= ./internal/obs ./internal/portal ./internal/route ./internal/mooc ./internal/place ./internal/linsolve ./internal/techmap ./internal/mls
 BENCH_TIME ?= 0.5s
 bench-record:
 	$(GO) test -cpu 1 -bench=. -benchmem -benchtime=$(BENCH_TIME) -timeout 30m $(BENCH_PKGS) \
@@ -52,8 +52,9 @@ bench-gate:
 xcheck:
 	$(GO) test ./internal/xcheck -run Corpus -count=1
 
-# Short fuzzing pass over the cross-engine oracles. Go runs one fuzz
-# target per invocation, so each gets its own.
+# Short fuzzing pass over the cross-engine oracles and the reference
+# copies of synthesis loops. Go runs one fuzz target per invocation,
+# so each gets its own.
 fuzz:
 	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzCoverMinimize -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzSATvsBDD -fuzztime=$(FUZZTIME)
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzPRoute -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzPAnneal -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/portal -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mls -run=^$$ -fuzz=FuzzExtractKernels -fuzztime=$(FUZZTIME)
 
 # Regenerate testdata/xcheck from the pinned master seed.
 corpus:

@@ -6,7 +6,7 @@
 package mls
 
 import (
-	"sort"
+	"slices"
 
 	"vlsicad/internal/cube"
 )
@@ -92,45 +92,17 @@ func (f ACover) Clone() ACover {
 
 func (c ACube) clone() ACube { return append(ACube(nil), c...) }
 
-func (c ACube) sortInPlace() {
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-}
+func (c ACube) sortInPlace() { slices.Sort(c) }
 
-// normalize sorts cubes and literals and removes duplicate cubes.
+// normalize sorts cubes and literals and removes duplicate cubes. The
+// sorts need not be stable: equal literals are identical, and equal
+// cubes are duplicates that the compaction drops.
 func (f ACover) normalize() ACover {
 	for _, c := range f {
 		c.sortInPlace()
 	}
-	sort.Slice(f, func(i, j int) bool { return cubeLess(f[i], f[j]) })
-	out := f[:0]
-	for i, c := range f {
-		if i > 0 && cubeEq(c, f[i-1]) {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-func cubeLess(a, b ACube) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-func cubeEq(a, b ACube) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	slices.SortFunc(f, slices.Compare[ACube])
+	return slices.CompactFunc(f, slices.Equal[ACube])
 }
 
 // containsAll reports whether cube a contains every literal of b
@@ -177,8 +149,13 @@ func Divide(f, d ACover) (q, r ACover) {
 	if len(d) == 0 {
 		return nil, f.Clone()
 	}
-	f = f.Clone().normalize()
-	d = d.Clone().normalize()
+	return divide(f.Clone().normalize(), d.Clone().normalize())
+}
+
+// divide is Divide for normalized f and d, which it neither copies nor
+// modifies. When there is no quotient the remainder is f itself;
+// otherwise its cubes are fresh.
+func divide(f, d ACover) (q, r ACover) {
 	// Quotient = intersection over d's cubes of per-cube quotients.
 	var qSet ACover
 	for di, dc := range d {
@@ -215,11 +192,14 @@ func Divide(f, d ACover) (q, r ACover) {
 }
 
 func cubeKey(c ACube) string {
-	b := make([]byte, 0, len(c)*3)
+	return string(appendCubeKey(make([]byte, 0, len(c)*3), c))
+}
+
+func appendCubeKey(b []byte, c ACube) []byte {
 	for _, l := range c {
 		b = append(b, byte(l), byte(l>>8), ',')
 	}
-	return string(b)
+	return b
 }
 
 func intersectCovers(a, b ACover) ACover {
@@ -293,12 +273,12 @@ func Kernels(f ACover) []Kernel {
 				cands = append(cands, l)
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+		slices.Sort(cands)
 		for _, l := range cands {
 			if l < minLit {
 				continue
 			}
-			q, _ := Divide(g, ACover{{l}})
+			q, _ := divide(g, ACover{{l}})
 			qf, c := MakeCubeFree(q)
 			// Skip if the common cube contains a literal below l
 			// (kernel already produced elsewhere).
@@ -312,11 +292,14 @@ func Kernels(f ACover) []Kernel {
 			if skip || len(qf) < 2 {
 				continue
 			}
+			// Dropping the common cube can reorder the cubes;
+			// qf's cubes are fresh, so normalize in place.
+			qf = qf.normalize()
 			newCo := cubeProduct(cubeProduct(co, ACube{l}), c)
-			key := coverKey(qf)
-			if !seen[key+"@"+cubeKey(newCo)] {
-				seen[key+"@"+cubeKey(newCo)] = true
-				out = append(out, Kernel{K: qf.Clone().normalize(), CoKernel: newCo})
+			key := coverKey(qf) + "@" + cubeKey(newCo)
+			if !seen[key] {
+				seen[key] = true
+				out = append(out, Kernel{K: qf, CoKernel: newCo})
 			}
 			rec(qf, l+1, newCo)
 		}
@@ -338,11 +321,11 @@ func literalCounts(f ACover) map[ALit]int {
 	return out
 }
 
+// coverKey identifies a normalized cover.
 func coverKey(f ACover) string {
-	g := f.Clone().normalize()
-	s := ""
-	for _, c := range g {
-		s += cubeKey(c) + ";"
+	var b []byte
+	for _, c := range f {
+		b = append(appendCubeKey(b, c), ';')
 	}
-	return s
+	return string(b)
 }

@@ -1,7 +1,7 @@
 package mls
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -109,7 +109,7 @@ func Factor(f ACover) Expr {
 		for l := range lits {
 			order = append(order, l)
 		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+		slices.Sort(order)
 		for _, l := range order {
 			if lits[l] > bestCnt {
 				bestCnt = lits[l]
@@ -126,7 +126,7 @@ func Factor(f ACover) Expr {
 		}
 		divisor = ACover{{bestLit}}
 	}
-	q, r := Divide(f, divisor)
+	q, r := divide(f, divisor)
 	if len(q) == 0 {
 		terms := make([]Expr, len(f))
 		for i, c := range f {

@@ -63,6 +63,63 @@ func (st *symtab) nodeACover(n *netlist.Node) ACover {
 	return out.normalize()
 }
 
+// nodeCovers lifts the named nodes into the shared space once, in
+// order (so symtab ids are assigned in that order), and records each
+// cover's literal support.
+func (st *symtab) nodeCovers(nw *netlist.Network, names []string) ([]ACover, []litSet) {
+	covers := make([]ACover, len(names))
+	sups := make([]litSet, len(names))
+	for i, name := range names {
+		covers[i] = st.nodeACover(nw.Nodes[name])
+		sups[i] = supportOf(covers[i])
+	}
+	return covers, sups
+}
+
+// litSet is a set of algebraic literals, one bit per literal.
+type litSet []uint64
+
+func supportOf(f ACover) litSet {
+	var s litSet
+	for _, c := range f {
+		for _, l := range c {
+			w := int(l) / 64
+			for len(s) <= w {
+				s = append(s, 0)
+			}
+			s[w] |= 1 << (uint(l) % 64)
+		}
+	}
+	return s
+}
+
+// subsetOf reports whether every literal of s is in t. When the
+// support of D is not a subset of F's, some cube of D holds a literal
+// no cube of F has, so that cube divides nothing and F / D has no
+// quotient: callers skip such pairs instead of dividing.
+func (s litSet) subsetOf(t litSet) bool {
+	for i, w := range s {
+		var tw uint64
+		if i < len(t) {
+			tw = t[i]
+		}
+		if w&^tw != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sortedNodeNames lists the network's node names in sorted order.
+func sortedNodeNames(nw *netlist.Network) []string {
+	names := make([]string, 0, len(nw.Nodes))
+	for name := range nw.Nodes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // setNodeFromACover rewrites a node from a shared-space cover.
 func (st *symtab) setNodeFromACover(nw *netlist.Network, name string, f ACover) {
 	// Collect support signals.
@@ -281,12 +338,7 @@ func Eliminate(nw *netlist.Network, threshold int) int {
 	for {
 		victim := ""
 		fanouts := nw.Fanouts()
-		var names []string
-		for name := range nw.Nodes {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedNodeNames(nw) {
 			n := nw.Nodes[name]
 			if nw.IsOutput(name) {
 				continue
@@ -406,19 +458,18 @@ func ExtractKernels(nw *netlist.Network, prefix string, maxIter int) int {
 	for iter := 0; iter < maxIter; iter++ {
 		st := newSymtab(nw)
 		type cand struct {
-			key   string
 			k     ACover
+			sup   litSet
 			saved int
 		}
+		// Each node's cover is lifted once per iteration and serves
+		// kernel collection, scoring and the rewrite below: a node is
+		// rewritten only when the apply loop reaches it.
+		names := sortedNodeNames(nw)
+		covers, sups := st.nodeCovers(nw, names)
 		// Collect kernels from all nodes.
 		kernelSet := map[string]ACover{}
-		var names []string
-		for name := range nw.Nodes {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ac := st.nodeACover(nw.Nodes[name])
+		for _, ac := range covers {
 			if len(ac) > 30 {
 				continue // bound kernel explosion
 			}
@@ -436,10 +487,13 @@ func ExtractKernels(nw *netlist.Network, prefix string, maxIter int) int {
 		sort.Strings(keys)
 		for _, key := range keys {
 			k := kernelSet[key]
+			ksup := supportOf(k)
 			saved := -k.Lits() // cost of the new node
-			for _, name := range names {
-				ac := st.nodeACover(nw.Nodes[name])
-				q, r := Divide(ac, k)
+			for i, ac := range covers {
+				if !ksup.subsetOf(sups[i]) {
+					continue
+				}
+				q, r := divide(ac, k)
 				if len(q) == 0 {
 					continue
 				}
@@ -449,7 +503,7 @@ func ExtractKernels(nw *netlist.Network, prefix string, maxIter int) int {
 				}
 			}
 			if best == nil || saved > best.saved {
-				best = &cand{key: key, k: k, saved: saved}
+				best = &cand{k: k, sup: ksup, saved: saved}
 			}
 		}
 		if best == nil || best.saved <= 0 {
@@ -462,9 +516,11 @@ func ExtractKernels(nw *netlist.Network, prefix string, maxIter int) int {
 		}
 		st.setNodeFromACover(nw, newName, best.k)
 		tLit := st.lit(newName, false)
-		for _, name := range names {
-			ac := st.nodeACover(nw.Nodes[name])
-			q, r := Divide(ac, best.k)
+		for i, ac := range covers {
+			if !best.sup.subsetOf(sups[i]) {
+				continue
+			}
+			q, r := divide(ac, best.k)
 			if len(q) == 0 {
 				continue
 			}
@@ -477,7 +533,7 @@ func ExtractKernels(nw *netlist.Network, prefix string, maxIter int) int {
 				rewritten = append(rewritten, cubeProduct(qc, ACube{tLit}))
 			}
 			rewritten = append(rewritten, r...)
-			st.setNodeFromACover(nw, name, rewritten.normalize())
+			st.setNodeFromACover(nw, names[i], rewritten.normalize())
 		}
 		created++
 	}
@@ -491,11 +547,7 @@ func ExtractKernels(nw *netlist.Network, prefix string, maxIter int) int {
 func Decompose(nw *netlist.Network) int {
 	st := newSymtab(nw)
 	added := 0
-	var names []string
-	for name := range nw.Nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedNodeNames(nw)
 	fresh := 0
 	newSignal := func(base string) string {
 		for {

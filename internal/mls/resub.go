@@ -1,10 +1,6 @@
 package mls
 
-import (
-	"sort"
-
-	"vlsicad/internal/netlist"
-)
+import "vlsicad/internal/netlist"
 
 // Resubstitute performs algebraic resubstitution (the SIS resub
 // command): for every node pair (f, g), if g's function algebraically
@@ -14,11 +10,8 @@ func Resubstitute(nw *netlist.Network) int {
 	rewrites := 0
 	for {
 		st := newSymtab(nw)
-		var names []string
-		for name := range nw.Nodes {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		names := sortedNodeNames(nw)
+		covers, sups := st.nodeCovers(nw, names)
 
 		type rewrite struct {
 			target string
@@ -30,13 +23,13 @@ func Resubstitute(nw *netlist.Network) int {
 		// acyclicity when introducing a new dependence).
 		reach := reachability(nw)
 
-		for _, fname := range names {
-			f := st.nodeACover(nw.Nodes[fname])
+		for fi, fname := range names {
+			f := covers[fi]
 			if len(f) < 2 {
 				continue
 			}
-			for _, gname := range names {
-				if fname == gname {
+			for gi, gname := range names {
+				if fi == gi {
 					continue
 				}
 				// Adding g as fanin of f must not create a cycle:
@@ -44,11 +37,11 @@ func Resubstitute(nw *netlist.Network) int {
 				if reach[gname][fname] {
 					continue
 				}
-				g := st.nodeACover(nw.Nodes[gname])
-				if len(g) == 0 || g.Lits() == 0 {
+				g := covers[gi]
+				if len(g) == 0 || g.Lits() == 0 || !sups[gi].subsetOf(sups[fi]) {
 					continue
 				}
-				q, r := Divide(f, g)
+				q, r := divide(f, g)
 				if len(q) == 0 {
 					continue
 				}
