@@ -29,7 +29,8 @@ bench:
 # worker), so recording and gating must use the same one, whatever
 # the host's core count.
 BENCH_FILE ?= BENCH_PR10.json
-BENCH_PKGS ?= ./internal/obs ./internal/portal ./internal/route ./internal/mooc ./internal/place ./internal/linsolve ./internal/techmap ./internal/mls
+BENCH_PKGS ?= . ./internal/obs ./internal/portal ./internal/route ./internal/mooc ./internal/place ./internal/linsolve ./internal/techmap ./internal/mls \
+	./internal/sat ./internal/bdd ./internal/espresso ./internal/atpg ./internal/seq
 BENCH_TIME ?= 0.5s
 bench-record:
 	$(GO) test -cpu 1 -bench=. -benchmem -benchtime=$(BENCH_TIME) -timeout 30m $(BENCH_PKGS) \

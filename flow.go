@@ -8,9 +8,11 @@
 package vlsicad
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -133,145 +135,170 @@ func (f *Flow) StageTable() string {
 }
 
 // RunFlow executes the full logic-to-layout flow on a BLIF model.
+// Every stage, parse included, runs in a child span of one "flow"
+// root span (Flow.Trace) and adds a Flow.Stages row.
 func RunFlow(r io.Reader, opts FlowOpts) (*Flow, error) {
-	if opts.Obs == nil {
-		opts.Obs = obs.Default()
-	}
-	ob := opts.Obs
-	sp := ob.StartSpan("flow.parse")
-	nw, err := netlist.ParseBLIF(r)
-	d := sp.End()
-	ob.HistogramVec("flow_stage_seconds", []string{"stage"}).With("parse").ObserveDuration(d)
-	if err != nil {
-		ob.CounterVec("flow_stage_errors_total", "stage").With("parse").Inc()
-		return nil, err
-	}
-	f, ferr := RunFlowOnNetwork(nw, opts)
-	if f != nil {
-		f.Stages = append([]StageTiming{{Name: "parse", Duration: d}}, f.Stages...)
-	}
-	return f, ferr
+	return runFlow(&flowRun{Flow: &Flow{}, FlowOpts: opts, src: r})
 }
 
 // RunFlowOnNetwork is RunFlow starting from an in-memory network.
-// Each stage runs inside a child span of one "flow" root span and
-// feeds a per-stage latency histogram; the finished spans land in
-// Flow.Trace and the timing table in Flow.Stages.
 func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
-	ob := opts.Obs
-	if ob == nil {
-		ob = obs.Default()
-	}
-	f := &Flow{Source: nw.Clone(), LiteralsBefore: nw.Literals()}
+	return runFlow(&flowRun{Flow: &Flow{Source: nw.Clone()}, FlowOpts: opts})
+}
 
+// flowRun is one run: the Flow being built, which carries each
+// stage's artifacts to the next, its options, and the BLIF input (nil
+// when the caller passed a network).
+type flowRun struct {
+	*Flow
+	FlowOpts
+	src io.Reader
+}
+
+// errChanged marks a verification that found a stage changed the
+// design's function: the one failure that returns the partial Flow.
+var errChanged = errors.New("changed the function")
+
+// runFlow walks the stage table, in execution order, until a stage
+// fails. A row's name labels its Flow.Stages row, its flow.<name> span
+// and its flow_stage_seconds and flow_stage_errors_total series; a row
+// that is not on does not run. The one exit labels and closes the root
+// span, attaches Flow.Trace and counts the run.
+func runFlow(r *flowRun) (*Flow, error) {
+	if r.Obs == nil {
+		r.Obs = obs.Default()
+	}
+	ob, f := r.Obs, r.Flow
 	root := ob.StartSpan("flow")
-	root.SetLabel("model", nw.Name)
-	stageSeconds := ob.HistogramVec("flow_stage_seconds", []string{"stage"})
-	stageErrors := ob.CounterVec("flow_stage_errors_total", "stage")
-	// endStage closes a stage span and records its timing-table row.
-	endStage := func(sp *obs.Span, name string, err error) {
+	var err error
+	for _, s := range []struct {
+		name string
+		on   bool
+		run  func(*obs.Span) error
+	}{
+		{"parse", r.src != nil, r.parse},
+		{"synth", true, r.synthesize},
+		{"verify", true, r.verify},
+		{"map", true, r.mapGates},
+		{"place", true, r.placeCells},
+		{"route", true, r.routeNets},
+		{"drc", r.CheckDRC, r.checkDRC},
+		{"timing", true, r.analyzeTiming},
+	} {
+		if !s.on {
+			continue
+		}
+		sp := root.StartChild("flow." + s.name)
+		err = s.run(sp)
 		d := sp.End()
-		f.Stages = append(f.Stages, StageTiming{Name: name, Duration: d})
-		stageSeconds.With(name).ObserveDuration(d)
+		f.Stages = append(f.Stages, StageTiming{Name: s.name, Duration: d})
+		ob.HistogramVec("flow_stage_seconds", []string{"stage"}).With(s.name).ObserveDuration(d)
 		if err != nil {
-			stageErrors.With(name).Inc()
+			ob.CounterVec("flow_stage_errors_total", "stage").With(s.name).Inc()
+			break
 		}
 	}
-	// finish closes the root span, attaches the trace, and counts the
-	// run; every return path goes through it.
-	finish := func(ret *Flow, err error) (*Flow, error) {
-		root.SetLabel("ok", strconv.FormatBool(err == nil))
-		root.End()
-		f.Trace = ob.Tracer().SnapshotSince(root.ID())
-		ob.Counter("flow_runs_total").Inc()
-		if err != nil {
-			ob.Counter("flow_runs_failed").Inc()
-		}
-		return ret, err
+	if err == nil {
+		// Result gauges: the most recent run's quality-of-results.
+		ob.Gauge("flow_area").Set(f.Area)
+		ob.Gauge("flow_hpwl").Set(f.HPWL)
+		ob.Gauge("flow_wirelength").Set(float64(f.WireLength))
+		ob.Gauge("flow_critical_delay").Set(f.CriticalDelay)
 	}
+	if f.Source != nil {
+		root.SetLabel("model", f.Source.Name)
+	}
+	root.SetLabel("ok", strconv.FormatBool(err == nil))
+	root.End()
+	f.Trace = ob.Tracer().SnapshotSince(root.ID())
+	ob.Counter("flow_runs_total").Inc()
+	if err != nil {
+		ob.Counter("flow_runs_failed").Inc()
+		if !errors.Is(err, errChanged) {
+			return nil, err
+		}
+	}
+	return f, err
+}
 
-	// 1. Synthesis (Weeks 3-4): extract common divisors, simplify,
-	// sweep; verify with BDD equivalence (Week 2).
-	sp := root.StartChild("flow.synth")
-	work := nw.Clone()
+func (r *flowRun) parse(*obs.Span) (err error) {
+	r.Source, err = netlist.ParseBLIF(r.src)
+	return err
+}
+
+// synthesize (Weeks 3-4): extract common divisors, simplify, sweep.
+func (r *flowRun) synthesize(*obs.Span) error {
+	work := r.Source.Clone()
 	mls.ExtractKernels(work, "fx_", 10)
 	mls.Simplify(work)
 	mls.SweepConstants(work)
-	f.Synthesized = work
-	f.LiteralsAfter = work.Literals()
-	endStage(sp, "synth", nil)
+	r.Synthesized = work
+	r.LiteralsBefore, r.LiteralsAfter = r.Source.Literals(), work.Literals()
+	return nil
+}
 
-	sp = root.StartChild("flow.verify")
-	eq, eqErr := netlist.EquivalentBDD(nw, work)
-	f.Equivalent = eq
-	var verr error
-	switch {
-	case eqErr != nil:
-		verr = fmt.Errorf("vlsicad: synthesis verification: %w", eqErr)
-	case !eq:
-		verr = fmt.Errorf("vlsicad: synthesis changed the function")
+// verify checks synthesis with BDD equivalence (Week 2).
+func (r *flowRun) verify(*obs.Span) error {
+	eq, err := netlist.EquivalentBDD(r.Source, r.Synthesized)
+	if err != nil {
+		return fmt.Errorf("vlsicad: synthesis verification: %w", err)
 	}
-	endStage(sp, "verify", verr)
-	if eqErr != nil {
-		return finish(nil, verr)
-	}
+	r.Equivalent = eq
 	if !eq {
-		return finish(f, verr)
+		return fmt.Errorf("vlsicad: synthesis %w", errChanged)
 	}
+	return nil
+}
 
-	// 2. Technology mapping (Week 5).
-	sp = root.StartChild("flow.map")
+// mapGates maps the synthesized network onto the standard library
+// (Week 5) and, with VerifyMapping, checks the gate netlist against it.
+func (r *flowRun) mapGates(*obs.Span) error {
+	work := r.Synthesized
 	subj, err := techmap.FromNetwork(work)
 	if err != nil {
-		endStage(sp, "map", err)
-		return finish(nil, err)
+		return err
 	}
-	f.Subject = subj
-	mapping, err := techmap.Map(subj, techmap.StandardLibrary(), opts.MapObjective)
+	r.Subject = subj
+	if r.Mapping, err = techmap.Map(subj, techmap.StandardLibrary(), r.MapObjective); err != nil {
+		return err
+	}
+	r.Area = r.Mapping.Area
+	if !r.VerifyMapping {
+		return nil
+	}
+	mapped, err := techmap.ToNetwork(subj, r.Mapping, techmap.StandardLibrary(),
+		work.Name+"_mapped", work.Inputs, work.Outputs)
 	if err != nil {
-		endStage(sp, "map", err)
-		return finish(nil, err)
+		return fmt.Errorf("vlsicad: mapped-netlist export: %w", err)
 	}
-	f.Mapping = mapping
-	f.Area = mapping.Area
-	if opts.VerifyMapping {
-		mapped, err := techmap.ToNetwork(subj, mapping, techmap.StandardLibrary(),
-			work.Name+"_mapped", work.Inputs, work.Outputs)
-		if err != nil {
-			endStage(sp, "map", err)
-			return finish(nil, fmt.Errorf("vlsicad: mapped-netlist export: %w", err))
-		}
-		eqM, err := netlist.EquivalentBDD(work, mapped)
-		if err != nil {
-			endStage(sp, "map", err)
-			return finish(nil, fmt.Errorf("vlsicad: mapping verification: %w", err))
-		}
-		if !eqM {
-			err = fmt.Errorf("vlsicad: technology mapping changed the function")
-			endStage(sp, "map", err)
-			return finish(f, err)
-		}
+	eq, err := netlist.EquivalentBDD(work, mapped)
+	if err != nil {
+		return fmt.Errorf("vlsicad: mapping verification: %w", err)
 	}
-	endStage(sp, "map", nil)
+	if !eq {
+		return fmt.Errorf("vlsicad: technology mapping %w", errChanged)
+	}
+	return nil
+}
 
-	// 3. Placement (Week 6): one cell per mapped gate; nets from the
-	// gate-level connectivity; pads for the primary inputs/outputs.
-	sp = root.StartChild("flow.place")
-	prob, cellOf, err := placementFromMapping(work, subj, mapping, flowUtilization)
+// placeCells (Week 6) places one cell per mapped gate: quadratic
+// placement, legalization and, with AnnealPlace, an annealing
+// refinement kept only when it lowers HPWL.
+func (r *flowRun) placeCells(sp *obs.Span) error {
+	prob, err := placementFromMapping(r.Synthesized, r.Subject, r.Mapping)
 	if err != nil {
-		endStage(sp, "place", err)
-		return finish(nil, err)
+		return err
 	}
-	f.PlaceProblem = prob
+	r.PlaceProblem = prob
 	// Level telemetry: one labeled family (flow_quad_events_total{kind})
 	// plus a child span per bipartition level. OnLevel fires in level
 	// order on this goroutine, so the series and spans are
 	// deterministic for any PlaceWorkers value.
-	quadEvents := ob.CounterVec("flow_quad_events_total", "kind")
+	quadEvents := r.Obs.CounterVec("flow_quad_events_total", "kind")
 	quadRegions, quadLeaves, quadIters :=
 		quadEvents.With("regions"), quadEvents.With("leaves"), quadEvents.With("cg_iterations")
 	global, err := place.Quadratic(prob, place.QuadraticOpts{
-		Workers: opts.PlaceWorkers,
+		Workers: r.PlaceWorkers,
 		OnLevel: func(ls place.QuadLevelStats) {
 			lsp := sp.StartChild("flow.place.quad.level")
 			lsp.SetLabel("level", strconv.Itoa(ls.Level))
@@ -284,126 +311,111 @@ func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 		},
 	})
 	if err != nil {
-		endStage(sp, "place", err)
-		return finish(nil, err)
+		return err
 	}
 	legal, err := place.Legalize(prob, global)
 	if err != nil {
-		endStage(sp, "place", err)
-		return finish(nil, err)
+		return err
 	}
 	if err := place.CheckLegal(prob, legal); err != nil {
-		endStage(sp, "place", err)
-		return finish(nil, fmt.Errorf("vlsicad: legalization: %w", err))
+		return fmt.Errorf("vlsicad: legalization: %w", err)
 	}
-	f.Placement = legal
-	f.HPWL = prob.HPWL(legal)
-	if opts.AnnealPlace {
-		// Chain telemetry, as for the quadratic levels: one labeled
-		// family (flow_place_chain_events_total{kind}) plus a child
-		// span per chain. OnChain fires in chain order after all
-		// chains finish, so the series and spans are deterministic for
-		// any PlaceWorkers value.
-		chainEvents := ob.CounterVec("flow_place_chain_events_total", "kind")
-		moves, accepted, recomputes :=
-			chainEvents.With("moves"), chainEvents.With("accepted"), chainEvents.With("recomputes")
-		res, aerr := place.Anneal(prob, place.AnnealOpts{
-			Seed:    opts.Seed,
-			Chains:  flowPlaceChains,
-			Workers: opts.PlaceWorkers,
-			Initial: legal,
-			OnChain: func(cs place.ChainStats) {
-				csp := sp.StartChild("flow.place.chain")
-				csp.SetLabel("chain", strconv.Itoa(cs.Chain))
-				csp.SetLabel("accepted", strconv.Itoa(cs.Accepted))
-				csp.SetLabel("hpwl", strconv.FormatFloat(cs.HPWL, 'g', -1, 64))
-				moves.Add(int64(cs.Moves))
-				accepted.Add(int64(cs.Accepted))
-				recomputes.Add(int64(cs.Recomputes))
-				csp.End()
-			},
-		})
-		if aerr != nil {
-			endStage(sp, "place", aerr)
-			return finish(nil, fmt.Errorf("vlsicad: annealing: %w", aerr))
-		}
-		if res.HPWL < f.HPWL {
-			legal = res.Placement
-			f.Placement = legal
-			f.HPWL = res.HPWL
-		}
-		ob.Gauge("flow_place_anneal_hpwl").Set(res.HPWL)
+	r.Placement, r.HPWL = legal, prob.HPWL(legal)
+	if !r.AnnealPlace {
+		return nil
 	}
-	endStage(sp, "place", nil)
+	// Chain telemetry, as for the levels: flow_place_chain_events_total
+	// plus a span per chain. OnChain fires in chain order after all
+	// chains finish, so both are deterministic for any PlaceWorkers.
+	chainEvents := r.Obs.CounterVec("flow_place_chain_events_total", "kind")
+	moves, accepted, recomputes :=
+		chainEvents.With("moves"), chainEvents.With("accepted"), chainEvents.With("recomputes")
+	res, err := place.Anneal(prob, place.AnnealOpts{
+		Seed:    r.Seed,
+		Chains:  flowPlaceChains,
+		Workers: r.PlaceWorkers,
+		Initial: legal,
+		OnChain: func(cs place.ChainStats) {
+			csp := sp.StartChild("flow.place.chain")
+			csp.SetLabel("chain", strconv.Itoa(cs.Chain))
+			csp.SetLabel("accepted", strconv.Itoa(cs.Accepted))
+			csp.SetLabel("hpwl", strconv.FormatFloat(cs.HPWL, 'g', -1, 64))
+			moves.Add(int64(cs.Moves))
+			accepted.Add(int64(cs.Accepted))
+			recomputes.Add(int64(cs.Recomputes))
+			csp.End()
+		},
+	})
+	if err != nil {
+		return fmt.Errorf("vlsicad: annealing: %w", err)
+	}
+	if res.HPWL < r.HPWL {
+		r.Placement, r.HPWL = res.Placement, res.HPWL
+	}
+	r.Obs.Gauge("flow_place_anneal_hpwl").Set(res.HPWL)
+	return nil
+}
 
-	// 4. Routing (Week 7): maze routing with targeted rip-up.
-	sp = root.StartChild("flow.route")
-	grid, nets := routingFromPlacement(prob, legal, flowRouteScale, opts.Seed)
-	f.Grid = grid
-	f.Nets = nets
-	f.Routing = route.RouteAll(grid, nets, route.Opts{
+// routeNets maze-routes the nets with targeted rip-up (Week 7).
+func (r *flowRun) routeNets(*obs.Span) error {
+	r.Grid, r.Nets = routingFromPlacement(r.PlaceProblem, r.Placement)
+	r.Routing = route.RouteAll(r.Grid, r.Nets, route.Opts{
 		Alg:         route.AStar,
 		Order:       route.OrderShortFirst,
 		RipupRounds: 5,
-		Seed:        opts.Seed,
+		Seed:        r.Seed,
 	})
-	f.WireLength = f.Routing.Length
-	f.Vias = f.Routing.Vias
-	endStage(sp, "route", nil)
-	if opts.CheckDRC {
-		sp = root.StartChild("flow.drc")
-		// Pitch 6 with half-pitch wires keeps legally routed tracks
-		// clean under the default 2-unit rules.
-		shapes := drc.WiresToShapes(f.Routing.Paths, 6)
-		f.DRC = drc.Check(shapes, drc.DefaultRules())
-		endStage(sp, "drc", nil)
-		ob.Counter("flow_drc_violations").Add(int64(len(f.DRC)))
-		if len(f.DRC) > 0 {
-			ob.Emit("flow.drc_violations", map[string]string{
-				"model": nw.Name, "count": strconv.Itoa(len(f.DRC)),
-			})
-		}
-	}
+	r.WireLength, r.Vias = r.Routing.Length, r.Routing.Vias
+	return nil
+}
 
-	// 5. Static timing (Week 8) over the mapped gates, optionally with
-	// Elmore wire delays from the routed wirelengths.
-	sp = root.StartChild("flow.timing")
-	rep, err := timingFromMapping(work, subj, mapping, f, cellOf, opts.WireModel)
-	endStage(sp, "timing", err)
-	if err != nil {
-		return finish(nil, err)
+// checkDRC runs design-rule checking on the routed wires. Pitch 6
+// with half-pitch wires keeps legally routed tracks clean under the
+// default 2-unit rules.
+func (r *flowRun) checkDRC(*obs.Span) error {
+	r.DRC = drc.Check(drc.WiresToShapes(r.Routing.Paths, 6), drc.DefaultRules())
+	r.Obs.Counter("flow_drc_violations").Add(int64(len(r.DRC)))
+	if len(r.DRC) > 0 {
+		r.Obs.Emit("flow.drc_violations", map[string]string{
+			"model": r.Source.Name, "count": strconv.Itoa(len(r.DRC)),
+		})
 	}
-	f.Timing = rep
-	f.CriticalDelay = rep.MaxArrival
+	return nil
+}
 
-	// Result gauges: the most recent run's quality-of-results.
-	ob.Gauge("flow_area").Set(f.Area)
-	ob.Gauge("flow_hpwl").Set(f.HPWL)
-	ob.Gauge("flow_wirelength").Set(float64(f.WireLength))
-	ob.Gauge("flow_critical_delay").Set(f.CriticalDelay)
-	return finish(f, nil)
+// analyzeTiming runs static timing over the mapped gates (Week 8),
+// optionally with Elmore wire delays from the routed wirelengths.
+func (r *flowRun) analyzeTiming(*obs.Span) (err error) {
+	if r.Timing, err = timingFromMapping(r.Subject, r.Mapping, r.Routing, r.WireModel); err != nil {
+		return err
+	}
+	r.CriticalDelay = r.Timing.MaxArrival
+	return nil
 }
 
 // placementFromMapping builds the placement instance: one movable
 // cell per emitted gate, boundary pads for the PIs and POs.
-func placementFromMapping(nw *netlist.Network, subj *techmap.Subject, mp *techmap.Result, util float64) (*place.Problem, map[int]int, error) {
+func placementFromMapping(nw *netlist.Network, subj *techmap.Subject, mp *techmap.Result) (*place.Problem, error) {
 	cellOf := map[int]int{} // subject root id -> cell index
 	for i, m := range mp.Matches {
 		cellOf[m.Root] = i
 	}
 	n := len(mp.Matches)
-	side := int(math.Ceil(math.Sqrt(float64(n) / util)))
+	side := int(math.Ceil(math.Sqrt(float64(n) / flowUtilization)))
 	if side < 2 {
 		side = 2
 	}
 	prob := &place.Problem{NCells: n, W: float64(side), H: float64(side)}
 
+	// Pads go round the boundary in input-then-output order; a name
+	// listed twice keeps its first pad.
 	padOf := map[string]int{}
-	addPad := func(name string, i, total int) int {
-		if id, ok := padOf[name]; ok {
-			return id
+	ios := append(append([]string(nil), nw.Inputs...), nw.Outputs...)
+	for i, name := range ios {
+		if _, ok := padOf[name]; ok {
+			continue
 		}
-		t := float64(i) / float64(total)
+		t := float64(i) / float64(len(ios))
 		var x, y float64
 		switch i % 4 {
 		case 0:
@@ -415,15 +427,8 @@ func placementFromMapping(nw *netlist.Network, subj *techmap.Subject, mp *techma
 		default:
 			x, y = 0, (1-t)*prob.H
 		}
-		id := len(prob.Pads)
+		padOf[name] = len(prob.Pads)
 		prob.Pads = append(prob.Pads, place.Pad{Name: name, X: x, Y: y})
-		padOf[name] = id
-		return id
-	}
-	ios := append([]string(nil), nw.Inputs...)
-	ios = append(ios, nw.Outputs...)
-	for i, name := range ios {
-		addPad(name, i, len(ios))
 	}
 
 	// A net per driving subject node: driver gate or input leaf to
@@ -444,17 +449,11 @@ func placementFromMapping(nw *netlist.Network, subj *techmap.Subject, mp *techma
 	}
 	sort.Ints(drivers)
 	for _, node := range drivers {
-		cons := consumers[node]
-		net := place.Net{}
-		seen := map[int]bool{}
-		for _, c := range cons {
-			if !seen[c] {
-				net.Cells = append(net.Cells, c)
-				seen[c] = true
-			}
-		}
+		// Consumers were appended in cell order, so duplicates (a gate
+		// reading one signal twice) are adjacent.
+		net := place.Net{Cells: slices.Compact(consumers[node])}
 		if dc, ok := cellOf[node]; ok {
-			if !seen[dc] {
+			if !slices.Contains(net.Cells, dc) {
 				net.Cells = append(net.Cells, dc)
 			}
 		} else {
@@ -479,14 +478,15 @@ func placementFromMapping(nw *netlist.Network, subj *techmap.Subject, mp *techma
 		}
 	}
 	if err := prob.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return prob, cellOf, nil
+	return prob, nil
 }
 
 // routingFromPlacement derives two-pin routing requests from the
 // placement (each placement net connects its extreme pins).
-func routingFromPlacement(prob *place.Problem, pl *place.Placement, scale int, seed int64) (*route.Grid, []route.Net) {
+func routingFromPlacement(prob *place.Problem, pl *place.Placement) (*route.Grid, []route.Net) {
+	const scale = flowRouteScale
 	g := route.NewGrid(int(prob.W)*scale+2, int(prob.H)*scale+2, route.DefaultCost())
 	used := map[route.Point]bool{}
 	pin := func(x, y float64) (route.Point, bool) {
@@ -510,8 +510,7 @@ func routingFromPlacement(prob *place.Problem, pl *place.Placement, scale int, s
 			pts = append(pts, pt{pl.X[c], pl.Y[c]})
 		}
 		for _, pd := range n.Pads {
-			x := prob.Pads[pd].X
-			y := prob.Pads[pd].Y
+			x, y := prob.Pads[pd].X, prob.Pads[pd].Y
 			// Clamp pad coordinates inside the grid.
 			if x >= prob.W {
 				x = prob.W - 0.5
@@ -536,7 +535,7 @@ func routingFromPlacement(prob *place.Problem, pl *place.Placement, scale int, s
 
 // timingFromMapping builds the gate-level timing graph, adding Elmore
 // wire delays per routed net when wireModel is set.
-func timingFromMapping(nw *netlist.Network, subj *techmap.Subject, mp *techmap.Result, f *Flow, cellOf map[int]int, wireModel bool) (*timing.Report, error) {
+func timingFromMapping(subj *techmap.Subject, mp *techmap.Result, routing *route.Result, wireModel bool) (*timing.Report, error) {
 	delayOf := map[string]float64{}
 	for _, g := range techmap.StandardLibrary() {
 		delayOf[g.Name] = g.Delay
@@ -550,12 +549,12 @@ func timingFromMapping(nw *netlist.Network, subj *techmap.Subject, mp *techmap.R
 	}
 	// Per-net wire delay from routed wirelength (uniform RC line).
 	wireDelay := 0.0
-	if wireModel && f.Routing != nil && len(f.Routing.Paths) > 0 {
+	if wireModel && routing != nil && len(routing.Paths) > 0 {
 		total := 0
-		for _, p := range f.Routing.Paths {
+		for _, p := range routing.Paths {
 			total += p.Wirelength()
 		}
-		avg := float64(total) / float64(len(f.Routing.Paths))
+		avg := float64(total) / float64(len(routing.Paths))
 		t := timing.WireRC(1.0, 0.05, 0.1, int(avg)+1, 4, 0.2)
 		d, err := t.SinkDelay()
 		if err != nil {

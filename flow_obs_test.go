@@ -30,8 +30,8 @@ const obsTestBLIF = `.model adder2
 .end
 `
 
-// TestFlowStagesAndSpans: every stage appears in the timing table and
-// as a child span of the flow root.
+// TestFlowStagesAndSpans: every stage, parse included, appears in the
+// timing table and as a child span of the flow root.
 func TestFlowStagesAndSpans(t *testing.T) {
 	ob := obs.NewObserver(obs.NewFakeClock(time.Unix(1700000000, 0).UTC(), time.Millisecond).Now)
 	f, err := RunFlow(strings.NewReader(obsTestBLIF),
@@ -47,7 +47,7 @@ func TestFlowStagesAndSpans(t *testing.T) {
 		if f.Stages[i].Name != w {
 			t.Errorf("stage %d = %s, want %s", i, f.Stages[i].Name, w)
 		}
-		if w != "parse" && f.Stages[i].Duration <= 0 {
+		if f.Stages[i].Duration <= 0 {
 			t.Errorf("stage %s has no duration", w)
 		}
 	}
@@ -60,6 +60,7 @@ func TestFlowStagesAndSpans(t *testing.T) {
 		inTrace[sp.ID] = true
 	}
 	children := map[string]bool{}
+	rootChildren := map[string]bool{}
 	for _, sp := range f.Trace[1:] {
 		// Stage spans hang off the root; level spans off the place
 		// stage — either way the parent must be inside this trace.
@@ -67,11 +68,17 @@ func TestFlowStagesAndSpans(t *testing.T) {
 			t.Errorf("span %s not parented inside the flow trace", sp.Name)
 		}
 		children[sp.Name] = true
-	}
-	for _, w := range wantStages[1:] {
-		if !children["flow."+w] {
-			t.Errorf("missing child span flow.%s", w)
+		if sp.Parent == rootID {
+			rootChildren[sp.Name] = true
 		}
+	}
+	for _, w := range wantStages {
+		if !rootChildren["flow."+w] {
+			t.Errorf("missing child span flow.%s of the flow root", w)
+		}
+	}
+	if f.Trace[0].Labels["ok"] != "true" || f.Trace[0].Labels["model"] != "adder2" {
+		t.Errorf("root labels = %v, want ok=true model=adder2", f.Trace[0].Labels)
 	}
 	m := ob.Snapshot().Metrics
 	if m.Counters["flow_runs_total"] != 1 {
@@ -85,6 +92,45 @@ func TestFlowStagesAndSpans(t *testing.T) {
 	}
 	if tab := f.StageTable(); !strings.Contains(tab, "synth") || !strings.Contains(tab, "total") {
 		t.Errorf("stage table:\n%s", tab)
+	}
+}
+
+// TestFlowParseFailureCounted: input that does not parse is a failed
+// run like any other — counted in flow_runs_total, flow_runs_failed
+// and flow_stage_errors_total{stage="parse"}, with a flow root span
+// labelled ok=false over its flow.parse child.
+func TestFlowParseFailureCounted(t *testing.T) {
+	ob := obs.NewObserver(obs.NewFakeClock(time.Unix(1700000000, 0).UTC(), time.Millisecond).Now)
+	f, err := RunFlow(strings.NewReader(".model bad\n.names a\n2 1\n.end\n"), FlowOpts{Seed: 1, Obs: ob})
+	if err == nil || f != nil {
+		t.Fatalf("RunFlow on garbage BLIF = %v, %v; want nil Flow and an error", f, err)
+	}
+	snap := ob.Snapshot()
+	m := snap.Metrics
+	if m.Counters["flow_runs_total"] != 1 || m.Counters["flow_runs_failed"] != 1 {
+		t.Errorf("flow_runs_total = %d, flow_runs_failed = %d, want 1 and 1",
+			m.Counters["flow_runs_total"], m.Counters["flow_runs_failed"])
+	}
+	if v, ok := m.CounterSeries("flow_stage_errors_total", map[string]string{"stage": "parse"}); !ok || v != 1 {
+		t.Errorf("flow_stage_errors_total{stage=parse} = %d (present %v), want 1", v, ok)
+	}
+	var root obs.SpanRecord
+	for _, sp := range snap.Spans {
+		if sp.Name == "flow" && sp.Parent == 0 {
+			root = sp
+		}
+	}
+	if root.ID == 0 || root.Labels["ok"] != "false" {
+		t.Fatalf("flow root span = %+v, want one labelled ok=false", root)
+	}
+	var stages []string
+	for _, sp := range snap.Spans {
+		if sp.Parent == root.ID {
+			stages = append(stages, sp.Name)
+		}
+	}
+	if len(stages) != 1 || stages[0] != "flow.parse" {
+		t.Errorf("root children = %v, want [flow.parse]", stages)
 	}
 }
 

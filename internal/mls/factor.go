@@ -51,8 +51,12 @@ func (e OrExpr) Lits() int {
 // Render prints the literal.
 func (e LitExpr) Render(name func(ALit) string) string { return name(e.L) }
 
-// Render prints factors separated by spaces, parenthesizing sums.
+// Render prints factors separated by spaces, parenthesizing sums; the
+// empty product prints as 1.
 func (e AndExpr) Render(name func(ALit) string) string {
+	if len(e.Factors) == 0 {
+		return "1"
+	}
 	parts := make([]string, len(e.Factors))
 	for i, f := range e.Factors {
 		s := f.Render(name)

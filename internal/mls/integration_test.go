@@ -57,3 +57,37 @@ func TestRandomNetworksSurviveSynthesisPipeline(t *testing.T) {
 		})
 	}
 }
+
+// TestDecomposeContainedCubes: a cover with a cube contained in
+// another (a b' + a) factors through a quotient holding the empty
+// cube; Decompose lowers it as constant 1. On it and on random
+// networks every node ends with at most two fanins and the function
+// is unchanged.
+func TestDecomposeContainedCubes(t *testing.T) {
+	cases := map[string]*netlist.Network{"contained": parse(t, `
+.model t
+.inputs a b
+.outputs f
+.names a b f
+10 1
+1- 1
+.end
+`)}
+	for seed := int64(1); seed <= 4; seed++ {
+		cases[fmt.Sprintf("seed%d", seed)] = bench.Network(bench.NetworkSpec{
+			Name: "r", Inputs: 6, Nodes: 25, Outputs: 3,
+		}, seed)
+	}
+	for name, nw := range cases {
+		t.Run(name, func(t *testing.T) {
+			orig := nw.Clone()
+			Decompose(nw)
+			for n, node := range nw.Nodes {
+				if len(node.Fanins) > 2 {
+					t.Errorf("node %s has %d fanins", n, len(node.Fanins))
+				}
+			}
+			checkEquiv(t, orig, nw, "decomp")
+		})
+	}
+}

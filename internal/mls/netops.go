@@ -597,6 +597,13 @@ func Decompose(nw *netlist.Network) int {
 					emit(target, []string{sig}, []string{"1"})
 				}
 			case AndExpr:
+				if len(ex.Factors) == 0 {
+					// The empty product — an empty cube, as in the
+					// quotient of a + ab' by a — is constant 1: one
+					// cube over no fanins.
+					emit(target, nil, []string{""})
+					return
+				}
 				lowerAssoc(ex.Factors, target, true, operand, emit, newSignal, name)
 			case OrExpr:
 				if len(ex.Terms) == 0 {

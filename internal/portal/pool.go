@@ -781,7 +781,6 @@ func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool, where st
 		p.maybeCompactLocked()
 	}
 	p.jmu.Unlock()
-	close(tk.done)
 
 	if !ran {
 		tk.br.Release()
@@ -807,6 +806,9 @@ func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool, where st
 		sp.SetLabel("timed_out", strconv.FormatBool(res.TimedOut))
 	}
 	sp.End()
+	// Last: a Wait that returns sees the terminal counters, the
+	// released breaker slot and the ended span.
+	close(tk.done)
 }
 
 // worker is the job-execution loop: fair-dequeue, start (or expire)
