@@ -7,7 +7,9 @@
 package drc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -101,18 +103,19 @@ func Check(shapes []Rect, rules Rules) []Violation {
 		// integer rules we bloat one side by the full spacing.
 		out = append(out, sweepLayer(layer, rects, spacing)...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.At.X0 != b.At.X0 {
-			return a.At.X0 < b.At.X0
-		}
-		return a.At.Y0 < b.At.Y0
+	// A total order: sweepLayer emits in active-map order, so any tie
+	// left here would reorder violations from run to run.
+	slices.SortFunc(out, func(a, b Violation) int {
+		return cmp.Or(
+			cmp.Compare(a.Layer, b.Layer),
+			cmp.Compare(a.Rule, b.Rule),
+			cmp.Compare(a.At.X0, b.At.X0),
+			cmp.Compare(a.At.Y0, b.At.Y0),
+			cmp.Compare(a.At.X1, b.At.X1),
+			cmp.Compare(a.At.Y1, b.At.Y1),
+			cmp.Compare(a.Nets[0], b.Nets[0]),
+			cmp.Compare(a.Nets[1], b.Nets[1]),
+		)
 	})
 	return out
 }

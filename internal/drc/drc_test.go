@@ -1,6 +1,8 @@
 package drc
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,6 +38,36 @@ func TestShortCheck(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no short reported: %v", v)
+	}
+}
+
+// TestCheckOrderIndependent: a dirty layout lists the same violations
+// in the same order however its shapes are ordered. Several violations
+// here share (layer, rule, X0, Y0) and differ only in X1, Y1 or nets.
+func TestCheckOrderIndependent(t *testing.T) {
+	shapes := []Rect{
+		{Layer: "metal1", Net: "a", X0: 0, Y0: 0, X1: 10, Y1: 2},
+		{Layer: "metal1", Net: "b", X0: 0, Y0: 0, X1: 4, Y1: 2},
+		{Layer: "metal1", Net: "c", X0: 0, Y0: 0, X1: 6, Y1: 2},
+		{Layer: "metal1", Net: "d", X0: 0, Y0: 0, X1: 4, Y1: 3},
+		{Layer: "metal1", Net: "e", X0: 0, Y0: 3, X1: 10, Y1: 5},
+		{Layer: "metal1", Net: "f", X0: 0, Y0: 6, X1: 10, Y1: 7},
+		{Layer: "metal2", Net: "a", X0: 2, Y0: 0, X1: 4, Y1: 9},
+		{Layer: "metal2", Net: "b", X0: 5, Y0: 0, X1: 7, Y1: 9},
+		{Layer: "metal2", Net: "c", X0: 5, Y0: 0, X1: 7, Y1: 5},
+		{Layer: "metal2", Net: "d", X0: 3, Y0: 3, X1: 3, Y1: 8},
+	}
+	want := Check(shapes, DefaultRules())
+	if len(want) < 10 {
+		t.Fatalf("layout should be dirty, got %d violations: %v", len(want), want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		shuffled := append([]Rect(nil), shapes...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := Check(shuffled, DefaultRules()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shuffle %d: violations differ:\n got %v\nwant %v", i, got, want)
+		}
 	}
 }
 

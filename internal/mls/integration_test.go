@@ -2,9 +2,11 @@ package mls
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"vlsicad/internal/bench"
+	"vlsicad/internal/cube"
 	"vlsicad/internal/netlist"
 )
 
@@ -59,8 +61,8 @@ func TestRandomNetworksSurviveSynthesisPipeline(t *testing.T) {
 }
 
 // TestDecomposeContainedCubes: a cover with a cube contained in
-// another (a b' + a) factors through a quotient holding the empty
-// cube; Decompose lowers it as constant 1. On it and on random
+// another (a b' + a) is the wire f = a once single-cube containment
+// drops a b', so Decompose adds no node for it. On it and on random
 // networks every node ends with at most two fanins and the function
 // is unchanged.
 func TestDecomposeContainedCubes(t *testing.T) {
@@ -81,10 +83,21 @@ func TestDecomposeContainedCubes(t *testing.T) {
 	for name, nw := range cases {
 		t.Run(name, func(t *testing.T) {
 			orig := nw.Clone()
-			Decompose(nw)
+			added := Decompose(nw)
 			for n, node := range nw.Nodes {
 				if len(node.Fanins) > 2 {
 					t.Errorf("node %s has %d fanins", n, len(node.Fanins))
+				}
+			}
+			if name == "contained" {
+				f := nw.Nodes["f"]
+				wire, err := cube.ParseCover([]string{"1"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if added != 0 || len(nw.Nodes) != 1 || !reflect.DeepEqual(f.Fanins, []string{"a"}) ||
+					!reflect.DeepEqual(f.Cover, wire) {
+					t.Errorf("added %d nodes, f = %v %v; want f = a and no added node", added, f.Fanins, f.Cover)
 				}
 			}
 			checkEquiv(t, orig, nw, "decomp")

@@ -563,8 +563,11 @@ func Decompose(nw *netlist.Network) int {
 		if len(n.Fanins) == 0 {
 			continue // constant node
 		}
-		ac := st.nodeACover(n)
-		expr := Factor(ac)
+		// Contained cubes are redundant; factored, they would lower
+		// into redundant nodes (a·b' + a as a·(1 + b')). The node is
+		// rewritten below, so its cover may be trimmed in place.
+		n.Cover.SCC()
+		expr := Factor(st.nodeACover(n))
 		// Lower the expression tree to two-input nodes; the root keeps
 		// the original name.
 		var lower func(e Expr, target string)
@@ -598,9 +601,9 @@ func Decompose(nw *netlist.Network) int {
 				}
 			case AndExpr:
 				if len(ex.Factors) == 0 {
-					// The empty product — an empty cube, as in the
-					// quotient of a + ab' by a — is constant 1: one
-					// cube over no fanins.
+					// The empty product — the cube with no literals,
+					// as in a node whose cover is "-" — is constant
+					// 1: one cube over no fanins.
 					emit(target, nil, []string{""})
 					return
 				}

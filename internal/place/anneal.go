@@ -15,6 +15,18 @@ import (
 // moves swap two cells or move a cell to a free slot, accepted by the
 // Metropolis criterion under a geometric cooling schedule.
 //
+// The schedule is VPR's. Each chain keeps a window radius rlim that
+// starts at the whole grid; after every temperature step it scales by
+// (1 − 0.44 + acceptance ratio of the step), clamped to [1, grid], so
+// moves stay local once most long moves would be rejected. A move's
+// target is drawn uniformly inside the window around the moved cell,
+// clipped to the grid, and is never the cell's own slot (VPR redraws
+// it). The run ends at a cost-relative temperature: once T falls
+// below 0.005 · cost / nets, uphill moves are all but always rejected.
+// A random start begins hot (20× the mean |ΔHPWL| of probe moves) to
+// randomise it; a given start (Initial) begins at 1× so the anneal
+// refines the start instead of discarding it.
+//
 // The engine evaluates moves incrementally: each net carries a cached
 // bounding box and HPWL, and a move touches only the nets of the moved
 // cell(s). A moved pin strictly inside its net's box just expands the
@@ -30,16 +42,21 @@ import (
 // fixed rule — lowest final HPWL, ties to the lowest chain index. The
 // chain count, not the worker count, determines every chain's move
 // stream, so the result is byte-identical for any Workers/GOMAXPROCS;
-// Workers only bounds how many chains anneal concurrently (the same
-// determinism contract as the wave router, DESIGN.md §8 and §10).
+// Workers only bounds how many chains anneal concurrently (DESIGN.md
+// §10).
 
 // AnnealOpts tunes the annealer.
 type AnnealOpts struct {
-	Seed        int64
-	MovesPerT   int     // moves per temperature (default 20·NCells capped at 20000)
-	InitialTemp float64 // default derived from random-move statistics
+	Seed      int64
+	MovesPerT int // moves per temperature (default 10·NCells capped at 20000)
+	// InitialTemp defaults to the mean |ΔHPWL| of 50 probe moves: 20×
+	// it from a random start, 1× it from Initial.
+	InitialTemp float64
 	Cooling     float64 // geometric factor (default 0.92)
-	MinTemp     float64 // stop threshold (default 1e-3)
+	// MinTemp, when set, stops the run once T ≤ MinTemp. The default
+	// (0) stops once T < 0.005 · cost / len(Nets), checked at every
+	// temperature step; a zero-cost placement stops at once.
+	MinTemp float64
 
 	// Chains is the number of independent annealing chains. The result
 	// is the best chain's placement (ties to the lowest index) and is a
@@ -271,7 +288,7 @@ func Anneal(p *Problem, opts AnnealOpts) (*AnnealResult, error) {
 
 	movesPerT := opts.MovesPerT
 	if movesPerT <= 0 {
-		movesPerT = 20 * p.NCells
+		movesPerT = 10 * p.NCells
 		if movesPerT > 20000 {
 			movesPerT = 20000
 		}
@@ -279,10 +296,6 @@ func Anneal(p *Problem, opts AnnealOpts) (*AnnealResult, error) {
 	cooling := opts.Cooling
 	if cooling <= 0 || cooling >= 1 {
 		cooling = 0.92
-	}
-	minTemp := opts.MinTemp
-	if minTemp <= 0 {
-		minTemp = 1e-3
 	}
 	chains := opts.Chains
 	if chains <= 0 {
@@ -309,7 +322,7 @@ func Anneal(p *Problem, opts AnnealOpts) (*AnnealResult, error) {
 				if i >= chains {
 					return
 				}
-				results[i] = annealChain(p, sh, opts, movesPerT, cooling, minTemp, chainSeed(opts.Seed, i))
+				results[i] = annealChain(p, sh, opts, movesPerT, cooling, chainSeed(opts.Seed, i))
 			}
 		}()
 	}
@@ -362,7 +375,7 @@ type chainResult struct {
 
 // annealChain runs one fully independent chain: own RNG, own pooled
 // scratch, own placement. It shares only the read-only annealShared.
-func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, cooling, minTemp float64, seed int64) (cr chainResult) {
+func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, cooling float64, seed int64) (cr chainResult) {
 	nCells, nNets := p.NCells, len(p.Nets)
 	cols, nSlots := sh.cols, sh.nSlots
 	sc := acquireAnnealScratch(nCells, nSlots, nNets)
@@ -446,17 +459,26 @@ func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, c
 
 	temp := opts.InitialTemp
 	if temp <= 0 {
-		temp = estimateInitialTemp(p, sh, sc, pl, rng)
+		// 20× randomises a random start; 1× keeps a given one.
+		scale := 1.0
+		if opts.Initial == nil {
+			scale = 20
+		}
+		temp = estimateInitialTemp(p, sh, sc, pl, rng, scale)
 	}
-
-	for ; temp > minTemp; temp *= cooling {
+	// The range limiter's window radius, in slots: the whole grid
+	// until the acceptance ratio falls below 0.44.
+	fullGrid := float64(max(sh.cols, sh.rows))
+	rlim := fullGrid
+	for ; !scheduleDone(temp, cost, opts.MinTemp, nNets); temp *= cooling {
+		stepAccepted := cr.accepted
 		for m := 0; m < movesPerT; m++ {
 			cr.moves++
 			a := rng.Intn(nCells)
-			target := int32(rng.Intn(nSlots))
+			target := sh.windowTarget(rng, sc.slotOf[a], int(rlim))
 			b := sc.cellAt[target]
 			if int(b) == a {
-				continue
+				continue // a one-slot grid: nowhere to go
 			}
 			oldSlot := sc.slotOf[a]
 
@@ -589,6 +611,8 @@ func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, c
 				sc.netCost[ni] = sc.sCost[k]
 			}
 		}
+		ratio := float64(cr.accepted-stepAccepted) / float64(movesPerT)
+		rlim = min(max(rlim*(1-0.44+ratio), 1), fullGrid)
 	}
 	cr.pl = pl
 	cr.hpwl = p.HPWL(pl) // exact final recompute, drift-free
@@ -596,11 +620,41 @@ func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, c
 	return cr
 }
 
+// scheduleDone is the exit rule: T ≤ minTemp when minTemp is set,
+// else T < 0.005 · cost / nets, below which uphill moves are all but
+// always rejected. A zero-cost placement cannot improve, so it stops.
+func scheduleDone(temp, cost, minTemp float64, nNets int) bool {
+	if minTemp > 0 {
+		return temp <= minTemp
+	}
+	return cost <= 0 || temp < 0.005*cost/float64(nNets)
+}
+
+// windowTarget draws a target slot uniformly among the slots of the
+// window of radius r (in slots, per axis) around slot from, clipped to
+// the grid, other than from itself, so no move is spent standing still.
+// A one-slot grid returns from.
+func (sh *annealShared) windowTarget(rng *rand.Rand, from int32, r int) int32 {
+	x, y := int(from)%sh.cols, int(from)/sh.cols
+	x0, x1 := max(x-r, 0), min(x+r, sh.cols-1)
+	y0, y1 := max(y-r, 0), min(y+r, sh.rows-1)
+	w := x1 - x0 + 1
+	n := w * (y1 - y0 + 1)
+	if n == 1 {
+		return from
+	}
+	k := rng.Intn(n - 1)
+	if k >= (y-y0)*w+x-x0 {
+		k++ // skip from's own index in the window
+	}
+	return int32((y0+k/w)*sh.cols + x0 + k%w)
+}
+
 // estimateInitialTemp probes 50 random single-cell column moves and
-// returns 20× the mean |ΔHPWL| (classic "hot enough" initialization).
+// returns scale × their mean |ΔHPWL| (1 below two cells or at mean 0).
 // It restores every coordinate it touches and uses only the chain's
 // own RNG, so it is deterministic per chain.
-func estimateInitialTemp(p *Problem, sh *annealShared, sc *annealScratch, pl *Placement, rng *rand.Rand) float64 {
+func estimateInitialTemp(p *Problem, sh *annealShared, sc *annealScratch, pl *Placement, rng *rand.Rand, scale float64) float64 {
 	if p.NCells < 2 {
 		return 1
 	}
@@ -633,7 +687,7 @@ func estimateInitialTemp(p *Problem, sh *annealShared, sc *annealScratch, pl *Pl
 	if mean == 0 {
 		return 1
 	}
-	return 20 * mean
+	return scale * mean
 }
 
 // Random places cells uniformly at random (the course's "how bad can

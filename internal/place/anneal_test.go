@@ -1,6 +1,7 @@
 package place
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -191,5 +192,145 @@ func TestAnnealRecomputeFallback(t *testing.T) {
 	}
 	if res.Recomputes == 0 {
 		t.Error("no exact-rescan fallbacks on a dense instance — boundary detection is broken")
+	}
+}
+
+// refineProblem is a flow-shaped refinement: the legalized quadratic
+// placement of a random problem, as RunFlow hands it to the annealer.
+func refineProblem(t testing.TB, nCells, nNets int, w, h float64, seed int64) (*Problem, *Placement) {
+	t.Helper()
+	p := randomProblem(nCells, nNets, w, h, seed)
+	q, err := Quadratic(p, QuadraticOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legal, err := Legalize(p, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, legal
+}
+
+// TestAnnealRefineGOMAXPROCSInvariance: the flow's refinement (4
+// chains from the quadratic start on the default schedule) returns the
+// same AnnealResult for every worker count at every GOMAXPROCS, all in
+// one process.
+func TestAnnealRefineGOMAXPROCSInvariance(t *testing.T) {
+	p, legal := refineProblem(t, 40, 80, 8, 8, 7)
+	opts := AnnealOpts{Seed: 7, Chains: 4, Initial: legal}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref *AnnealResult
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, w := range []int{1, 2, 4} {
+			got, err := Anneal(p, withWorkers(opts, w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("GOMAXPROCS=%d workers=%d: result differs (HPWL %g vs %g, chain %d vs %d)",
+					procs, w, got.HPWL, ref.HPWL, got.Chain, ref.Chain)
+			}
+		}
+	}
+}
+
+// TestAnnealSelfCheckDefaultSchedule: the incremental cost tracks a
+// full recompute over the default schedule (cost-relative exit, range
+// limiter) from a given start. TestAnnealSingleRowGrid covers the
+// random start.
+func TestAnnealSelfCheckDefaultSchedule(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		p, legal := refineProblem(t, 25, 50, 7, 7, seed)
+		res, err := Anneal(p, AnnealOpts{Seed: seed, Chains: 2, Initial: legal, SelfCheck: true})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := CheckLegal(p, res.Placement); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestAnnealWindowTarget: a move's target lies within the window
+// radius of the moved cell's slot on both axes, on the grid, and is
+// never that slot; every other slot of the clipped window is drawn.
+func TestAnnealWindowTarget(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range [][2]int{{12, 12}, {9, 4}, {8, 1}, {1, 5}} {
+		sh := &annealShared{cols: g[0], rows: g[1], nSlots: g[0] * g[1]}
+		for from := int32(0); from < int32(sh.nSlots); from++ {
+			x, y := int(from)%sh.cols, int(from)/sh.cols
+			for r := 1; r <= max(sh.cols, sh.rows); r++ {
+				want := (min(x+r, sh.cols-1)-max(x-r, 0)+1)*(min(y+r, sh.rows-1)-max(y-r, 0)+1) - 1
+				seen := map[int32]bool{}
+				for k := 0; k < 20*want; k++ {
+					to := sh.windowTarget(rng, from, r)
+					tx, ty := int(to)%sh.cols, int(to)/sh.cols
+					if to < 0 || to >= int32(sh.nSlots) || abs(tx-x) > r || abs(ty-y) > r {
+						t.Fatalf("%dx%d grid: target (%d,%d) outside radius %d of (%d,%d)", sh.cols, sh.rows, tx, ty, r, x, y)
+					}
+					if to == from {
+						t.Fatalf("%dx%d grid, slot (%d,%d), r=%d: drew the cell's own slot", sh.cols, sh.rows, x, y, r)
+					}
+					seen[to] = true
+				}
+				if len(seen) != want {
+					t.Errorf("%dx%d grid, slot (%d,%d), r=%d: drew %d of %d other window slots", sh.cols, sh.rows, x, y, r, len(seen), want)
+				}
+			}
+		}
+	}
+	one := &annealShared{cols: 1, rows: 1, nSlots: 1}
+	if to := one.windowTarget(rng, 0, 1); to != 0 {
+		t.Errorf("one-slot grid: target %d, want 0", to)
+	}
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// TestAnnealDefaultScheduleTerminates: the cost-relative exit ends a
+// one-cell run, and stops at once when the start costs nothing.
+func TestAnnealDefaultScheduleTerminates(t *testing.T) {
+	one := &Problem{NCells: 1, W: 4, H: 4,
+		Pads: []Pad{{"p", 0, 0}, {"q", 4, 4}},
+		Nets: []Net{{Cells: []int{0}, Pads: []int{0, 1}}}}
+	res, err := Anneal(one, AnnealOpts{Seed: 1, SelfCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckLegal(one, res.Placement); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every net's pins coincide at the start: cost 0, nothing to do.
+	zero := &Problem{NCells: 2, W: 3, H: 3,
+		Pads: []Pad{{"p", 0.5, 0.5}, {"q", 2.5, 2.5}},
+		Nets: []Net{{Cells: []int{0}, Pads: []int{0}}, {Cells: []int{1}, Pads: []int{1}}}}
+	start := &Placement{X: []float64{0.5, 2.5}, Y: []float64{0.5, 2.5}}
+	res, err = Anneal(zero, AnnealOpts{Seed: 1, Initial: start})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Moves != 0 || res.HPWL != 0 {
+		t.Errorf("zero-cost start: %d moves, HPWL %g; want 0 and 0", res.Moves, res.HPWL)
+	}
+
+	// No nets at all: cost 0 from any start.
+	res, err = Anneal(&Problem{NCells: 3, W: 3, H: 3}, AnnealOpts{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Moves != 0 {
+		t.Errorf("netless problem made %d moves", res.Moves)
 	}
 }

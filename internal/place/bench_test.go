@@ -58,6 +58,23 @@ func BenchmarkAnnealPlaceParallel(b *testing.B) {
 	b.ReportMetric(hpwl, "hpwl")
 }
 
+// BenchmarkAnnealRefine: the flow's refinement mode — 4 chains on one
+// worker from the legalized quadratic placement, default schedule.
+func BenchmarkAnnealRefine(b *testing.B) {
+	p, legal := refineProblem(b, 120, 240, 12, 12, 99)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var hpwl float64
+	for i := 0; i < b.N; i++ {
+		res, err := Anneal(p, AnnealOpts{Seed: 99, Chains: 4, Workers: 1, Initial: legal})
+		if err != nil {
+			b.Fatal(err)
+		}
+		hpwl = res.HPWL
+	}
+	b.ReportMetric(hpwl, "hpwl")
+}
+
 func BenchmarkMinCutPlace(b *testing.B) {
 	p := benchProblem()
 	b.ReportAllocs()
