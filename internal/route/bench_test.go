@@ -87,6 +87,34 @@ func BenchmarkRouteLargeGrid(b *testing.B) {
 	})
 }
 
+// BenchmarkRouteAllTaps measures RouteAll on k-pin nets: 100 nets of
+// 2 to 5 distinct pins each on the BenchmarkRouteLargeGrid grid.
+func BenchmarkRouteAllTaps(b *testing.B) {
+	g, _ := largeBenchInstance()
+	rng := rand.New(rand.NewSource(8))
+	used := map[Point]bool{}
+	var nets []Net
+	for len(nets) < 100 {
+		pins := make([]Point, 0, 5)
+		for k := 2 + rng.Intn(4); len(pins) < k; {
+			p := Point{X: rng.Intn(128), Y: rng.Intn(128), L: 0}
+			if !g.Blocked(p) && !used[p] {
+				used[p] = true
+				pins = append(pins, p)
+			}
+		}
+		nets = append(nets, Net{Name: fmt.Sprintf("n%d", len(nets)), A: pins[0], B: pins[1], Taps: pins[2:]})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var routed int
+	for i := 0; i < b.N; i++ {
+		res := RouteAll(g.Clone(), nets, Opts{Alg: AStar, Order: OrderShortFirst, RipupRounds: 3, Seed: 8})
+		routed = len(res.Paths)
+	}
+	b.ReportMetric(float64(routed), "routed")
+}
+
 func BenchmarkSingleNetAStarVsDijkstra(b *testing.B) {
 	g := NewGrid(100, 100, DefaultCost())
 	net := Net{Name: "x", A: Point{X: 2, Y: 3, L: 0}, B: Point{X: 95, Y: 90, L: 0}}

@@ -3,7 +3,10 @@
 // layer directions, via and non-preferred-direction penalties,
 // obstacles, configurable net ordering and rip-up-and-reroute.
 // Layer 0 prefers horizontal wires and layer 1 vertical, as in the
-// course's project spec.
+// course's project spec. The project's nets have two pins; RouteAll
+// also takes k-pin nets, growing each as a tree: the A–B trunk, then
+// one multi-source search per further pin from every cell of the tree
+// so far. Rip-up works on whole trees.
 package route
 
 import "fmt"
@@ -105,20 +108,4 @@ func (g *Grid) StepCost(a, b Point) int {
 		}
 		return g.Cost.Unit + g.Cost.NonPref
 	}
-}
-
-// Neighbors appends the legal neighbor points of p to buf and returns
-// it.
-func (g *Grid) Neighbors(p Point, buf []Point) []Point {
-	cand := [...]Point{
-		{p.X + 1, p.Y, p.L}, {p.X - 1, p.Y, p.L},
-		{p.X, p.Y + 1, p.L}, {p.X, p.Y - 1, p.L},
-		{p.X, p.Y, 1 - p.L},
-	}
-	for _, q := range cand {
-		if g.In(q) && !g.Blocked(q) {
-			buf = append(buf, q)
-		}
-	}
-	return buf
 }

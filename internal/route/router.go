@@ -7,10 +7,13 @@ import (
 	"sort"
 )
 
-// Net is a two-pin connection request.
+// Net is a connection request. A two-pin net joins A and B; a k-pin
+// net also lists its further pins as Taps, which RouteAll joins to
+// the A–B trunk by branches.
 type Net struct {
 	Name string
 	A, B Point
+	Taps []Point
 }
 
 // Path is a routed net: the sequence of grid points from A to B.
@@ -48,15 +51,19 @@ const (
 	AStar
 )
 
-// RouteNet finds a minimum-cost path for one net on the current grid
-// (the net's own pins may be blocked by pin markers; they are treated
-// as usable). It returns the path, its cost, and the number of grid
-// vertices expanded. Search scratch comes from a process-wide pool,
-// so repeated calls allocate little beyond the returned path.
+// RouteNet finds a minimum-cost path for one two-pin net on the
+// current grid (the net's own pins may be blocked by pin markers; they
+// are treated as usable). It returns the path, its cost, and the
+// number of grid vertices expanded. Search scratch comes from a
+// process-wide pool, so repeated calls allocate little beyond the
+// returned path. A net with taps is an error: RouteAll routes those.
 func RouteNet(g *Grid, net Net, alg Algorithm) (Path, int, int, error) {
+	if len(net.Taps) > 0 {
+		return nil, 0, 0, fmt.Errorf("route: net %s has %d taps; RouteNet routes two-pin nets", net.Name, len(net.Taps))
+	}
 	st := getState(g.W, g.H)
 	defer putState(st)
-	return routeNetState(g, net, alg, st, nil)
+	return routeNetState(g, net.Name, []Point{net.A}, net.B, alg, st, nil)
 }
 
 // Order selects the net-processing order for RouteAll.
@@ -65,10 +72,12 @@ type Order int
 const (
 	// OrderGiven routes nets in input order.
 	OrderGiven Order = iota
-	// OrderShortFirst routes by increasing pin Manhattan distance —
+	// OrderShortFirst routes by increasing half-perimeter of the pins'
+	// bounding box (the A–B Manhattan distance for a two-pin net) —
 	// the course's recommended heuristic.
 	OrderShortFirst
-	// OrderLongFirst routes by decreasing distance (for ablation).
+	// OrderLongFirst routes by decreasing half-perimeter (for
+	// ablation).
 	OrderLongFirst
 )
 
@@ -82,10 +91,15 @@ type Opts struct {
 
 // Result reports a full routing run.
 type Result struct {
-	Paths    map[string]Path
+	// Paths holds each routed net's trunk, the path from A to B.
+	Paths map[string]Path
+	// Branches holds, for each routed net with taps, one path per tap
+	// in join order, from a cell of the tree built before it to the
+	// tap. It is nil when no net has taps.
+	Branches map[string][]Path
 	Failed   []string
-	Length   int
-	Vias     int
+	Length   int // wire segments over trunks and branches
+	Vias     int // layer changes over trunks and branches
 	Expanded int
 }
 
@@ -94,7 +108,8 @@ type Result struct {
 // Opts.RipupRounds rip-up-and-reroute rounds on the nets that failed
 // (see ripupRounds). Every net's pins are blocked before the first net
 // routes and stay blocked for the whole run, so no wire ever crosses a
-// foreign pin.
+// foreign pin. A net is routed only when its whole tree is: the trunk
+// from A to B, then one branch per tap (see grow).
 func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 	if opts.RipupRounds == 0 {
 		opts.RipupRounds = 3
@@ -103,55 +118,44 @@ func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 	for i := range order {
 		order[i] = i
 	}
-	manhattan := func(n Net) int {
-		dx, dy := n.A.X-n.B.X, n.A.Y-n.B.Y
-		if dx < 0 {
-			dx = -dx
-		}
-		if dy < 0 {
-			dy = -dy
-		}
-		return dx + dy
-	}
 	switch opts.Order {
 	case OrderShortFirst:
 		sort.SliceStable(order, func(i, j int) bool {
-			return manhattan(nets[order[i]]) < manhattan(nets[order[j]])
+			return halfPerimeter(nets[order[i]]) < halfPerimeter(nets[order[j]])
 		})
 	case OrderLongFirst:
 		sort.SliceStable(order, func(i, j int) bool {
-			return manhattan(nets[order[i]]) > manhattan(nets[order[j]])
+			return halfPerimeter(nets[order[i]]) > halfPerimeter(nets[order[j]])
 		})
 	}
 
 	// Reserve every net's pins up front so no wire may cross a foreign
-	// pin (each net's own pins remain usable to it: RouteNet treats
-	// the net's endpoints as free).
+	// pin (each search treats its own target pin as free, and its
+	// sources need no entry).
+	res := &Result{Paths: map[string]Path{}}
 	for i := range nets {
-		for _, p := range []Point{nets[i].A, nets[i].B} {
+		if len(nets[i].Taps) > 0 && res.Branches == nil {
+			res.Branches = map[string][]Path{}
+		}
+		for _, p := range append([]Point{nets[i].A, nets[i].B}, nets[i].Taps...) {
 			if g.In(p) && !g.Blocked(p) {
 				g.Block(p)
 			}
 		}
 	}
-	res := &Result{Paths: map[string]Path{}}
+	// Put st back from a local: putState(r.st) would move g to the
+	// heap, as escape analysis does not tell r's fields apart.
 	st := getState(g.W, g.H)
 	defer putState(st)
+	r := &router{g: g, nets: nets, alg: opts.Alg, res: res, st: st}
 	var failed []int
 	for _, ni := range order {
-		path, _, exp, err := routeNetState(g, nets[ni], opts.Alg, st, nil)
-		res.Expanded += exp
-		if err != nil {
+		if !r.route(ni) {
 			failed = append(failed, ni)
-			continue
-		}
-		res.Paths[nets[ni].Name] = path
-		for _, pt := range path {
-			g.Block(pt)
 		}
 	}
 	if len(failed) > 0 && opts.RipupRounds > 0 {
-		failed = ripupRounds(g, nets, failed, opts, res, st)
+		failed = r.ripupRounds(failed, opts)
 	}
 	for _, ni := range failed {
 		res.Failed = append(res.Failed, nets[ni].Name)
@@ -161,7 +165,162 @@ func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 		res.Length += p.Wirelength()
 		res.Vias += p.Vias()
 	}
+	for _, bs := range res.Branches {
+		for _, p := range bs {
+			res.Length += p.Wirelength()
+			res.Vias += p.Vias()
+		}
+	}
 	return res
+}
+
+// halfPerimeter is the half-perimeter of the bounding box of n's pins.
+func halfPerimeter(n Net) int {
+	x0, x1 := min(n.A.X, n.B.X), max(n.A.X, n.B.X)
+	y0, y1 := min(n.A.Y, n.B.Y), max(n.A.Y, n.B.Y)
+	for _, p := range n.Taps {
+		x0, x1 = min(x0, p.X), max(x1, p.X)
+		y0, y1 = min(y0, p.Y), max(y1, p.Y)
+	}
+	return x1 - x0 + y1 - y0
+}
+
+func manhattan(a, b Point) int {
+	return max(a.X-b.X, b.X-a.X) + max(a.Y-b.Y, b.Y-a.Y)
+}
+
+// tree is one net's routed wires: the trunk from A to B and one branch
+// per tap, in join order.
+type tree struct {
+	trunk    Path
+	branches []Path
+}
+
+// router is RouteAll's state: the grid, the nets, the result so far,
+// one search scratch, and the owner array, which is nil until the
+// rip-up phase (see ripupRounds).
+type router struct {
+	g     *Grid
+	nets  []Net
+	alg   Algorithm
+	res   *Result
+	st    *searchState
+	owner []int32
+}
+
+// grow searches net ni's tree on the current grid: the trunk from A
+// to B, then a branch to each tap in order of Manhattan distance from
+// A (ties in Taps order), each from every cell of the tree so far. It
+// leaves the grid alone: tree cells are sources at cost 0, so no
+// later branch can run through them. With owner set it is the rip-up
+// phase's victim search (see routeNetState). It reports false if any
+// pin cannot join.
+func (r *router) grow(ni int, owner []int32) (tree, bool) {
+	n := &r.nets[ni]
+	r.st.src = append(r.st.src[:0], n.A)
+	trunk, _, exp, err := routeNetState(r.g, n.Name, r.st.src, n.B, r.alg, r.st, owner)
+	r.res.Expanded += exp
+	if err != nil {
+		return tree{}, false
+	}
+	t := tree{trunk: trunk}
+	if len(n.Taps) == 0 {
+		return t, true
+	}
+	taps := slices.Clone(n.Taps)
+	slices.SortStableFunc(taps, func(p, q Point) int { return manhattan(n.A, p) - manhattan(n.A, q) })
+	r.st.src = append(r.st.src[:0], trunk...)
+	for _, tap := range taps {
+		b, _, exp, err := routeNetState(r.g, n.Name, r.st.src, tap, r.alg, r.st, owner)
+		r.res.Expanded += exp
+		if err != nil {
+			return tree{}, false
+		}
+		t.branches = append(t.branches, b)
+		r.st.src = append(r.st.src, b[1:]...) // b[0] is already a source
+	}
+	return t, true
+}
+
+// route grows net ni's tree and places it; it reports whether the net
+// routed.
+func (r *router) route(ni int) bool {
+	t, ok := r.grow(ni, nil)
+	if ok {
+		r.place(ni, t)
+	}
+	return ok
+}
+
+// place records t as net ni's routing and blocks its cells.
+func (r *router) place(ni int, t tree) {
+	name := r.nets[ni].Name
+	r.res.Paths[name] = t.trunk
+	if t.branches != nil {
+		r.res.Branches[name] = t.branches
+	}
+	r.claim(ni, t.trunk)
+	for _, b := range t.branches {
+		r.claim(ni, b)
+	}
+}
+
+// rip removes net ni's tree from the result and frees its wire cells;
+// pins stay blocked. It returns the tree (empty for an unrouted net,
+// which it leaves alone).
+func (r *router) rip(ni int) tree {
+	name := r.nets[ni].Name
+	t := tree{trunk: r.res.Paths[name], branches: r.res.Branches[name]}
+	delete(r.res.Paths, name)
+	delete(r.res.Branches, name)
+	r.free(t.trunk)
+	for _, b := range t.branches {
+		r.free(b)
+	}
+	return t
+}
+
+// wire is a path's interior: the cells its net owns. A path's ends are
+// pins or, for a branch's first cell, a cell of the tree it joins.
+func wire(p Path) Path {
+	if len(p) < 2 {
+		return nil
+	}
+	return p[1 : len(p)-1]
+}
+
+func (r *router) flat(p Point) int { return p.L*r.g.W*r.g.H + p.Y*r.g.W + p.X }
+
+// claim blocks every cell of p and, in the rip-up phase, records net
+// ni as the owner of p's wire.
+func (r *router) claim(ni int, p Path) {
+	for _, pt := range p {
+		r.g.Block(pt)
+	}
+	if r.owner != nil {
+		for _, pt := range wire(p) {
+			r.owner[r.flat(pt)] = int32(ni)
+		}
+	}
+}
+
+// free unblocks p's wire and clears its owner.
+func (r *router) free(p Path) {
+	for _, pt := range wire(p) {
+		r.g.Unblock(pt)
+		r.owner[r.flat(pt)] = -1
+	}
+}
+
+// owners appends to victims each net that owns a cell of p and is not
+// listed yet.
+func (r *router) owners(victims []int, p Path) []int {
+	for _, pt := range p {
+		if v := int(r.owner[r.flat(pt)]); v >= 0 && !slices.Contains(victims, v) {
+			victims = append(victims, v)
+		}
+	}
+	return victims
 }
 
 // ripupPenalty is what the victim search charges, on top of the step
@@ -170,108 +329,67 @@ func RouteAll(g *Grid, nets []Net, opts Opts) *Result {
 // around wires it could have ripped.
 const ripupPenalty = 20
 
-// ripupRounds is RouteAll's second phase, on its search scratch st.
-// For each failed net it runs one penalized search (routeNetState
-// with an owner array) that may cross other nets' wires at
-// ripupPenalty per cell but never an obstacle or a foreign pin. It
-// rips up exactly the nets on that path, routes the failed net, then
-// reroutes the victims in seeded-shuffle order. The attempt is kept
-// if the routed count does not drop; otherwise every path it routed
-// is ripped and the victims' old paths are restored. Ripping a net
-// frees only the wire cells between its endpoints: pins stay blocked
-// for the whole run. Returns the nets still failed, in the order the
-// last round met them.
-func ripupRounds(g *Grid, nets []Net, failed []int, opts Opts, res *Result, st *searchState) []int {
+// ripupRounds is RouteAll's second phase. For each failed net it grows
+// one penalized tree (grow with the owner array) that may cross other
+// nets' wires at ripupPenalty per cell but never an obstacle or a
+// foreign pin. It rips up exactly the nets whose wires that tree
+// crosses, routes the failed net, then reroutes the victims in
+// seeded-shuffle order. The attempt is kept if the routed count does
+// not drop; otherwise every tree it routed is ripped and the victims'
+// old trees are restored. Ripping a net frees only its wire cells:
+// pins stay blocked for the whole run. Returns the nets still failed,
+// in the order the last round met them.
+func (r *router) ripupRounds(failed []int, opts Opts) []int {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	plane := g.W * g.H
-	flat := func(p Point) int { return p.L*plane + p.Y*g.W + p.X }
-	// owner maps each wire cell (a path's interior) to its net's
-	// index, and every other cell to -1.
-	owner := make([]int32, Layers*plane)
-	for i := range owner {
-		owner[i] = -1
+	r.owner = make([]int32, Layers*r.g.W*r.g.H)
+	for i := range r.owner {
+		r.owner[i] = -1
 	}
-	wire := func(p Path) Path {
-		if len(p) < 2 {
-			return nil
+	for ni, n := range r.nets {
+		if p, ok := r.res.Paths[n.Name]; ok {
+			r.place(ni, tree{trunk: p, branches: r.res.Branches[n.Name]})
 		}
-		return p[1 : len(p)-1]
-	}
-	place := func(ni int, p Path) {
-		res.Paths[nets[ni].Name] = p
-		for _, pt := range p {
-			g.Block(pt)
-		}
-		for _, pt := range wire(p) {
-			owner[flat(pt)] = int32(ni)
-		}
-	}
-	rip := func(ni int) Path {
-		p := res.Paths[nets[ni].Name]
-		delete(res.Paths, nets[ni].Name)
-		for _, pt := range wire(p) {
-			g.Unblock(pt)
-			owner[flat(pt)] = -1
-		}
-		return p
-	}
-	for ni := range nets {
-		if p, ok := res.Paths[nets[ni].Name]; ok {
-			place(ni, p)
-		}
-	}
-	route := func(ni int) bool {
-		path, _, exp, err := routeNetState(g, nets[ni], opts.Alg, st, nil)
-		res.Expanded += exp
-		if err != nil {
-			return false
-		}
-		place(ni, path)
-		return true
 	}
 	var victims, redo []int
-	var saved []Path
+	var saved []tree
 	for round := 0; round < opts.RipupRounds && len(failed) > 0; round++ {
 		var still []int
 		for _, ni := range failed {
-			path, _, exp, err := routeNetState(g, nets[ni], opts.Alg, st, owner)
-			res.Expanded += exp
-			if err != nil {
+			t, ok := r.grow(ni, r.owner)
+			if !ok {
 				still = append(still, ni)
 				continue
 			}
-			victims = victims[:0]
-			for _, pt := range path {
-				if v := int(owner[flat(pt)]); v >= 0 && !slices.Contains(victims, v) {
-					victims = append(victims, v)
-				}
+			victims = r.owners(victims[:0], t.trunk)
+			for _, b := range t.branches {
+				victims = r.owners(victims, b)
 			}
-			before := len(res.Paths)
+			before := len(r.res.Paths)
 			saved = saved[:0]
 			for _, v := range victims {
-				saved = append(saved, rip(v))
+				saved = append(saved, r.rip(v))
 			}
 			redo = append(redo[:0], victims...)
 			rng.Shuffle(len(redo), func(i, j int) { redo[i], redo[j] = redo[j], redo[i] })
-			ok := route(ni)
+			ok = r.route(ni)
 			var reFailed []int
 			for _, v := range redo {
-				if !route(v) {
+				if !r.route(v) {
 					reFailed = append(reFailed, v)
 				}
 			}
-			if ok && len(res.Paths) >= before {
+			if ok && len(r.res.Paths) >= before {
 				still = append(still, reFailed...)
 				continue
 			}
 			// Revert: rip everything this attempt routed (rip leaves
-			// an unrouted net alone), then restore the old paths.
-			rip(ni)
+			// an unrouted net alone), then restore the old trees.
+			r.rip(ni)
 			for _, v := range victims {
-				rip(v)
+				r.rip(v)
 			}
 			for i, v := range victims {
-				place(v, saved[i])
+				r.place(v, saved[i])
 			}
 			still = append(still, ni)
 		}

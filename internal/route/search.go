@@ -36,6 +36,7 @@ type searchState struct {
 	fin   []uint32 // vertex finalized iff fin[i] == epoch
 	epoch uint32
 	heap  []pqItem
+	src   []Point // RouteAll's buffer for the sources of its next search
 }
 
 var statePool = sync.Pool{New: func() interface{} { return &searchState{} }}
@@ -125,29 +126,41 @@ func (st *searchState) hpop() pqItem {
 	return it
 }
 
-// routeNetState is RouteNet on caller-provided scratch. The expansion order, tie-breaking and results are identical
-// to the original container/heap implementation.
+// routeNetState is the maze search of RouteNet and RouteAll on
+// caller-provided scratch: a minimum-cost path from any cell of from
+// (the sources) to the pin to, for net name. Every source is seeded
+// at cost 0 with its heuristic as priority, and the backtrace stops at
+// the first source it meets. With the one source A and target B it is
+// the two-pin search: expansion order, tie-breaking and results are
+// identical to the original container/heap implementation.
 //
-// A non-nil owner turns it into the rip-up phase's victim search: a
-// blocked cell that owner maps to a net (a wire cell) is passable at
-// ripupPenalty on top of the step cost, while obstacles and other
-// nets' pins stay impassable. The penalty only raises step costs, so
-// the Manhattan heuristic stays admissible.
-func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState, owner []int32) (Path, int, int, error) {
-	if !g.In(net.A) || !g.In(net.B) {
-		return nil, 0, 0, fmt.Errorf("route: net %s pin off grid", net.Name)
+// The target is usable even when blocked (pins are reserved); sources
+// need no entry, as nothing undercuts cost 0. A non-nil owner turns
+// it into the rip-up phase's victim search: a blocked cell that owner
+// maps to a net (a wire cell) is passable at ripupPenalty on top of
+// the step cost, while obstacles and other pins stay impassable. The
+// penalty only raises step costs, so the Manhattan heuristic stays
+// admissible.
+func routeNetState(g *Grid, name string, from []Point, to Point, alg Algorithm, st *searchState, owner []int32) (Path, int, int, error) {
+	if !g.In(to) {
+		return nil, 0, 0, fmt.Errorf("route: net %s pin off grid", name)
+	}
+	for _, p := range from {
+		if !g.In(p) {
+			return nil, 0, 0, fmt.Errorf("route: net %s pin off grid", name)
+		}
 	}
 	st.resize(g.W, g.H)
 	st.begin()
 	w, h := g.W, g.H
 	plane := w * h
 	flat := func(p Point) int32 { return int32(p.L*plane + p.Y*w + p.X) }
-	aIdx, bIdx := flat(net.A), flat(net.B)
+	toIdx := flat(to)
 	b0, b1 := g.blocked[0], g.blocked[1]
 	// enter is the extra cost of stepping onto idx, or -1 if idx is
-	// impassable. A net's own pins are usable even when blocked.
+	// impassable.
 	enter := func(idx int32) int {
-		if idx == aIdx || idx == bIdx {
+		if idx == toIdx {
 			return 0
 		}
 		var blocked bool
@@ -165,7 +178,7 @@ func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState, owner []int
 		return -1
 	}
 	unit, nonPref, via := g.Cost.Unit, g.Cost.NonPref, g.Cost.Via
-	bx, by := net.B.X, net.B.Y
+	bx, by := to.X, to.Y
 	heur := func(x, y int) int {
 		if alg != AStar {
 			return 0
@@ -181,9 +194,14 @@ func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState, owner []int
 	}
 
 	epoch := st.epoch
-	st.seen[aIdx] = epoch
-	st.dist[aIdx] = 0
-	st.hpush(pqItem{idx: aIdx, cost: 0, prio: heur(net.A.X, net.A.Y)})
+	for _, p := range from {
+		if i := flat(p); st.seen[i] != epoch {
+			st.seen[i] = epoch
+			st.dist[i] = 0
+			st.prev[i] = -1
+			st.hpush(pqItem{idx: i, cost: 0, prio: heur(p.X, p.Y)})
+		}
+	}
 
 	// relax offers q the cost of one step from `from`, unless q is
 	// finalized or impassable.
@@ -216,20 +234,17 @@ func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState, owner []int
 		}
 		st.fin[it.idx] = epoch
 		expanded++
-		if it.idx == bIdx {
-			// Backtrace through the predecessor indices.
+		if it.idx == toIdx {
+			// Backtrace through the predecessor indices to a source.
 			n := 1
-			for q := bIdx; q != aIdx; q = st.prev[q] {
+			for q := toIdx; st.prev[q] >= 0; q = st.prev[q] {
 				n++
 			}
 			path := make(Path, n)
-			q := bIdx
-			for i := n - 1; ; i-- {
+			q := toIdx
+			for i := n - 1; i >= 0; i-- {
 				yx := int(q) % plane
 				path[i] = Point{X: yx % w, Y: yx / w, L: int(q) / plane}
-				if q == aIdx {
-					break
-				}
 				q = st.prev[q]
 			}
 			return path, it.cost, expanded, nil
@@ -265,5 +280,5 @@ func routeNetState(g *Grid, net Net, alg Algorithm, st *searchState, owner []int
 			relax(it.idx-int32(plane), it.idx, it.cost+via, x, y)
 		}
 	}
-	return nil, 0, expanded, fmt.Errorf("route: net %s unroutable", net.Name)
+	return nil, 0, expanded, fmt.Errorf("route: net %s unroutable", name)
 }

@@ -60,6 +60,12 @@ func FuzzRoute(f *testing.F) {
 // attempts into the fuzz seed corpus.
 var ripupHeavySeeds = []uint64{1685, 1768, 268, 858, 2314, 2610, 348, 2473}
 
+// tapRipupSeeds are GenPRoute seeds on which rip-up recovers the most
+// multi-pin nets (4 each, found by sweeping seeds 0..2999 with
+// RouteAll routing two-pin and tap nets together). They pin the
+// whole-tree victim search, rip and revert into the fuzz seed corpus.
+var tapRipupSeeds = []uint64{1967, 2817, 1243, 1523}
+
 // pannealHotSeeds are GenPAnneal seeds whose instances churn the
 // incremental evaluator hardest (found by sweeping seeds 0..2999 and
 // ranking by accepted moves + boundary-fallback recomputes). They pin
@@ -84,7 +90,7 @@ func FuzzPRoute(f *testing.F) {
 	seedCorpus(f, "proute")
 	// Rip-up-heavy instances, pinned so every fuzz run exercises the
 	// rip-up rounds even before exploration.
-	for _, seed := range ripupHeavySeeds {
+	for _, seed := range append(ripupHeavySeeds, tapRipupSeeds...) {
 		f.Add(seed)
 	}
 	c := &Checker{}

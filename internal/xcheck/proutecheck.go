@@ -8,16 +8,17 @@ import (
 )
 
 // PRouteInstance is a full-net-list routing test case: a two-layer
-// grid with obstacles, a full net list (two-pin and multi-pin), and
-// the RouteAll configuration. Every routed path and multi-pin tree is
-// checked for legality, pin reservation and disjointness.
+// grid with obstacles, a full net list (two-pin nets, and multi-pin
+// nets whose pins beyond A and B are taps), and the RouteAll
+// configuration. Every routed tree is checked for legality, pin
+// reservation, connectivity and disjointness.
 type PRouteInstance struct {
 	Seed        uint64
 	W, H        int
 	Cost        route.Cost
 	Blocked     []route.Point
 	Nets        []route.Net
-	MultiNets   []route.MultiNet
+	MultiNets   []route.Net
 	Alg         route.Algorithm
 	Order       route.Order
 	RipupRounds int
@@ -44,8 +45,9 @@ func (pi *PRouteInstance) Dump() string {
 	}
 	fmt.Fprintf(&b, "multinets %d\n", len(pi.MultiNets))
 	for _, m := range pi.MultiNets {
-		fmt.Fprintf(&b, "%s %d", m.Name, len(m.Pins))
-		for _, p := range m.Pins {
+		pins := netPins(m)
+		fmt.Fprintf(&b, "%s %d", m.Name, len(pins))
+		for _, p := range pins {
 			fmt.Fprintf(&b, "  %d %d %d", p.X, p.Y, p.L)
 		}
 		fmt.Fprintln(&b)
@@ -132,18 +134,25 @@ func GenPRoute(seed uint64) *PRouteInstance {
 			pins = append(pins, p)
 		}
 		if len(pins) >= 2 {
-			pi.MultiNets = append(pi.MultiNets, route.MultiNet{Name: fmt.Sprintf("m%d", i), Pins: pins})
+			pi.MultiNets = append(pi.MultiNets, route.Net{Name: fmt.Sprintf("m%d", i), A: pins[0], B: pins[1], Taps: pins[2:]})
 		}
 	}
 	return pi
 }
 
-// CheckPRoute checks RouteAll and RouteAllMulti on one instance:
+// netPins lists a net's pins: A, B, then its taps.
+func netPins(n route.Net) []route.Point {
+	return append([]route.Point{n.A, n.B}, n.Taps...)
+}
+
+// CheckPRoute routes the two-pin and multi-pin nets together in one
+// RouteAll call and checks every routed tree (trunk plus branches):
 //
-//	every routed path             vs  route.Validate              (legality on the obstacle grid)
-//	every routed path             —   touches no foreign pin      (pins stay reserved)
-//	all routed paths together     —   pairwise cell-disjoint      (no two nets share a cell)
-//	RouteAllMulti trees           —   pins on tree, cell-disjoint, each net routed xor failed
+//	every net                     —   reported exactly once, routed or failed
+//	trunk and each branch         vs  route.Validate              (unit steps, no obstacle)
+//	every tree cell               —   touches no foreign pin      (pins stay reserved)
+//	each tree                     —   one branch per tap, one connected set holding every pin
+//	all trees together            —   pairwise cell-disjoint      (no cell in two nets)
 func (c *Checker) CheckPRoute(pi *PRouteInstance) []Mismatch {
 	var out []Mismatch
 	bad := func(format string, args ...interface{}) {
@@ -151,86 +160,110 @@ func (c *Checker) CheckPRoute(pi *PRouteInstance) []Mismatch {
 			Detail: fmt.Sprintf(format, args...), Dump: pi.Dump()})
 	}
 
-	res := route.RouteAll(pi.Grid(), pi.Nets,
+	nets := append(append([]route.Net(nil), pi.Nets...), pi.MultiNets...)
+	res := route.RouteAll(pi.Grid(), nets,
 		route.Opts{Alg: pi.Alg, Order: pi.Order, RipupRounds: pi.RipupRounds, Seed: pi.RouteSeed})
 
-	// Legality on the obstacle-only grid, pin reservation, and
-	// pairwise disjointness. A path may touch a pin cell only if the
-	// pin is its own net's, and two paths may share only a cell that
-	// is a pin of both nets.
+	reported := map[string]int{}
+	for _, name := range res.Failed {
+		reported[name]++
+	}
+	for name := range res.Paths {
+		reported[name]++
+	}
+	for _, n := range nets {
+		if k := reported[n.Name]; k != 1 {
+			bad("net %s reported %d times as routed or failed, want 1", n.Name, k)
+		}
+		delete(reported, n.Name)
+	}
+	if len(reported) > 0 {
+		bad("%d routed or failed names match no net", len(reported))
+	}
+	for name := range res.Branches {
+		if _, ok := res.Paths[name]; !ok {
+			bad("net %s has branches but no trunk", name)
+		}
+	}
+
+	// Legality on the obstacle-only grid, pin reservation,
+	// connectivity and pairwise disjointness. Pins are mutually
+	// distinct across nets, so a tree may touch a pin cell only if the
+	// pin is its own, and no cell may belong to two trees.
 	obstacles := pi.Grid()
-	pinCell := map[route.Point]bool{}
-	for _, n := range pi.Nets {
-		pinCell[n.A], pinCell[n.B] = true, true
+	pinOf := map[route.Point]string{}
+	for _, n := range nets {
+		for _, p := range netPins(n) {
+			pinOf[p] = n.Name
+		}
 	}
 	owner := map[route.Point]string{}
-	for _, n := range pi.Nets {
-		p, ok := res.Paths[n.Name]
+	for _, n := range nets {
+		trunk, ok := res.Paths[n.Name]
 		if !ok {
 			continue
 		}
-		if err := route.Validate(obstacles, n, p); err != nil {
-			bad("net %s: path is illegal on the obstacle grid: %v", n.Name, err)
+		if err := route.Validate(obstacles, n, trunk); err != nil {
+			bad("net %s: trunk is illegal on the obstacle grid: %v", n.Name, err)
 		}
-		for _, pt := range p {
-			own := pt == n.A || pt == n.B
-			if pinCell[pt] && !own {
-				bad("net %s crosses a foreign pin at (%d,%d,%d)", n.Name, pt.X, pt.Y, pt.L)
-				break
+		branches := res.Branches[n.Name]
+		if len(branches) != len(n.Taps) {
+			bad("net %s: %d branches for %d taps", n.Name, len(branches), len(n.Taps))
+		}
+		on := map[route.Point]bool{}
+		for _, p := range append([]route.Path{trunk}, branches...) {
+			if len(p) == 0 {
+				bad("net %s: empty branch", n.Name)
+				continue
 			}
-			if prev, dup := owner[pt]; dup && !own {
-				bad("nets %s and %s overlap at non-pin cell (%d,%d,%d)", prev, n.Name, pt.X, pt.Y, pt.L)
-				break
+			ends := route.Net{Name: n.Name, A: p[0], B: p[len(p)-1]}
+			if err := route.Validate(obstacles, ends, p); err != nil {
+				bad("net %s: branch is illegal on the obstacle grid: %v", n.Name, err)
+			}
+			for _, pt := range p {
+				on[pt] = true
+			}
+		}
+		for pt := range on {
+			if name, pin := pinOf[pt]; pin && name != n.Name {
+				bad("net %s crosses pin (%d,%d,%d) of net %s", n.Name, pt.X, pt.Y, pt.L, name)
+			}
+			if prev, dup := owner[pt]; dup {
+				bad("nets %s and %s share cell (%d,%d,%d)", prev, n.Name, pt.X, pt.Y, pt.L)
 			}
 			owner[pt] = n.Name
 		}
-	}
-
-	// Multi-pin routing is serial; check its trees for legality: each
-	// routed tree contains all of its net's pins, no cell belongs to
-	// two trees, and every net is reported exactly once, routed or
-	// failed.
-	if len(pi.MultiNets) > 0 {
-		trees, failed := route.RouteAllMulti(pi.Grid(), pi.MultiNets, pi.Alg)
-		reported := map[string]int{}
-		for _, name := range failed {
-			reported[name]++
-		}
-		for name := range trees {
-			reported[name]++
-		}
-		for _, n := range pi.MultiNets {
-			if k := reported[n.Name]; k != 1 {
-				bad("multi: net %s reported %d times as routed or failed, want 1", n.Name, k)
+		reached := connected(on, n.A)
+		for _, p := range netPins(n) {
+			if !reached[p] {
+				bad("net %s: pin (%d,%d,%d) is not connected to A", n.Name, p.X, p.Y, p.L)
 			}
-			delete(reported, n.Name)
 		}
-		if len(reported) > 0 {
-			bad("multi: %d routed or failed names match no net", len(reported))
-		}
-		treeOwner := map[route.Point]string{}
-		for _, n := range pi.MultiNets {
-			t, ok := trees[n.Name]
-			if !ok {
-				continue
-			}
-			on := map[route.Point]bool{}
-			for _, pt := range t.Points() {
-				on[pt] = true
-				if prev, dup := treeOwner[pt]; dup {
-					bad("multi: trees %s and %s share cell (%d,%d,%d)", prev, n.Name, pt.X, pt.Y, pt.L)
-					break
-				}
-				treeOwner[pt] = n.Name
-			}
-			for _, p := range n.Pins {
-				if !on[p] {
-					bad("multi: pin (%d,%d,%d) of net %s is not on its tree", p.X, p.Y, p.L, n.Name)
-				}
-			}
+		if len(reached) != len(on) {
+			bad("net %s: %d of its %d tree cells are not connected to A", n.Name, len(on)-len(reached), len(on))
 		}
 	}
 
 	c.note("proute", pi.Seed, out)
 	return out
+}
+
+// connected returns the cells of on reachable from start by unit steps
+// (one track on a layer, or a via) within on.
+func connected(on map[route.Point]bool, start route.Point) map[route.Point]bool {
+	seen := map[route.Point]bool{}
+	stack := []route.Point{start}
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[p] || !on[p] {
+			continue
+		}
+		seen[p] = true
+		stack = append(stack,
+			route.Point{X: p.X + 1, Y: p.Y, L: p.L}, route.Point{X: p.X - 1, Y: p.Y, L: p.L},
+			route.Point{X: p.X, Y: p.Y + 1, L: p.L}, route.Point{X: p.X, Y: p.Y - 1, L: p.L},
+			route.Point{X: p.X, Y: p.Y, L: 1 - p.L})
+	}
+	return seen
 }
