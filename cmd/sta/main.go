@@ -1,7 +1,8 @@
 // Command sta reads a BLIF network (stdin or file argument), runs the
 // full flow through technology mapping, and prints the static timing
 // report: arrivals, slacks, the critical path, and a slack histogram.
-// With -wire, Elmore wire delays from the routed design are included.
+// With -wire, every gate also gets one uniform wire delay taken at the
+// mean routed wirelength (FlowOpts.WireModel).
 package main
 
 import (

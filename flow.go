@@ -52,7 +52,9 @@ type FlowOpts struct {
 	// chains: 0 means GOMAXPROCS. It changes only wall clock; the
 	// placement is byte-identical for every value.
 	PlaceWorkers int
-	// WireModel enables Elmore wire delays in timing (per routed net).
+	// WireModel adds a wire delay to timing: every gate is charged one
+	// uniform RC-line delay, taken at the mean routed wirelength, not
+	// each net's own wire (ROADMAP direction 2).
 	WireModel bool
 	// CheckDRC runs design-rule checking on the routed wires.
 	CheckDRC bool
@@ -210,7 +212,7 @@ func runFlow(r *flowRun) (*Flow, error) {
 	}
 	root.SetLabel("ok", strconv.FormatBool(err == nil))
 	root.End()
-	f.Trace = ob.Tracer().SnapshotSince(root.ID())
+	f.Trace = ob.Tracer().SnapshotTree(root.ID())
 	ob.Counter("flow_runs_total").Inc()
 	if err != nil {
 		ob.Counter("flow_runs_failed").Inc()
@@ -384,7 +386,8 @@ func (r *flowRun) checkDRC(*obs.Span) error {
 }
 
 // analyzeTiming runs static timing over the mapped gates (Week 8),
-// optionally with Elmore wire delays from the routed wirelengths.
+// optionally with one uniform wire delay from the mean routed
+// wirelength (see timingFromMapping).
 func (r *flowRun) analyzeTiming(*obs.Span) (err error) {
 	if r.Timing, err = timingFromMapping(r.Subject, r.Mapping, r.Routing, r.WireModel); err != nil {
 		return err
@@ -533,8 +536,10 @@ func routingFromPlacement(prob *place.Problem, pl *place.Placement) (*route.Grid
 	return g, nets
 }
 
-// timingFromMapping builds the gate-level timing graph, adding Elmore
-// wire delays per routed net when wireModel is set.
+// timingFromMapping builds the gate-level timing graph. When
+// wireModel is set it adds the same wire delay to every gate: the
+// Elmore sink delay of one uniform RC line as long as the mean routed
+// wirelength, not a per-net delay (ROADMAP direction 2 plans one).
 func timingFromMapping(subj *techmap.Subject, mp *techmap.Result, routing *route.Result, wireModel bool) (*timing.Report, error) {
 	delayOf := map[string]float64{}
 	for _, g := range techmap.StandardLibrary() {
@@ -547,7 +552,8 @@ func timingFromMapping(subj *techmap.Subject, mp *techmap.Result, routing *route
 		}
 		return fmt.Sprintf("n%d", id)
 	}
-	// Per-net wire delay from routed wirelength (uniform RC line).
+	// One wire delay for all gates: a uniform RC line at the mean
+	// routed wirelength.
 	wireDelay := 0.0
 	if wireModel && routing != nil && len(routing.Paths) > 0 {
 		total := 0

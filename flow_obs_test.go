@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -238,5 +239,66 @@ func TestFlowDefaultObserver(t *testing.T) {
 	after := obs.Default().Snapshot().Metrics.Counters["flow_runs_total"]
 	if after != before+1 {
 		t.Errorf("default observer flow_runs_total %d -> %d, want +1", before, after)
+	}
+}
+
+// TestFlowTraceConcurrentRuns: flows sharing one observer each get a
+// trace of exactly their own spans — one root, one span per stage they
+// ran, every other span under those — and together the traces hold
+// every span the tracer finished.
+func TestFlowTraceConcurrentRuns(t *testing.T) {
+	ob := obs.NewObserver(nil)
+	const runs = 4
+	flows := make([]*Flow, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range flows {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			flows[i], errs[i] = RunFlow(strings.NewReader(obsTestBLIF),
+				FlowOpts{Seed: int64(i + 1), CheckDRC: true, AnnealPlace: i%2 == 1, Obs: ob})
+		}(i)
+	}
+	wg.Wait()
+	seen := map[int64]bool{}
+	for i, f := range flows {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		var roots int
+		in := map[int64]bool{}
+		var stages []string
+		for _, sp := range f.Trace {
+			if seen[sp.ID] {
+				t.Errorf("run %d: span %d %s is in two traces", i, sp.ID, sp.Name)
+			}
+			seen[sp.ID] = true
+			switch {
+			case sp.Parent == 0:
+				roots++
+				if sp.Name != "flow" || sp.ID != f.Trace[0].ID {
+					t.Errorf("run %d: root %d %s, want the flow root first", i, sp.ID, sp.Name)
+				}
+			case !in[sp.Parent]:
+				t.Errorf("run %d: span %d %s has parent %d outside the trace", i, sp.ID, sp.Name, sp.Parent)
+			case sp.Parent == f.Trace[0].ID:
+				stages = append(stages, strings.TrimPrefix(sp.Name, "flow."))
+			}
+			in[sp.ID] = true
+		}
+		if roots != 1 {
+			t.Errorf("run %d: %d root spans, want 1", i, roots)
+		}
+		var want []string
+		for _, st := range f.Stages {
+			want = append(want, st.Name)
+		}
+		if strings.Join(stages, ",") != strings.Join(want, ",") {
+			t.Errorf("run %d: stage spans %v, want %v", i, stages, want)
+		}
+	}
+	if all := ob.Tracer().Snapshot(); len(all) != len(seen) {
+		t.Errorf("traces hold %d spans, tracer finished %d", len(seen), len(all))
 	}
 }

@@ -206,17 +206,3 @@ func gapRegion(r, s Rect) Rect {
 		X1: max(r.X0, s.X0), Y1: max(r.Y0, s.Y0),
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -21,14 +21,10 @@ const DefaultEventCapacity = 1024
 // EventLog is a bounded ring of events; when full, the oldest are
 // dropped (and counted). Safe for concurrent use and on nil.
 type EventLog struct {
-	mu      sync.Mutex
-	clock   func() time.Time
-	buf     []Event
-	cap     int
-	next    int
-	wrapped bool
-	seq     int64
-	dropped int64
+	mu    sync.Mutex
+	clock func() time.Time
+	ring  ring[Event]
+	seq   int64
 }
 
 // NewEventLog returns an event log using the given clock (time.Now
@@ -41,7 +37,7 @@ func NewEventLog(clock func() time.Time, capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	return &EventLog{clock: clock, cap: capacity}
+	return &EventLog{clock: clock, ring: ring[Event]{cap: capacity}}
 }
 
 // Emit appends an event. The fields map is copied. Safe on nil.
@@ -59,17 +55,7 @@ func (l *EventLog) Emit(kind string, fields map[string]string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
-	e := Event{Seq: l.seq, Time: l.clock(), Kind: kind, Fields: cp}
-	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, e)
-	} else {
-		l.buf[l.next] = e
-		l.wrapped = true
-	}
-	l.next = (l.next + 1) % l.cap
-	if l.wrapped {
-		l.dropped++
-	}
+	l.ring.push(Event{Seq: l.seq, Time: l.clock(), Kind: kind, Fields: cp})
 }
 
 // Snapshot returns the retained events, oldest first.
@@ -79,14 +65,7 @@ func (l *EventLog) Snapshot() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.buf))
-	if l.wrapped {
-		out = append(out, l.buf[l.next:]...)
-		out = append(out, l.buf[:l.next]...)
-	} else {
-		out = append(out, l.buf...)
-	}
-	return out
+	return l.ring.items()
 }
 
 // Dropped reports how many events fell off the ring.
@@ -96,5 +75,5 @@ func (l *EventLog) Dropped() int64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped
+	return l.ring.dropped
 }

@@ -19,41 +19,29 @@ import (
 // [a-zA-Z_:][a-zA-Z0-9_:]*. The repo's legacy flat names use ':' as a
 // label-ish separator, which Prometheus happens to allow; anything
 // else invalid (e.g. the '-' in "pool_breaker_half-open") maps to '_'.
-func promName(name string) string {
-	if name == "" {
-		return "_"
-	}
-	var b strings.Builder
-	for i, r := range name {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if ok {
-			b.WriteRune(r)
-		} else {
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
+func promName(name string) string { return promSanitize(name, true) }
 
 // promLabelName sanitizes a label key to [a-zA-Z_][a-zA-Z0-9_]*.
-func promLabelName(name string) string {
-	if name == "" {
+func promLabelName(name string) string { return promSanitize(name, false) }
+
+// promSanitize maps every rune outside [a-zA-Z0-9_] (and ':' when
+// colon is set) to '_', as well as a leading digit; "" becomes "_". A
+// name that is already valid comes back without an allocation.
+func promSanitize(name string, colon bool) string {
+	s := strings.Map(func(r rune) rune {
+		if r == '_' || colon && r == ':' ||
+			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9') {
+			return r
+		}
+		return '_'
+	}, name)
+	if s == "" {
 		return "_"
 	}
-	var b strings.Builder
-	for i, r := range name {
-		ok := r == '_' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if ok {
-			b.WriteRune(r)
-		} else {
-			b.WriteByte('_')
-		}
+	if s[0] >= '0' && s[0] <= '9' {
+		return "_" + s[1:]
 	}
-	return b.String()
+	return s
 }
 
 // promEscape escapes a label value per the text format.
@@ -91,9 +79,9 @@ func promLabels(labels map[string]string, extraK, extraV string) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// promFamily is one exposition family being assembled: flat metrics
-// contribute a single unlabeled series, vec families one series per
-// child; same-name same-type families merge.
+// promFamily is one exposition family being assembled: a flat metric
+// contributes a single unlabeled series, a labeled family one series
+// per child; same-name same-type families merge.
 type promFamily struct {
 	name  string
 	typ   string // "counter" | "gauge" | "histogram"
@@ -130,6 +118,34 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// eachSeries calls fn on every series of one metric kind in export
+// order: each flat metric as a label-less series (wrap builds it),
+// then each labeled family's series, names sorted within each group.
+func eachSeries[V, S any](flat map[string]V, vecs map[string][]S, wrap func(V) S, fn func(name string, s S)) {
+	for _, name := range sortedKeys(flat) {
+		fn(name, wrap(flat[name]))
+	}
+	for _, name := range sortedKeys(vecs) {
+		for _, sr := range vecs[name] {
+			fn(name, sr)
+		}
+	}
+}
+
+// eachCounter, eachGauge and eachHistogram run eachSeries over one
+// kind of the snapshot.
+func (s RegistrySnapshot) eachCounter(fn func(name string, sr LabeledCounter)) {
+	eachSeries(s.Counters, s.CounterVecs, func(v int64) LabeledCounter { return LabeledCounter{Value: v} }, fn)
+}
+
+func (s RegistrySnapshot) eachGauge(fn func(name string, sr LabeledGauge)) {
+	eachSeries(s.Gauges, s.GaugeVecs, func(v float64) LabeledGauge { return LabeledGauge{Value: v} }, fn)
+}
+
+func (s RegistrySnapshot) eachHistogram(fn func(name string, sr LabeledHistogram)) {
+	eachSeries(s.Histograms, s.HistogramVecs, func(h HistogramSnapshot) LabeledHistogram { return LabeledHistogram{Hist: h} }, fn)
+}
+
 // WritePrometheus renders the snapshot in Prometheus text format with
 // deterministic ordering: families sorted by exposition name, flat
 // series before labeled ones, labeled series in snapshot (label-
@@ -151,40 +167,20 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) error {
 		}
 		return f
 	}
-	// Append in sorted original-name order, flat metrics before vec
-	// series, so each family's line order is deterministic even when
-	// sanitization merges names.
-	for _, name := range sortedKeys(s.Counters) {
+	// Append in sorted original-name order, flat metrics before
+	// labeled series, so each family's line order is deterministic even
+	// when sanitization merges names.
+	s.eachCounter(func(name string, sr LabeledCounter) {
 		f := family(name, "counter")
-		f.lines = append(f.lines, f.name+" "+strconv.FormatInt(s.Counters[name], 10))
-	}
-	for _, name := range sortedKeys(s.CounterVecs) {
-		f := family(name, "counter")
-		for _, sr := range s.CounterVecs[name] {
-			f.lines = append(f.lines, f.name+promLabels(sr.Labels, "", "")+
-				" "+strconv.FormatInt(sr.Value, 10))
-		}
-	}
-	for _, name := range sortedKeys(s.Gauges) {
+		f.lines = append(f.lines, f.name+promLabels(sr.Labels, "", "")+" "+strconv.FormatInt(sr.Value, 10))
+	})
+	s.eachGauge(func(name string, sr LabeledGauge) {
 		f := family(name, "gauge")
-		f.lines = append(f.lines, f.name+" "+promFloat(s.Gauges[name]))
-	}
-	for _, name := range sortedKeys(s.GaugeVecs) {
-		f := family(name, "gauge")
-		for _, sr := range s.GaugeVecs[name] {
-			f.lines = append(f.lines, f.name+promLabels(sr.Labels, "", "")+
-				" "+promFloat(sr.Value))
-		}
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		family(name, "histogram").writeHistSeries(nil, s.Histograms[name])
-	}
-	for _, name := range sortedKeys(s.HistogramVecs) {
-		f := family(name, "histogram")
-		for _, sr := range s.HistogramVecs[name] {
-			f.writeHistSeries(sr.Labels, sr.Hist)
-		}
-	}
+		f.lines = append(f.lines, f.name+promLabels(sr.Labels, "", "")+" "+promFloat(sr.Value))
+	})
+	s.eachHistogram(func(name string, sr LabeledHistogram) {
+		family(name, "histogram").writeHistSeries(sr.Labels, sr.Hist)
+	})
 
 	bw := bufio.NewWriter(w)
 	for _, n := range sortedKeys(fams) {

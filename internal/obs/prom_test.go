@@ -53,17 +53,38 @@ func goldenRegistry() *Observer {
 	return o
 }
 
-func TestWritePrometheusGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRegistry().Registry().Snapshot().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+// goldenObserver adds a small span tree and a few events to
+// goldenRegistry's metrics, all on its fake clock — the canonical
+// snapshot the JSON and text goldens pin down.
+func goldenObserver() *Observer {
+	o := goldenRegistry()
+	root := o.StartSpan("flow")
+	root.SetLabel("model", "adder")
+	for _, st := range []string{"synth", "place"} {
+		sp := root.StartChild("flow." + st)
+		if st == "place" {
+			sp.StartChild("place.anneal").End()
+		}
+		sp.End()
 	}
-	golden := filepath.Join("testdata", "metrics.prom")
+	root.End()
+	o.StartSpan("job").End()
+	o.Emit("job_abandoned", map[string]string{"tool": "kbdd", "user": "s1"})
+	o.Emit("drc_violations", map[string]string{"model": "adder", "count": "2"})
+	o.Emit("tick", nil)
+	return o
+}
+
+// checkGolden compares got with testdata/<name>, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,14 +92,35 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to record)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("exposition drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s",
-			buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
+}
+
+func TestWritePrometheusGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := goldenRegistry().Registry().Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "metrics.prom", buf.Bytes())
 	// The page we pin must itself be well-formed.
 	if err := ValidateExposition(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Errorf("golden page fails validation: %v", err)
 	}
+}
+
+func TestSnapshotJSONGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := goldenObserver().Snapshot().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "snapshot.json", buf.Bytes())
+}
+
+func TestSnapshotTextGolden(t *testing.T) {
+	var buf bytes.Buffer
+	goldenObserver().Snapshot().WriteText(&buf)
+	checkGolden(t, "snapshot.txt", buf.Bytes())
 }
 
 func TestWritePrometheusDeterministic(t *testing.T) {
@@ -145,6 +187,24 @@ func TestValidateExposition(t *testing.T) {
 	for name, page := range bad {
 		if err := ValidateExposition(strings.NewReader(page)); err == nil {
 			t.Errorf("%s: malformed page accepted", name)
+		}
+	}
+}
+
+func TestPromSanitize(t *testing.T) {
+	for _, c := range []struct{ in, name, label string }{
+		{"", "_", "_"},
+		{"ok_9", "ok_9", "ok_9"},
+		{"9lives", "_lives", "_lives"},
+		{"a-b", "a_b", "a_b"},
+		{"layer:dim", "layer:dim", "layer_dim"},
+		{"café", "caf_", "caf_"},
+	} {
+		if got := promName(c.in); got != c.name {
+			t.Errorf("promName(%q) = %q, want %q", c.in, got, c.name)
+		}
+		if got := promLabelName(c.in); got != c.label {
+			t.Errorf("promLabelName(%q) = %q, want %q", c.in, got, c.label)
 		}
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,11 +106,15 @@ type Histogram struct {
 	count  atomic.Int64
 }
 
-// bucketBounds returns a sorted copy of bounds, or
-// DefaultLatencyBuckets when there are none.
+// defaultBounds is DefaultLatencyBuckets shared by every histogram
+// registered without bounds, so looking one up does not allocate.
+var defaultBounds = DefaultLatencyBuckets()
+
+// bucketBounds returns a sorted copy of bounds, or the shared
+// defaultBounds when there are none.
 func bucketBounds(bounds []float64) []float64 {
 	if len(bounds) == 0 {
-		return DefaultLatencyBuckets()
+		return defaultBounds
 	}
 	b := slices.Clone(bounds)
 	sort.Float64s(b)
@@ -157,95 +163,40 @@ func (s HistogramSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// Registry holds named metrics. All methods are safe for concurrent
-// use and safe on a nil receiver (returning nil no-op metrics).
+// Registry holds named metrics. A flat metric is a family without
+// label keys, so each kind keeps one map of families and there is one
+// registration path for flat and labeled metrics alike. All methods
+// are safe for concurrent use and safe on a nil receiver (returning
+// nil no-op metrics).
 type Registry struct {
-	mu          sync.RWMutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	hists       map[string]*Histogram
-	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
+	mu       sync.RWMutex
+	counters map[string]*CounterVec
+	gauges   map[string]*GaugeVec
+	hists    map[string]*HistogramVec
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    map[string]*Counter{},
-		gauges:      map[string]*Gauge{},
-		hists:       map[string]*Histogram{},
-		counterVecs: map[string]*CounterVec{},
-		gaugeVecs:   map[string]*GaugeVec{},
-		histVecs:    map[string]*HistogramVec{},
+		counters: map[string]*CounterVec{},
+		gauges:   map[string]*GaugeVec{},
+		hists:    map[string]*HistogramVec{},
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
+// Counter returns the named flat counter, creating it on first use:
+// the one series of a counter family without label keys.
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).With() }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+// Gauge returns the named flat gauge, creating it on first use.
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket bounds (DefaultLatencyBuckets when none) on first use.
-// Fetching an existing histogram with explicit bounds that differ
-// from its registered ones panics: silently returning the old buckets
-// would file observations into bounds the caller never asked for.
-// Calls with no explicit bounds accept whatever is registered.
+// Histogram returns the named flat histogram, creating it with the
+// given bucket bounds (DefaultLatencyBuckets when none) on first use.
+// Bounds follow HistogramVec's rule: explicit bounds that differ from
+// the registered ones panic, no bounds accept whatever is registered.
 func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h == nil {
-		r.mu.Lock()
-		if h = r.hists[name]; h == nil {
-			h = newHistogram(bucketBounds(bounds))
-			r.hists[name] = h
-		}
-		r.mu.Unlock()
-	}
-	if len(bounds) > 0 && !slices.Equal(h.bounds, bucketBounds(bounds)) {
-		panic("obs: histogram " + name + " re-registered with different bucket bounds")
-	}
-	return h
+	return r.HistogramVec(name, nil, bounds...).With()
 }
 
 // RegistrySnapshot is a point-in-time copy of every metric. The
@@ -274,7 +225,8 @@ func snapHistogram(h *Histogram) HistogramSnapshot {
 	return hs
 }
 
-// Snapshot copies the registry. Nil registries snapshot empty.
+// Snapshot copies the registry. Label-less families fill the flat
+// maps. Nil registries snapshot empty.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	s := RegistrySnapshot{
 		Counters:   map[string]int64{},
@@ -286,87 +238,38 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = snapHistogram(h)
-	}
-	s.CounterVecs = series(r.counterVecs, func(labels map[string]string, c *Counter) LabeledCounter {
-		return LabeledCounter{Labels: labels, Value: c.Value()}
-	})
-	s.GaugeVecs = series(r.gaugeVecs, func(labels map[string]string, g *Gauge) LabeledGauge {
-		return LabeledGauge{Labels: labels, Value: g.Value()}
-	})
-	s.HistogramVecs = series(r.histVecs, func(labels map[string]string, h *Histogram) LabeledHistogram {
-		return LabeledHistogram{Labels: labels, Hist: snapHistogram(h)}
-	})
+	s.CounterVecs = series(r.counters, s.Counters, (*Counter).Value,
+		func(labels map[string]string, v int64) LabeledCounter { return LabeledCounter{labels, v} })
+	s.GaugeVecs = series(r.gauges, s.Gauges, (*Gauge).Value,
+		func(labels map[string]string, v float64) LabeledGauge { return LabeledGauge{labels, v} })
+	s.HistogramVecs = series(r.hists, s.Histograms, snapHistogram,
+		func(labels map[string]string, h HistogramSnapshot) LabeledHistogram {
+			return LabeledHistogram{labels, h}
+		})
 	return s
 }
 
-// WriteText renders the snapshot as an aligned, sorted metrics page.
+// WriteText renders the snapshot as an aligned, sorted metrics page:
+// the unlabeled series of every kind, then the labeled ones.
 func (s RegistrySnapshot) WriteText(w io.Writer) {
-	var names []string
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(w, "counter    %-40s %d\n", n, s.Counters[n])
-	}
-	names = names[:0]
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(w, "gauge      %-40s %g\n", n, s.Gauges[n])
-	}
-	names = names[:0]
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := s.Histograms[n]
-		fmt.Fprintf(w, "histogram  %-40s count=%d sum=%.6g mean=%.6g\n",
-			n, h.Count, h.Sum, h.Mean())
-	}
-	names = names[:0]
-	for n := range s.CounterVecs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		for _, sr := range s.CounterVecs[n] {
-			fmt.Fprintf(w, "counter    %-40s %d\n",
-				n+"{"+LabelString(sr.Labels)+"}", sr.Value)
+	var flat, labeled strings.Builder
+	line := func(kind, name string, labels map[string]string, value string) {
+		if len(labels) == 0 {
+			fmt.Fprintf(&flat, "%-10s %-40s %s\n", kind, name, value)
+		} else {
+			fmt.Fprintf(&labeled, "%-10s %-40s %s\n", kind, name+"{"+LabelString(labels)+"}", value)
 		}
 	}
-	names = names[:0]
-	for n := range s.GaugeVecs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		for _, sr := range s.GaugeVecs[n] {
-			fmt.Fprintf(w, "gauge      %-40s %g\n",
-				n+"{"+LabelString(sr.Labels)+"}", sr.Value)
-		}
-	}
-	names = names[:0]
-	for n := range s.HistogramVecs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		for _, sr := range s.HistogramVecs[n] {
-			h := sr.Hist
-			fmt.Fprintf(w, "histogram  %-40s count=%d sum=%.6g mean=%.6g\n",
-				n+"{"+LabelString(sr.Labels)+"}", h.Count, h.Sum, h.Mean())
-		}
-	}
+	s.eachCounter(func(name string, sr LabeledCounter) {
+		line("counter", name, sr.Labels, strconv.FormatInt(sr.Value, 10))
+	})
+	s.eachGauge(func(name string, sr LabeledGauge) {
+		line("gauge", name, sr.Labels, fmt.Sprintf("%g", sr.Value))
+	})
+	s.eachHistogram(func(name string, sr LabeledHistogram) {
+		h := sr.Hist
+		line("histogram", name, sr.Labels, fmt.Sprintf("count=%d sum=%.6g mean=%.6g", h.Count, h.Sum, h.Mean()))
+	})
+	io.WriteString(w, flat.String())
+	io.WriteString(w, labeled.String())
 }

@@ -25,14 +25,10 @@ type Tracer struct {
 	mu         sync.Mutex
 	clock      func() time.Time
 	nextID     int64
-	done       []SpanRecord // ring buffer, capacity cap
-	cap        int
-	next       int // ring write index
-	wrapped    bool
-	dropped    int64
-	sampleN    int64  // keep 1-in-N roots; <=1 keeps everything
-	sampleSeed uint64 // hash seed for the sampling decision
-	sampledOut int64  // finished spans skipped by sampling
+	done       ring[SpanRecord] // finished spans
+	sampleN    int64            // keep 1-in-N roots; <=1 keeps everything
+	sampleSeed uint64           // hash seed for the sampling decision
+	sampledOut int64            // finished spans skipped by sampling
 }
 
 // DefaultSpanCapacity bounds the finished-span ring of a new Tracer.
@@ -48,7 +44,7 @@ func NewTracer(clock func() time.Time, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &Tracer{clock: clock, cap: capacity}
+	return &Tracer{clock: clock, done: ring[SpanRecord]{cap: capacity}}
 }
 
 // SetSampling keeps 1-in-n root spans (n <= 1 keeps all), decided by
@@ -196,44 +192,40 @@ func (s *Span) End() time.Duration {
 		t.mu.Unlock()
 		return d
 	}
-	rec := SpanRecord{
+	t.done.push(SpanRecord{
 		ID: s.id, Parent: s.parent, Name: s.name,
 		Start: s.start, Duration: d, Labels: labels,
-	}
-	if len(t.done) < t.cap {
-		t.done = append(t.done, rec)
-	} else {
-		t.done[t.next] = rec
-		t.wrapped = true
-	}
-	t.next = (t.next + 1) % t.cap
-	if t.wrapped {
-		t.dropped++
-	}
+	})
 	t.mu.Unlock()
 	return d
 }
 
-// Snapshot returns the finished spans, oldest first, sorted by start
-// order (ID). Nil tracers snapshot empty.
-func (t *Tracer) Snapshot() []SpanRecord { return t.SnapshotSince(0) }
-
-// SnapshotSince returns finished spans with ID >= since, in ID order
-// — handy for slicing out the spans belonging to one operation when
-// IDs are allocated sequentially.
-func (t *Tracer) SnapshotSince(since int64) []SpanRecord {
+// Snapshot returns the finished spans in start order (ID). Nil
+// tracers snapshot empty.
+func (t *Tracer) Snapshot() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]SpanRecord, 0, len(t.done))
-	for _, r := range t.done {
-		if r.ID >= since {
+	out := t.done.items()
+	t.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// SnapshotTree returns the finished spans of the tree under span root
+// — root itself and its descendants — in ID order, leaving out spans
+// of other operations that ran on the same tracer meanwhile. A parent
+// starts before its children, so one pass in ID order finds them all.
+func (t *Tracer) SnapshotTree(root int64) []SpanRecord {
+	in := map[int64]bool{root: true}
+	var out []SpanRecord
+	for _, r := range t.Snapshot() {
+		if in[r.ID] || in[r.Parent] {
+			in[r.ID] = true
 			out = append(out, r)
 		}
 	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -244,7 +236,7 @@ func (t *Tracer) Dropped() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.done.dropped
 }
 
 // WriteJSONL exports the retained spans as JSON Lines (one SpanRecord

@@ -7,11 +7,12 @@ import (
 	"sync"
 )
 
-// Labeled metric families. A *Vec is a family of series sharing one
-// name and one label-key set; With(values...) resolves (creating on
-// first use) the child metric for one label-value combination. The
-// portal uses these for per-tool/per-shard series instead of the
-// name+":"+tool string-concat convention the flat registry forced.
+// Metric families. A *Vec is a family of series sharing one name and
+// one label-key set; With(values...) resolves (creating on first use)
+// the child metric for one label-value combination. A flat metric is
+// a family without keys: Registry.Counter(name) is
+// CounterVec(name).With(). The portal uses labeled families for its
+// per-tool and per-shard series.
 //
 // Hot-path contract: With on an existing child is one lock-free
 // sync.Map read per label (no allocation at any arity — locked in by
@@ -30,24 +31,26 @@ import (
 // trie with one sync.Map level per label key: level i maps the i-th
 // label value to level i+1, and the last level maps the last value to
 // the child. The path from the root is the child's label values, so
-// no key is ever encoded. A family without keys keeps its one child
-// at the root under "".
+// no key is ever encoded. A family without keys — a flat metric —
+// keeps its one child in solo instead, so a flat lookup skips the
+// trie.
 type family[T any] struct {
 	name     string
 	keys     []string  // in caller (With-positional) order
 	bounds   []float64 // sorted bucket bounds; histogram families only
 	newChild func(bounds []float64) *T
 	root     sync.Map
+	solo     *T // the one child when keys is empty, else nil
 }
 
-// CounterVec is a labeled counter family.
+// CounterVec is a counter family (a flat counter when it has no keys).
 type CounterVec = family[Counter]
 
-// GaugeVec is a labeled gauge family.
+// GaugeVec is a gauge family (a flat gauge when it has no keys).
 type GaugeVec = family[Gauge]
 
-// HistogramVec is a labeled histogram family; every child shares the
-// family's bucket bounds.
+// HistogramVec is a histogram family (a flat histogram when it has no
+// keys); every child shares the family's bucket bounds.
 type HistogramVec = family[Histogram]
 
 // With returns the child for the given label values (one per
@@ -62,28 +65,29 @@ func (f *family[T]) With(values ...string) *T {
 	if len(values) != len(f.keys) {
 		panic("obs: " + f.name + ": wrong label cardinality")
 	}
-	level, last := &f.root, ""
-	if n := len(values); n > 0 {
-		for _, v := range values[:n-1] {
-			next, ok := level.Load(v)
-			if !ok {
-				next, _ = level.LoadOrStore(v, new(sync.Map))
-			}
-			level = next.(*sync.Map)
-		}
-		last = values[n-1]
+	n := len(values)
+	if n == 0 {
+		return f.solo
 	}
-	child, ok := level.Load(last)
+	level := &f.root
+	for _, v := range values[:n-1] {
+		next, ok := level.Load(v)
+		if !ok {
+			next, _ = level.LoadOrStore(v, new(sync.Map))
+		}
+		level = next.(*sync.Map)
+	}
+	child, ok := level.Load(values[n-1])
 	if !ok {
-		child, _ = level.LoadOrStore(last, f.newChild(f.bounds))
+		child, _ = level.LoadOrStore(values[n-1], f.newChild(f.bounds))
 	}
 	return child.(*T)
 }
 
 // lookupVec returns the named family from fams, creating it on first
 // use. Re-registering an existing family with different keys panics —
-// the two call sites would silently shear one family into
-// incompatible series otherwise.
+// flat (no keys) against labeled included — since the two call sites
+// would silently shear one family into incompatible series otherwise.
 func lookupVec[T any](r *Registry, fams map[string]*family[T], kind, name string,
 	keys []string, bounds []float64, newChild func([]float64) *T) *family[T] {
 	r.mu.RLock()
@@ -93,12 +97,15 @@ func lookupVec[T any](r *Registry, fams map[string]*family[T], kind, name string
 		r.mu.Lock()
 		if f = fams[name]; f == nil {
 			f = &family[T]{name: name, keys: slices.Clone(keys), bounds: bounds, newChild: newChild}
+			if len(keys) == 0 {
+				f.solo = newChild(bounds)
+			}
 			fams[name] = f
 		}
 		r.mu.Unlock()
 	}
 	if !slices.Equal(f.keys, keys) {
-		panic("obs: " + kind + " vec " + name + " re-registered with different label keys")
+		panic("obs: " + kind + " " + name + " re-registered with different label keys")
 	}
 	return f
 }
@@ -110,7 +117,7 @@ func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return lookupVec(r, r.counterVecs, "counter", name, keys, nil,
+	return lookupVec(r, r.counters, "counter", name, keys, nil,
 		func([]float64) *Counter { return new(Counter) })
 }
 
@@ -120,32 +127,37 @@ func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return lookupVec(r, r.gaugeVecs, "gauge", name, keys, nil,
+	return lookupVec(r, r.gauges, "gauge", name, keys, nil,
 		func([]float64) *Gauge { return new(Gauge) })
 }
 
 // HistogramVec returns the named histogram family with the given
-// label keys and bucket bounds (DefaultLatencyBuckets when nil),
-// creating it on first use. Re-registering with different keys or
-// bounds panics.
+// label keys and bucket bounds (DefaultLatencyBuckets when none),
+// creating it on first use. Re-registering with different keys, or
+// with explicit bounds that differ from the registered ones, panics:
+// silently returning the old buckets would file observations into
+// bounds the caller never asked for. Calls with no explicit bounds
+// accept whatever is registered.
 func (r *Registry) HistogramVec(name string, keys []string, bounds ...float64) *HistogramVec {
 	if r == nil {
 		return nil
 	}
 	want := bucketBounds(bounds)
-	v := lookupVec(r, r.histVecs, "histogram", name, keys, want, newHistogram)
+	v := lookupVec(r, r.hists, "histogram", name, keys, want, newHistogram)
 	if len(bounds) > 0 && !slices.Equal(v.bounds, want) {
-		panic("obs: histogram vec " + name + " re-registered with different bucket bounds")
+		panic("obs: histogram " + name + " re-registered with different bucket bounds")
 	}
 	return v
 }
 
-// series snapshots every family of one kind: entry renders one child
-// with its labels. A family's series are sorted by LabelString, ties
+// series snapshots every family of one kind: value reads one child. A
+// family without keys is a flat metric and fills flat[name]. A labeled
+// family's series, rendered by entry, are sorted by LabelString, ties
 // (possible only when values contain ',' or '=') by label values;
-// families without children are left out, and the map is nil when
-// none has any.
-func series[T, S any](fams map[string]*family[T], entry func(labels map[string]string, child *T) S) map[string][]S {
+// labeled families without children are left out, and the returned
+// map is nil when none has any.
+func series[T, V, S any](fams map[string]*family[T], flat map[string]V, value func(*T) V,
+	entry func(labels map[string]string, v V) S) map[string][]S {
 	type item struct {
 		id     string
 		values []string
@@ -153,6 +165,10 @@ func series[T, S any](fams map[string]*family[T], entry func(labels map[string]s
 	}
 	var out map[string][]S
 	for name, f := range fams {
+		if f.solo != nil {
+			flat[name] = value(f.solo)
+			continue
+		}
 		var items []item
 		var walk func(level *sync.Map, path []string)
 		walk = func(level *sync.Map, path []string) {
@@ -166,7 +182,7 @@ func series[T, S any](fams map[string]*family[T], entry func(labels map[string]s
 				for i, key := range f.keys {
 					labels[key] = values[i]
 				}
-				items = append(items, item{LabelString(labels), values, entry(labels, node.(*T))})
+				items = append(items, item{LabelString(labels), values, entry(labels, value(node.(*T)))})
 				return true
 			})
 		}

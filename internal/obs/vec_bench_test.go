@@ -47,7 +47,8 @@ func BenchmarkCounterVecWithIncThreeLabels(b *testing.B) {
 
 // TestWithAllocFree locks the hot-path contract as a hard test, not
 // just a benchmark number: resolving an existing child through With
-// must not allocate for one- to four-label families of any kind. A
+// must not allocate for one- to four-label families of any kind, nor
+// must looking up an existing flat metric by name. A
 // regression here reappears in every pool-worker loop that doesn't
 // cache its child handle.
 func TestWithAllocFree(t *testing.T) {
@@ -73,10 +74,16 @@ func TestWithAllocFree(t *testing.T) {
 	cv4.With("kbdd", "alice", "7", "queue").Inc()
 	gv4.With("kbdd", "alice", "7", "queue").Set(1)
 	hv4.With("kbdd", "alice", "7", "queue").Observe(0.001)
+	r.Counter("alloc_flat_total").Inc()
+	r.Gauge("alloc_flat").Set(1)
+	r.Histogram("alloc_flat_seconds").Observe(0.001)
 	cases := []struct {
 		name string
 		fn   func()
 	}{
+		{"Counter", func() { r.Counter("alloc_flat_total").Inc() }},
+		{"Gauge", func() { r.Gauge("alloc_flat").Set(2) }},
+		{"Histogram", func() { r.Histogram("alloc_flat_seconds").Observe(0.002) }},
 		{"CounterVec/1", func() { cv1.With("kbdd").Inc() }},
 		{"CounterVec/2", func() { cv2.With("kbdd", "queue").Inc() }},
 		{"GaugeVec/2", func() { gv2.With("kbdd", "queue").Set(2) }},

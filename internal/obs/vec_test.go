@@ -249,16 +249,44 @@ func TestVecTiedLabelStrings(t *testing.T) {
 	}
 }
 
-// TestVecNoKeys: a family registered without label keys holds one
-// series, With() with no values.
+// TestVecNoKeys: a family registered without label keys is the flat
+// metric of that name — With() and Counter return one *Counter, and
+// its series snapshots under Counters.
 func TestVecNoKeys(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("solo_total")
+	if v.With() != r.Counter("solo_total") {
+		t.Error("CounterVec(name).With() and Counter(name) should be one counter")
+	}
 	v.With().Add(3)
-	v.With().Inc()
-	got := r.Snapshot().CounterVecs["solo_total"]
-	if len(got) != 1 || len(got[0].Labels) != 0 || got[0].Value != 4 {
-		t.Errorf("series = %#v, want one unlabeled series of 4", got)
+	r.Counter("solo_total").Inc()
+	s := r.Snapshot()
+	if got := s.Counters["solo_total"]; got != 4 {
+		t.Errorf("Counters[solo_total] = %d, want 4", got)
+	}
+	if got, ok := s.CounterVecs["solo_total"]; ok {
+		t.Errorf("label-less family also snapshots as labeled series %#v", got)
+	}
+	if r.GaugeVec("solo_gauge").With() != r.Gauge("solo_gauge") {
+		t.Error("GaugeVec(name).With() and Gauge(name) should be one gauge")
+	}
+	if r.HistogramVec("solo_seconds", nil).With() != r.Histogram("solo_seconds") {
+		t.Error("HistogramVec(name, nil).With() and Histogram(name) should be one histogram")
 	}
 	mustPanic(t, "no-key family given a value", func() { v.With("x") })
+}
+
+// TestFlatAndLabeledNameCollisionPanics: a name is one family, so
+// registering it flat and with label keys — in either order — is a key
+// mismatch like any other, not two metrics for the exporter to fold.
+func TestFlatAndLabeledNameCollisionPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total")
+	mustPanic(t, "counter flat then keyed", func() { r.CounterVec("c_total", "tool") })
+	r.CounterVec("d_total", "tool")
+	mustPanic(t, "counter keyed then flat", func() { r.Counter("d_total") })
+	r.Gauge("g")
+	mustPanic(t, "gauge flat then keyed", func() { r.GaugeVec("g", "tool") })
+	r.HistogramVec("h_seconds", []string{"tool"})
+	mustPanic(t, "histogram keyed then flat", func() { r.Histogram("h_seconds") })
 }
