@@ -42,9 +42,10 @@ func BenchmarkPoolSubmit(b *testing.B) {
 }
 
 // BenchmarkPoolSubmitJournal is BenchmarkPoolSubmit with the
-// write-ahead ticket journal on (in-memory target): the durability
-// overhead of framing, checksumming, and syncing three records per
-// job — the journal-on vs journal-off comparison in EXPERIMENTS.md.
+// write-ahead ticket journal on (in-memory target, no-op Sync): the
+// durability overhead of framing, checksumming, and writing three
+// records per job — the journal-on vs journal-off comparison in
+// EXPERIMENTS.md.
 func BenchmarkPoolSubmitJournal(b *testing.B) {
 	p := NewPool(PoolConfig{
 		Workers:    runtime.GOMAXPROCS(0),
@@ -62,6 +63,51 @@ func BenchmarkPoolSubmitJournal(b *testing.B) {
 	}
 	users := benchUsers()
 	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		user := fmt.Sprintf("user%d", next.Add(1)%int64(users))
+		for pb.Next() {
+			if _, err := p.Submit(user, "echo", "ping"); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// sleepSyncer is a journal target that discards writes and sleeps in
+// Sync for its duration — an fsync without the disk.
+type sleepSyncer time.Duration
+
+func (sleepSyncer) Write(p []byte) (int, error) { return len(p), nil }
+
+func (s sleepSyncer) Sync() error {
+	time.Sleep(time.Duration(s))
+	return nil
+}
+
+// BenchmarkPoolSubmitJournalSlowSync is BenchmarkPoolSubmitJournal
+// over a journal whose Sync sleeps 100 µs, with 16 submitters and 8
+// workers per proc: the fsync-bound case group commit is for.
+// Concurrent transitions share Syncs, so ns/op falls well below three
+// Syncs per job. (A worker waits for its ticket's start and done
+// records, so one worker alone finishes at most one job per two Syncs.)
+func BenchmarkPoolSubmitJournalSlowSync(b *testing.B) {
+	procs := runtime.GOMAXPROCS(0)
+	p := NewPool(PoolConfig{
+		Workers:      8 * procs,
+		QueueDepth:   64 * procs,
+		HistoryLimit: 32,
+		Journal:      NewJournal(sleepSyncer(100*time.Microsecond), JournalOpts{CompactEvery: 1024}),
+		Observer:     obs.NewObserver(nil),
+	})
+	defer p.Close()
+	if err := p.Register(echoTool()); err != nil {
+		b.Fatal(err)
+	}
+	users := benchUsers()
+	var next atomic.Int64
+	b.SetParallelism(16)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		user := fmt.Sprintf("user%d", next.Add(1)%int64(users))

@@ -16,9 +16,11 @@ import (
 
 // The ticket journal is an append-only write-ahead log: every ticket
 // transition (admitted → running → done/expired/cancelled) is framed,
-// checksummed, and synced through an injectable WriteSyncer before the
-// transition becomes observable, so RecoverPool can replay the log
-// into a warm pool after a restart. Frame layout:
+// checksummed, and written through an injectable WriteSyncer, and
+// synced before the transition becomes observable, so RecoverPool can
+// replay the log into a warm pool after a restart. Writes and syncs
+// are separate steps: concurrent transitions share one Sync (group
+// commit). Frame layout:
 //
 //	| u32 LE payload length | u32 LE CRC-32 (IEEE) of payload | payload |
 //
@@ -99,13 +101,15 @@ type JournalOpts struct {
 	CompactEvery int
 }
 
-// Journal is the pool's append-only transition log. All appends are
-// serialized, framed, checksummed, and synced before returning, so a
-// record the pool acted on is durable. The first write or sync error
-// wedges the journal — the pool stays available and keeps serving
-// (availability over durability), the error is counted on
-// pool_journal_errors_total and reported by Err, and no further bytes
-// are written.
+// Journal is the pool's append-only transition log. Appends are
+// serialized, framed, checksummed, and written in order; durable then
+// waits until a Sync covers a given record, and concurrent waiters
+// share one Sync — the first to find none running leads it, outside
+// the lock, for everything written so far. The first write or sync
+// error wedges the journal — the pool stays available and keeps
+// serving (availability over durability), waiters return, the error is
+// counted on pool_journal_errors_total and reported by Err, and no
+// further bytes are written.
 type Journal struct {
 	mu   sync.Mutex
 	w    WriteSyncer
@@ -113,20 +117,35 @@ type Journal struct {
 
 	buf       []byte // reused frame-encoding scratch
 	err       error  // first write/sync error; wedges the journal
-	records   int64
-	bytes     int64
-	sinceSnap int // non-snapshot records since the last snapshot
+	records   int64  // records covered by a finished Sync
+	bytes     int64  // frame bytes covered by a finished Sync
+	sinceSnap int    // non-snapshot records written since the last snapshot
+
+	// Group commit. Marks are log positions in bytes written: a record's
+	// mark is the position just past its frame. written is the end of
+	// the log, synced the end a finished Sync covered. pend counts the
+	// records and bytes written since the running or next Sync began,
+	// so the metrics below count a record once a Sync covers it.
+	written   int64
+	synced    int64
+	syncing   bool       // a leader is in Sync, outside mu
+	syncDone  *sync.Cond // broadcast when a Sync finishes; uses mu
+	pendRecs  [6]int64
+	pendBytes int64
 
 	// Metric children, resolved by bind when a pool attaches.
 	recs   [6]*obs.Counter // pool_journal_records_total{kind}, indexed by kind byte
 	bytesC *obs.Counter    // pool_journal_bytes_total
 	errsC  *obs.Counter    // pool_journal_errors_total
+	syncsC *obs.Counter    // pool_journal_syncs_total
 }
 
 // NewJournal builds a journal over w. The caller owns w's lifetime;
 // the journal never closes it.
 func NewJournal(w WriteSyncer, opts JournalOpts) *Journal {
-	return &Journal{w: w, opts: opts}
+	j := &Journal{w: w, opts: opts}
+	j.syncDone = sync.NewCond(&j.mu)
+	return j
 }
 
 // bind resolves the journal's metric children on ob (nil-safe).
@@ -141,6 +160,7 @@ func (j *Journal) bind(ob *obs.Observer) {
 	}
 	j.bytesC = ob.Counter("pool_journal_bytes_total")
 	j.errsC = ob.Counter("pool_journal_errors_total")
+	j.syncsC = ob.Counter("pool_journal_syncs_total")
 	j.mu.Unlock()
 }
 
@@ -152,20 +172,30 @@ func (j *Journal) Err() error {
 	return j.err
 }
 
-// Stats reports how many records and frame bytes have been appended
-// successfully.
+// Stats reports how many records and frame bytes a finished Sync has
+// made durable.
 func (j *Journal) Stats() (records, bytes int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.records, j.bytes
 }
 
-// append frames, checksums, writes, and syncs one record payload.
-func (j *Journal) append(kind byte, payload []byte) {
+// fail wedges the journal on its first error. Callers hold j.mu.
+func (j *Journal) fail(err error) {
+	if j.err == nil {
+		j.err = err
+		j.errsC.Inc()
+	}
+}
+
+// append frames, checksums, and writes one record payload, and returns
+// its mark for durable (0 once the journal is wedged). It does not
+// sync.
+func (j *Journal) append(kind byte, payload []byte) int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
-		return
+		return 0
 	}
 	frame := j.buf[:0]
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
@@ -173,24 +203,57 @@ func (j *Journal) append(kind byte, payload []byte) {
 	frame = append(frame, payload...)
 	j.buf = frame[:0]
 	if _, err := j.w.Write(frame); err != nil {
-		j.err = fmt.Errorf("portal: journal write: %w", err)
-		j.errsC.Inc()
-		return
+		j.fail(fmt.Errorf("portal: journal write: %w", err))
+		return 0
 	}
-	if err := j.w.Sync(); err != nil {
-		j.err = fmt.Errorf("portal: journal sync: %w", err)
-		j.errsC.Inc()
-		return
-	}
-	j.records++
-	j.bytes += int64(len(frame))
+	j.written += int64(len(frame))
+	j.pendRecs[kind]++
+	j.pendBytes += int64(len(frame))
 	if kind == recSnapshot {
 		j.sinceSnap = 0
 	} else {
 		j.sinceSnap++
 	}
-	j.recs[kind].Inc()
-	j.bytesC.Add(int64(len(frame)))
+	return j.written
+}
+
+// durable blocks until a finished Sync covers mark, or the journal is
+// wedged. The first caller to find no Sync running leads one for
+// everything written so far, outside j.mu so writers keep appending;
+// callers that arrive meanwhile wait for it and, if it does not cover
+// them, join the next. Nil-safe.
+func (j *Journal) durable(mark int64) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for j.err == nil && j.synced < mark {
+		if j.syncing {
+			j.syncDone.Wait()
+			continue
+		}
+		j.syncing = true
+		target, recs, bytes := j.written, j.pendRecs, j.pendBytes
+		j.pendRecs, j.pendBytes = [6]int64{}, 0
+		j.mu.Unlock()
+		err := j.w.Sync()
+		j.mu.Lock()
+		j.syncing = false
+		j.syncsC.Inc()
+		if err != nil {
+			j.fail(fmt.Errorf("portal: journal sync: %w", err))
+		} else {
+			j.synced = target
+			for kind, n := range recs {
+				j.records += n
+				j.recs[kind].Add(n)
+			}
+			j.bytes += bytes
+			j.bytesC.Add(bytes)
+		}
+		j.syncDone.Broadcast()
+	}
 }
 
 // wantsCompact reports whether enough records accumulated since the
@@ -431,39 +494,40 @@ type doneRec struct {
 	res   JobResult
 }
 
-// appendAdmit journals a ticket admission. Callers hold p.jmu.
-func (j *Journal) appendAdmit(tk *Ticket) {
+// appendAdmit journals a ticket admission and returns its mark.
+// Callers hold p.jmu.
+func (j *Journal) appendAdmit(tk *Ticket) int64 {
 	payload := []byte{recAdmit}
 	payload = appendAdmitFields(payload, admitRec{
 		seq: tk.seq, user: tk.user, tool: tk.tool, input: tk.input,
 		queuedAt: tk.queuedAt, deadline: tk.deadline, replayed: tk.replayed,
 	})
-	j.append(recAdmit, payload)
+	return j.append(recAdmit, payload)
 }
 
 // appendStart journals a queued→running transition.
-func (j *Journal) appendStart(seq uint64) {
+func (j *Journal) appendStart(seq uint64) int64 {
 	payload := []byte{recStart}
 	payload = appendUvarint(payload, seq)
-	j.append(recStart, payload)
+	return j.append(recStart, payload)
 }
 
 // appendDone journals a terminal transition.
-func (j *Journal) appendDone(d doneRec) {
+func (j *Journal) appendDone(d doneRec) int64 {
 	payload := []byte{recDone}
 	payload = appendUvarint(payload, d.seq)
 	payload = append(payload, d.state)
 	payload = appendBool(payload, d.ran)
 	payload = appendJobResult(payload, d.res)
-	j.append(recDone, payload)
+	return j.append(recDone, payload)
 }
 
 // appendShed journals a shed admission's quota-bucket touch.
-func (j *Journal) appendShed(user string, now time.Time) {
+func (j *Journal) appendShed(user string, now time.Time) int64 {
 	payload := []byte{recShed}
 	payload = appendString(payload, user)
 	payload = appendTime(payload, now)
-	j.append(recShed, payload)
+	return j.append(recShed, payload)
 }
 
 // poolSnapshot is the full recoverable pool state — what a snapshot

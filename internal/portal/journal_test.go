@@ -2,10 +2,12 @@ package portal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -312,5 +314,286 @@ func TestJournalWriteErrorWedgesJournalNotPool(t *testing.T) {
 	}
 	if got := ob.Snapshot().Metrics.Counters["pool_journal_errors_total"]; got != 1 {
 		t.Fatalf("pool_journal_errors_total = %d, want 1 (first error only)", got)
+	}
+}
+
+// serialJournalDigest is the SHA-256 of the journal TestJournalSerialDigest
+// writes. The on-disk format and the record order of a serial run are
+// fixed, so this changes only with the format itself.
+const serialJournalDigest = "53abf6eb0a8eef2afa54b249a9e5d3ee79bdf7fdfc571192d6f9297b7ee5999f"
+
+// TestJournalSerialDigest pins the exact bytes of a serial run's
+// journal — one worker, one submitter, a fake clock, timers that never
+// fire — covering every record kind: admits, starts, dones, quota
+// sheds, a deadline expired on pop, periodic compaction snapshots and
+// Close's snapshot.
+func TestJournalSerialDigest(t *testing.T) {
+	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), time.Millisecond)
+	never := func(time.Duration) <-chan time.Time { return nil }
+	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk.Now, After: never,
+		QuotaRate: 50, QuotaBurst: 3, HistoryLimit: 4}, JournalOpts{CompactEvery: 7})
+	if err := p.Register(echoTool()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		user := []string{"alice", "bob"}[i%2]
+		if _, err := p.Submit(user, "echo", fmt.Sprintf("%s/%d", user, i)); err != nil && !errors.Is(err, ErrQuotaExceeded) {
+			t.Fatal(err)
+		}
+	}
+	tk, err := p.SubmitAsyncOpts("carol", "echo", "late", TicketOpts{Deadline: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(nil); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("Wait = %v, want ErrDeadline", err)
+	}
+	p.Close()
+	data := ms.Bytes()
+
+	kinds := map[byte]int{}
+	for off := 0; off+8 <= len(data); off += 8 + int(binary.LittleEndian.Uint32(data[off:])) {
+		kinds[data[off+8]]++
+	}
+	for kind := recAdmit; kind <= recShed; kind++ {
+		if kinds[kind] == 0 {
+			t.Fatalf("no %s record in the serial run: %v", recKindName(kind), kinds)
+		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != serialJournalDigest {
+		t.Fatalf("serial journal digest = %s, want %s (%d bytes, records by kind %v)",
+			got, serialJournalDigest, len(data), kinds)
+	}
+}
+
+// slowSyncer is a journal target whose Sync takes a while, like an
+// fsync, and records what it made durable: covered is how many bytes
+// had been written when the latest finished Sync began.
+type slowSyncer struct {
+	delay time.Duration
+	fail  int // Syncs that succeed before every later one fails (0 = never fail)
+
+	mu      sync.Mutex
+	buf     bytes.Buffer
+	covered int
+	syncs   int
+}
+
+func (s *slowSyncer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.Write(p)
+}
+
+func (s *slowSyncer) Sync() error {
+	s.mu.Lock()
+	start := s.buf.Len()
+	s.syncs++
+	failed := s.fail > 0 && s.syncs > s.fail
+	s.mu.Unlock()
+	time.Sleep(s.delay)
+	if failed {
+		return errors.New("fsync: I/O error")
+	}
+	s.mu.Lock()
+	s.covered = start
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *slowSyncer) durableBytes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.covered
+}
+
+func (s *slowSyncer) syncCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.syncs
+}
+
+func (s *slowSyncer) Bytes() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]byte(nil), s.buf.Bytes()...)
+}
+
+// frameEnd returns the offset just past the journal record of the
+// given kind (admit, start, or done) for ticket seq, or -1.
+func frameEnd(data []byte, kind byte, seq uint64) int {
+	for off := 0; off+8 <= len(data); {
+		end := off + 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		if data[off+8] == kind {
+			if s, n := binary.Uvarint(data[off+9:]); n > 0 && s == seq {
+				return end
+			}
+		}
+		off = end
+	}
+	return -1
+}
+
+// TestJournalGroupCommitDurableBeforeAck checks the durability
+// contract with syncs shared across concurrent transitions: SubmitAsync
+// returns only after a finished Sync covers the admit record, the tool
+// runs only after one covers the start record, and Wait returns only
+// after one covers the done record.
+func TestJournalGroupCommitDurableBeforeAck(t *testing.T) {
+	ss := &slowSyncer{delay: time.Millisecond}
+	ob := obs.NewObserver(nil)
+	p := NewPool(PoolConfig{Workers: 4, QueueDepth: 64, Observer: ob,
+		Journal: NewJournal(ss, JournalOpts{})})
+	var atRun sync.Map // input → durable bytes when Run began
+	if err := p.Register(toolFunc{name: "rec", desc: "records durability at start",
+		run: func(input string, cancel <-chan struct{}) (string, error) {
+			atRun.Store(input, ss.durableBytes())
+			return input, nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	const users, jobs = 8, 10
+	var mu sync.Mutex
+	tickets := map[string]*Ticket{}
+	var wg sync.WaitGroup
+	for u := 0; u < users; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			for i := 0; i < jobs; i++ {
+				input := fmt.Sprintf("u%d/%d", u, i)
+				tk, err := p.SubmitAsync(fmt.Sprintf("u%d", u), "rec", input)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, want := ss.durableBytes(), frameEnd(ss.Bytes(), recAdmit, tk.seq); want < 0 || got < want {
+					t.Errorf("%s: SubmitAsync returned with %d bytes durable, admit record ends at %d", input, got, want)
+				}
+				if _, err := tk.Wait(nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if got, want := ss.durableBytes(), frameEnd(ss.Bytes(), recDone, tk.seq); want < 0 || got < want {
+					t.Errorf("%s: Wait returned with %d bytes durable, done record ends at %d", input, got, want)
+				}
+				mu.Lock()
+				tickets[input] = tk
+				mu.Unlock()
+			}
+		}(u)
+	}
+	wg.Wait()
+	p.Close()
+
+	data := ss.Bytes()
+	for input, tk := range tickets {
+		v, ok := atRun.Load(input)
+		if !ok {
+			t.Fatalf("%s never ran", input)
+		}
+		if want := frameEnd(data, recStart, tk.seq); want < 0 || v.(int) < want {
+			t.Errorf("%s: tool ran with %d bytes durable, start record ends at %d", input, v, want)
+		}
+	}
+	// Stats and the counters count a record once a Sync covers it: after
+	// Close every record is covered.
+	records, nbytes := p.Journal().Stats()
+	if want := int64(3*users*jobs + 1); records != want || nbytes != int64(len(data)) {
+		t.Fatalf("Stats = %d records / %d bytes, want %d / %d", records, nbytes, want, len(data))
+	}
+	m := ob.Snapshot().Metrics.Counters
+	if m["pool_journal_bytes_total"] != nbytes {
+		t.Fatalf("pool_journal_bytes_total = %d, want %d", m["pool_journal_bytes_total"], nbytes)
+	}
+	if got, want := m["pool_journal_syncs_total"], int64(ss.syncCount()); got != want {
+		t.Fatalf("pool_journal_syncs_total = %d, want the %d Syncs made", got, want)
+	}
+}
+
+// TestJournalGroupCommitBatchesSyncs: concurrent submitters share
+// fsyncs, so there are fewer Syncs than records.
+func TestJournalGroupCommitBatchesSyncs(t *testing.T) {
+	ss := &slowSyncer{delay: time.Millisecond}
+	p := NewPool(PoolConfig{Workers: 4, QueueDepth: 64, Observer: obs.NewObserver(nil),
+		Journal: NewJournal(ss, JournalOpts{})})
+	if err := p.Register(echoTool()); err != nil {
+		t.Fatal(err)
+	}
+	const submitters, jobs = 32, 4
+	var wg sync.WaitGroup
+	for u := 0; u < submitters; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			for i := 0; i < jobs; i++ {
+				if _, err := p.Submit(fmt.Sprintf("u%d", u), "echo", "x"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(u)
+	}
+	wg.Wait()
+	p.Close()
+	records, _ := p.Journal().Stats()
+	if records != 3*submitters*jobs+1 {
+		t.Fatalf("journal holds %d records, want %d", records, 3*submitters*jobs+1)
+	}
+	if syncs := ss.syncCount(); int64(syncs) >= records {
+		t.Fatalf("%d Syncs for %d records: concurrent transitions did not share fsyncs", syncs, records)
+	}
+}
+
+// TestJournalSyncErrorWedgesJournalNotPool: a failing Sync wedges the
+// journal — waiters return, nothing more is written — while the pool
+// keeps serving every submission.
+func TestJournalSyncErrorWedgesJournalNotPool(t *testing.T) {
+	ob := obs.NewObserver(nil)
+	ss := &slowSyncer{delay: 100 * time.Microsecond, fail: 3}
+	p := NewPool(PoolConfig{Workers: 2, QueueDepth: 64, Observer: ob,
+		Journal: NewJournal(ss, JournalOpts{})})
+	defer p.Close()
+	if err := p.Register(echoTool()); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for u := 0; u < 4; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if _, err := p.Submit(fmt.Sprintf("u%d", u), "echo", "x"); err != nil {
+					t.Errorf("pool must keep serving after a failed fsync: %v", err)
+					return
+				}
+			}
+		}(u)
+	}
+	wg.Wait()
+	err := p.Journal().Err()
+	if err == nil || !strings.Contains(err.Error(), "journal sync") {
+		t.Fatalf("journal Err = %v, want the sync error", err)
+	}
+	for u := 0; u < 4; u++ {
+		if n := len(p.History(fmt.Sprintf("u%d", u))); n != 5 {
+			t.Fatalf("u%d history = %d entries, want 5", u, n)
+		}
+	}
+	if got := ob.Snapshot().Metrics.Counters["pool_journal_errors_total"]; got != 1 {
+		t.Fatalf("pool_journal_errors_total = %d, want 1 (first error only)", got)
+	}
+	// Only the records the three good Syncs covered count as durable.
+	records, nbytes := p.Journal().Stats()
+	if nbytes != int64(ss.durableBytes()) || records == 0 {
+		t.Fatalf("Stats = %d records / %d bytes, want the %d bytes the good Syncs covered",
+			records, nbytes, ss.durableBytes())
+	}
+	written := len(ss.Bytes())
+	if _, err := p.Submit("late", "echo", "x"); err != nil {
+		t.Fatal(err)
+	}
+	if len(ss.Bytes()) != written {
+		t.Fatal("a wedged journal must write no further bytes")
 	}
 }

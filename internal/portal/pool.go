@@ -126,8 +126,8 @@ type PoolConfig struct {
 	UserClass func(user string) string
 
 	// Journal, when non-nil, makes the ticket lifecycle durable: every
-	// admission and transition is framed, checksummed, and synced to
-	// the journal's writer before it becomes observable, and
+	// admission and transition is framed, checksummed, written to the
+	// journal's writer, and synced before it becomes observable, and
 	// RecoverPool replays the log into a warm pool after a restart.
 	// Nil (the default) costs the hot path nothing.
 	Journal *Journal
@@ -264,7 +264,7 @@ type Pool struct {
 
 	// The wiring below is fixed by newPool and read without a lock.
 	clock func() time.Time
-	after func(time.Duration) <-chan time.Time
+	after func(time.Duration) <-chan time.Time // nil = real timers
 	obs   *obs.Observer
 	lm    *lifecycleMetrics
 
@@ -282,8 +282,11 @@ type Pool struct {
 	// jmu is the recovery-consistency lock: it guards the sequence
 	// counter, the live-ticket set (every non-terminal ticket), the
 	// conservation ledger, and every journal append — so a compaction
-	// snapshot can never observe a ticket half-transitioned. Lock
-	// order: jmu before histMu, tk.mu, and quota.mu; never the reverse.
+	// snapshot can never observe a ticket half-transitioned, and the
+	// record order on disk is the jmu order. The wait for a record's
+	// Sync (Journal.durable) happens after jmu is released, so
+	// transitions share fsyncs. Lock order: jmu before histMu, tk.mu,
+	// quota.mu, and the journal's own lock; never the reverse.
 	jmu    sync.Mutex
 	jr     *Journal // nil = journaling off
 	seq    uint64   // last assigned ticket sequence
@@ -324,10 +327,6 @@ func newPool(cfg PoolConfig) *Pool {
 	if cfg.Clock != nil {
 		clock = cfg.Clock
 	}
-	after := time.After
-	if cfg.After != nil {
-		after = cfg.After
-	}
 	observer := obs.Default()
 	if cfg.Observer != nil {
 		observer = cfg.Observer
@@ -338,7 +337,7 @@ func newPool(cfg PoolConfig) *Pool {
 		breakers:  map[string]*Breaker{},
 		toolStats: map[string]*toolMetrics{},
 		clock:     clock,
-		after:     after,
+		after:     cfg.After,
 		obs:       observer,
 		lm:        resolveLifecycleMetrics(observer),
 		rngState:  cfg.Seed,
@@ -350,6 +349,31 @@ func newPool(cfg PoolConfig) *Pool {
 	p.fq = newFairQueue(cfg.QueueDepth, perUserCap)
 	p.jr.bind(p.obs)
 	return p
+}
+
+// poolTimer is one timer armed by Pool.timer: C fires once after the
+// duration. Stop it when done waiting — a real timer that is never
+// stopped stays allocated until it fires.
+type poolTimer struct {
+	C <-chan time.Time
+	t *time.Timer // nil for an injected PoolConfig.After timer
+}
+
+// timer arms a timer for d: a stoppable real timer, or the injected
+// PoolConfig.After channel.
+func (p *Pool) timer(d time.Duration) poolTimer {
+	if p.after != nil {
+		return poolTimer{C: p.after(d)}
+	}
+	t := time.NewTimer(d)
+	return poolTimer{C: t.C, t: t}
+}
+
+// Stop releases a real timer early; a no-op for an injected one.
+func (t poolTimer) Stop() {
+	if t.t != nil {
+		t.t.Stop()
+	}
 }
 
 // start launches the worker goroutines.
@@ -384,7 +408,9 @@ func (p *Pool) Close() { p.shutdown(nil) }
 // admitted ticket still terminates exactly once. Reports whether the
 // graceful drain finished within budget.
 func (p *Pool) CloseWithTimeout(d time.Duration) bool {
-	return p.shutdown(p.after(d))
+	t := p.timer(d)
+	defer t.Stop()
+	return p.shutdown(t.C)
 }
 
 // shutdown is the one close path: drain gracefully until timer fires,
@@ -612,17 +638,19 @@ func (p *Pool) SubmitAsyncOpts(user, tool, input string, opts TicketOpts) (*Tick
 	}
 	// Admission bookkeeping is atomic with the push: under jmu the
 	// ticket gets its sequence, enters the live set and the ledger,
-	// and its admit record is durable — all before any worker can
-	// finish it (finishing takes jmu too) and before SubmitAsync
-	// acknowledges the ticket to the caller.
+	// and its admit record is written — all before any worker can
+	// finish it (finishing takes jmu too). The record is durable
+	// before SubmitAsync acknowledges the ticket to the caller.
 	p.seq++
 	tk.seq = p.seq
 	p.ledger.Admitted++
 	p.live[tk.seq] = tk
+	var mark int64
 	if p.jr != nil {
-		p.jr.appendAdmit(tk)
+		mark = p.jr.appendAdmit(tk)
 	}
 	p.jmu.Unlock()
+	p.jr.durable(mark)
 	lm.admitted.Inc()
 	ob.Gauge("pool_queue_depth").Add(1)
 	if d > 0 {
@@ -651,8 +679,10 @@ func (p *Pool) Submit(user, tool, input string) (JobResult, error) {
 // expiry is deterministic under a fake clock even if the fake timer
 // never fires.)
 func (p *Pool) watchTicket(tk *Ticket, d time.Duration) {
+	t := p.timer(d)
+	defer t.Stop()
 	select {
-	case <-p.after(d):
+	case <-t.C:
 		p.expireTicket(tk)
 	case <-tk.done:
 	}
@@ -712,9 +742,12 @@ func (p *Pool) startTicket(tk *Ticket, now time.Time) bool {
 	tk.state = TicketRunning
 	tk.mu.Unlock()
 	if p.jr != nil {
+		// The start record is durable before the tool runs, so a re-run
+		// after a crash is always marked Replayed.
 		p.jmu.Lock()
-		p.jr.appendStart(tk.seq)
+		mark := p.jr.appendStart(tk.seq)
 		p.jmu.Unlock()
+		p.jr.durable(mark)
 	}
 	return true
 }
@@ -731,7 +764,9 @@ func (p *Pool) startTicket(tk *Ticket, now time.Time) bool {
 // is the deadline-expiry site; a run takes it from the quit interrupt.
 // History, ledger, live-set removal, and the journal's done record
 // commit atomically under jmu, so a compaction snapshot sees the
-// ticket either live or durably terminal, never between.
+// ticket either live or terminal, never between; the done record (and
+// any compaction snapshot written with it) is durable before the
+// ticket reads as done.
 func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool, where string) {
 	state, doneState := "completed", doneCompleted
 	switch {
@@ -776,11 +811,15 @@ func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool, where st
 
 	p.ledger.count(doneState)
 	delete(p.live, tk.seq)
+	var mark int64
 	if p.jr != nil {
-		p.jr.appendDone(doneRec{seq: tk.seq, state: doneState, ran: ran, res: res})
-		p.maybeCompactLocked()
+		mark = p.jr.appendDone(doneRec{seq: tk.seq, state: doneState, ran: ran, res: res})
+		if p.jr.wantsCompact() {
+			mark = p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
+		}
 	}
 	p.jmu.Unlock()
+	p.jr.durable(mark)
 
 	if !ran {
 		tk.br.Release()
@@ -843,7 +882,7 @@ func (p *Pool) worker() {
 // channel fires (deadline or cancel) — then breaker recording and
 // telemetry.
 func (p *Pool) runJob(tk *Ticket) (JobResult, error) {
-	ob, clock, after := p.obs, p.clock, p.after
+	ob, clock := p.obs, p.clock
 	ob.Gauge("pool_jobs_inflight").Add(1)
 	start := clock()
 
@@ -856,18 +895,20 @@ func (p *Pool) runJob(tk *Ticket) (JobResult, error) {
 	attempt := 0
 	for {
 		attempt++
-		res, rawErr = execTool(tk, p.cfg.Timeout, after, ob)
+		res, rawErr = execTool(tk, p.cfg.Timeout, ob)
 		if rawErr == nil || attempt >= maxAttempts || res.TimedOut || !IsTransient(rawErr) {
 			break
 		}
 		ob.Counter("pool_retries").Inc()
 		tk.tm.retries.Inc()
 		interrupted := false
+		backoff := p.timer(p.cfg.Retry.Delay(attempt, p.jitter()))
 		select {
-		case <-after(p.cfg.Retry.Delay(attempt, p.jitter())):
+		case <-backoff.C:
 		case <-tk.quit:
 			interrupted = true
 		}
+		backoff.Stop()
 		if interrupted {
 			// Deadline or cancellation landed during the backoff —
 			// possibly one shorter than the backoff itself. The next
@@ -936,8 +977,7 @@ type runOutcome struct {
 // The returned error is the tool's raw error (nil on success), kept
 // alongside the stringified JobResult.Err so callers can classify it
 // (IsTransient, ErrToolPanic) without string matching.
-func execTool(tk *Ticket, timeout time.Duration,
-	after func(time.Duration) <-chan time.Time, ob *obs.Observer) (JobResult, error) {
+func execTool(tk *Ticket, timeout time.Duration, ob *obs.Observer) (JobResult, error) {
 	t, tool, input, tm := tk.t, tk.tool, tk.input, tk.tm
 	cancel := make(chan struct{})
 	done := make(chan runOutcome, 1)
@@ -955,23 +995,27 @@ func execTool(tk *Ticket, timeout time.Duration,
 	res := JobResult{Tool: tool}
 	var rawErr error
 	interrupted := false
+	limit := tk.p.timer(timeout)
 	select {
 	case o := <-done:
 		res.Output = o.out
 		rawErr = o.err
 	case <-tk.quit:
 		interrupted = true
-	case <-after(timeout):
+	case <-limit.C:
 		res.TimedOut = true
 	}
+	limit.Stop()
 	if interrupted || res.TimedOut {
 		close(cancel)
 		// Give the tool a short grace period to acknowledge.
+		grace := tk.p.timer(GracePeriod)
+		defer grace.Stop()
 		select {
 		case o := <-done:
 			res.Output = o.out
 			rawErr = o.err
-		case <-after(GracePeriod):
+		case <-grace.C:
 			// The tool ignored cancellation: its goroutine keeps
 			// running detached. Make the runaway visible instead of
 			// silently dropping it, and drain its outcome when it
@@ -1068,8 +1112,9 @@ func (p *Pool) journalShed(user string, now time.Time) {
 		return
 	}
 	p.jmu.Lock()
-	p.jr.appendShed(user, now)
+	mark := p.jr.appendShed(user, now)
 	p.jmu.Unlock()
+	p.jr.durable(mark)
 }
 
 // snapshotLocked assembles the pool's full recoverable state.
@@ -1100,14 +1145,6 @@ func (p *Pool) snapshotLocked() *poolSnapshot {
 	return s
 }
 
-// maybeCompactLocked appends a compaction snapshot once the journal's
-// record budget since the last one is spent. Callers hold p.jmu.
-func (p *Pool) maybeCompactLocked() {
-	if p.jr != nil && p.jr.wantsCompact() {
-		p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
-	}
-}
-
 // CompactJournal appends a snapshot record now, letting operators (and
 // Close) bound replay work regardless of JournalOpts.CompactEvery.
 // No-op without a journal.
@@ -1116,8 +1153,9 @@ func (p *Pool) CompactJournal() {
 		return
 	}
 	p.jmu.Lock()
-	p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
+	mark := p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
 	p.jmu.Unlock()
+	p.jr.durable(mark)
 }
 
 // Journal returns the pool's attached journal (nil when journaling is

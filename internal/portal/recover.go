@@ -309,10 +309,12 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 	// first record, so recovery-after-recovery never needs the old
 	// log. Restored tickets snapshot as queued — none has started in
 	// this pool yet.
+	var mark int64
 	if p.jr != nil {
-		p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
+		mark = p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
 	}
 	p.jmu.Unlock()
+	p.jr.durable(mark)
 	rep.Ledger = st.ledger
 
 	// Dispatch live tickets in original admission order. restore
