@@ -22,7 +22,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sta", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	wire := fs.Bool("wire", false, "include Elmore wire delays from routing")
+	wire := fs.Bool("wire", false, "add one uniform RC-line delay, at the mean routed wirelength, to every gate")
 	buckets := fs.Int("hist", 5, "slack histogram buckets (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -27,7 +27,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vlsicad", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	wire := fs.Bool("wire", false, "include Elmore wire delays in timing")
+	wire := fs.Bool("wire", false, "add one uniform RC-line delay, at the mean routed wirelength, to every gate")
 	checkDRC := fs.Bool("drc", false, "design-rule-check the routed wires (violations exit nonzero)")
 	seed := fs.Int64("seed", 1, "seed for randomized stages")
 	workers := fs.Int("workers", 0, "placement workers (0 = GOMAXPROCS, 1 = serial; result is identical either way)")

@@ -127,7 +127,10 @@ type event struct {
 }
 
 // sweepLayer finds same-layer shorts (different-net overlaps) and
-// spacing violations with an x-sweep and an active set.
+// spacing violations with an x-sweep and an active set. Each shape
+// enters and leaves the active set once, so a pair of shapes is
+// examined at most once: when the later of the two is inserted, if the
+// earlier is still active.
 func sweepLayer(layer string, rects []Rect, spacing int) []Violation {
 	var events []event
 	for i, r := range rects {
@@ -140,7 +143,6 @@ func sweepLayer(layer string, rects []Rect, spacing int) []Violation {
 		return !events[i].insert && events[j].insert // removals first
 	})
 	active := map[int]bool{}
-	seen := map[[2]int]bool{}
 	var out []Violation
 	for _, e := range events {
 		if !e.insert {
@@ -150,26 +152,17 @@ func sweepLayer(layer string, rects []Rect, spacing int) []Violation {
 		r := rects[e.idx]
 		for j := range active {
 			s := rects[j]
-			a, b := e.idx, j
-			if a > b {
-				a, b = b, a
-			}
-			if seen[[2]int{a, b}] {
-				continue
-			}
 			if r.Net == s.Net {
 				continue // same net may touch itself
 			}
 			switch {
 			case r.overlaps(s):
-				seen[[2]int{a, b}] = true
 				out = append(out, Violation{
 					Rule: "short", Layer: layer,
 					Nets: orderedNets(r.Net, s.Net),
 					At:   intersection(r, s),
 				})
 			case r.expand(spacing).overlaps(s):
-				seen[[2]int{a, b}] = true
 				out = append(out, Violation{
 					Rule: "spacing", Layer: layer,
 					Nets: orderedNets(r.Net, s.Net),

@@ -3,6 +3,7 @@ package drc
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,6 +69,72 @@ func TestCheckOrderIndependent(t *testing.T) {
 		if got := Check(shuffled, DefaultRules()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("shuffle %d: violations differ:\n got %v\nwant %v", i, got, want)
 		}
+	}
+}
+
+// allPairsCheck is Check's reference: it tests every pair of shapes on
+// a layer directly, with no sweep. Violations come back as sorted
+// strings, which carry every field.
+func allPairsCheck(shapes []Rect, rules Rules) []string {
+	var out []string
+	for i, r := range shapes {
+		if !r.Valid() {
+			out = append(out, Violation{Rule: "degenerate", Layer: r.Layer, Nets: [2]string{r.Net, r.Net}, At: r}.String())
+			continue
+		}
+		if mw, ok := rules.MinWidth[r.Layer]; ok && r.Width() < mw {
+			out = append(out, Violation{Rule: "width", Layer: r.Layer, Nets: [2]string{r.Net, r.Net}, At: r}.String())
+		}
+		for _, s := range shapes[:i] {
+			if !s.Valid() || s.Layer != r.Layer || s.Net == r.Net {
+				continue
+			}
+			switch {
+			case r.overlaps(s):
+				out = append(out, Violation{Rule: "short", Layer: r.Layer, Nets: orderedNets(r.Net, s.Net), At: intersection(r, s)}.String())
+			case r.expand(rules.MinSpacing[r.Layer]).overlaps(s):
+				out = append(out, Violation{Rule: "spacing", Layer: r.Layer, Nets: orderedNets(r.Net, s.Net), At: gapRegion(r, s)}.String())
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestCheckMatchesAllPairs compares the sweep with the all-pairs
+// reference on seeded random dirty layouts: every pair violation is
+// found, and none twice.
+func TestCheckMatchesAllPairs(t *testing.T) {
+	pairs := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rules := Rules{
+			MinWidth:   map[string]int{"metal1": 2, "metal2": 1 + rng.Intn(3)},
+			MinSpacing: map[string]int{"metal1": rng.Intn(4), "metal2": 1 + rng.Intn(3)},
+		}
+		shapes := make([]Rect, 5+rng.Intn(40))
+		for i := range shapes {
+			x, y := rng.Intn(30), rng.Intn(30)
+			shapes[i] = Rect{
+				Layer: []string{"metal1", "metal2"}[rng.Intn(2)],
+				Net:   string(rune('a' + rng.Intn(5))),
+				X0:    x, Y0: y, X1: x + rng.Intn(9), Y1: y + rng.Intn(9),
+			}
+		}
+		var got []string
+		for _, v := range Check(shapes, rules) {
+			got = append(got, v.String())
+			if v.Rule == "short" || v.Rule == "spacing" {
+				pairs++
+			}
+		}
+		slices.Sort(got)
+		if want := allPairsCheck(shapes, rules); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Check found %d violations, all pairs %d:\n got %v\nwant %v", seed, len(got), len(want), got, want)
+		}
+	}
+	if pairs < 1000 {
+		t.Fatalf("only %d pair violations over all seeds: layouts are not dirty enough", pairs)
 	}
 }
 

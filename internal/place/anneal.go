@@ -48,11 +48,8 @@ import (
 // AnnealOpts tunes the annealer.
 type AnnealOpts struct {
 	Seed      int64
-	MovesPerT int // moves per temperature (default 10·NCells capped at 20000)
-	// InitialTemp defaults to the mean |ΔHPWL| of 50 probe moves: 20×
-	// it from a random start, 1× it from Initial.
-	InitialTemp float64
-	Cooling     float64 // geometric factor (default 0.92)
+	MovesPerT int     // moves per temperature (default 10·NCells capped at 20000)
+	Cooling   float64 // geometric factor (default 0.92)
 	// MinTemp, when set, stops the run once T ≤ MinTemp. The default
 	// (0) stops once T < 0.005 · cost / len(Nets), checked at every
 	// temperature step; a zero-cost placement stops at once.
@@ -457,15 +454,13 @@ func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, c
 		cost += sc.netCost[ni]
 	}
 
-	temp := opts.InitialTemp
-	if temp <= 0 {
-		// 20× randomises a random start; 1× keeps a given one.
-		scale := 1.0
-		if opts.Initial == nil {
-			scale = 20
-		}
-		temp = estimateInitialTemp(p, sh, sc, pl, rng, scale)
+	// The start temperature is the mean |ΔHPWL| of probe moves: 20×
+	// randomises a random start; 1× keeps a given one.
+	scale := 1.0
+	if opts.Initial == nil {
+		scale = 20
 	}
+	temp := estimateInitialTemp(p, sh, sc, pl, rng, scale)
 	// The range limiter's window radius, in slots: the whole grid
 	// until the acceptance ratio falls below 0.44.
 	fullGrid := float64(max(sh.cols, sh.rows))

@@ -35,9 +35,7 @@ import (
 
 // QuadraticOpts tunes the placer.
 type QuadraticOpts struct {
-	MaxDepth int     // recursion depth limit (0 = derive from size)
-	LeafSize int     // stop splitting below this many cells (default 3)
-	Tol      float64 // CG tolerance (default 1e-8)
+	LeafSize int // stop splitting below this many cells (default 3)
 
 	// Workers bounds how many regions of one bipartition level solve
 	// concurrently: 0 means GOMAXPROCS, 1 forces serial execution. The
@@ -51,6 +49,9 @@ type QuadraticOpts struct {
 	// for any Workers value; callers time levels on their own clock.
 	OnLevel func(QuadLevelStats)
 }
+
+// quadTol is the CG tolerance of every region solve.
+const quadTol = 1e-8
 
 // QuadLevelStats reports one bipartition level of a quadratic
 // placement run.
@@ -71,12 +72,9 @@ func Quadratic(p *Problem, opts QuadraticOpts) (*Placement, error) {
 	if opts.LeafSize <= 0 {
 		opts.LeafSize = 3
 	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-8
-	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 2 * int(math.Ceil(math.Log2(float64(p.NCells+1))))
-	}
+	// A region stops splitting at twice the depth that would reach
+	// single cells.
+	maxDepth := 2 * int(math.Ceil(math.Log2(float64(p.NCells+1))))
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -105,13 +103,13 @@ func Quadratic(p *Problem, opts QuadraticOpts) (*Placement, error) {
 		process := func(ti int, sc *quadScratch) {
 			t := cur[ti]
 			cells := order[t.lo:t.hi]
-			it, err := sc.solve(p, pl, cells, t.region, opts.Tol, snapX, snapY)
+			it, err := sc.solve(p, pl, cells, t.region, quadTol, snapX, snapY)
 			iters[ti] = it
 			if err != nil {
 				errs[ti] = err
 				return
 			}
-			if len(cells) <= opts.LeafSize || t.depth >= opts.MaxDepth {
+			if len(cells) <= opts.LeafSize || t.depth >= maxDepth {
 				spreadInRegion(pl, cells, t.region)
 				return
 			}

@@ -14,6 +14,7 @@ import (
 var ErrCircuitOpen = errors.New("circuit open: tool is shedding load")
 
 // BreakerState is the classic three-state circuit-breaker machine.
+// Its values are what the portal_breaker_state{tool} gauge reports.
 type BreakerState int
 
 const (

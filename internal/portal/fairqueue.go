@@ -3,6 +3,8 @@ package portal
 import (
 	"errors"
 	"sync"
+
+	"vlsicad/internal/obs"
 )
 
 // errFairShare is fairQueue.push's internal signal that the user's
@@ -40,6 +42,12 @@ type fairQueue struct {
 	capTotal   int // QueueDepth
 	perUserCap int // FairShare × QueueDepth
 
+	// depth is the pool_queue_depth gauge, set from size under mu by
+	// every call that changes size (nil = no gauge).
+	depth *obs.Gauge
+
+	// closed is the pool's one closed flag: it stops admissions here
+	// and tells Pool.closing that Close has begun.
 	closed bool
 }
 
@@ -71,6 +79,7 @@ func (fq *fairQueue) push(tk *Ticket) error {
 	}
 	lane.q = append(lane.q, tk)
 	fq.size++
+	fq.depth.Set(float64(fq.size))
 	fq.cond.Signal()
 	return nil
 }
@@ -87,6 +96,7 @@ func (fq *fairQueue) restore(tk *Ticket) {
 	lane := fq.lane(tk.user)
 	lane.q = append(lane.q, tk)
 	fq.size++
+	fq.depth.Set(float64(fq.size))
 	fq.cond.Signal()
 }
 
@@ -114,6 +124,7 @@ func (fq *fairQueue) pop() *Ticket {
 		if tk, lane := fq.next(); tk != nil {
 			lane.inflight++
 			fq.size--
+			fq.depth.Set(float64(fq.size))
 			return tk
 		}
 		if fq.closed && fq.size == 0 {
@@ -201,12 +212,13 @@ func (fq *fairQueue) release(user string) {
 }
 
 // closeQueue stops admissions; queued tickets remain for the workers
-// to drain.
-func (fq *fairQueue) closeQueue() {
+// to drain. It reports whether the queue was already closed.
+func (fq *fairQueue) closeQueue() (already bool) {
 	fq.mu.Lock()
-	fq.closed = true
+	defer fq.mu.Unlock()
+	already, fq.closed = fq.closed, true
 	fq.cond.Broadcast()
-	fq.mu.Unlock()
+	return already
 }
 
 // drainAll rips every queued ticket out of the lanes (per-lane FIFO
@@ -221,6 +233,7 @@ func (fq *fairQueue) drainAll() []*Ticket {
 		lane.q = nil
 	}
 	fq.size = 0
+	fq.depth.Set(0)
 	fq.cond.Broadcast()
 	return out
 }

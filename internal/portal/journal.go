@@ -95,9 +95,11 @@ const maxRecordLen = 1 << 28
 // JournalOpts tunes a Journal.
 type JournalOpts struct {
 	// CompactEvery makes the pool append a snapshot record after this
-	// many non-snapshot records, bounding replay work after a crash
-	// (0 disables automatic compaction; Pool.CompactJournal still
-	// snapshots on demand).
+	// many non-snapshot records (0 disables automatic compaction;
+	// Pool.CompactJournal still snapshots on demand). Replay resets its
+	// state at each snapshot, but the journal never shrinks, and
+	// RecoverPool still reads the whole file and decodes every record
+	// from offset 0, so a snapshot does not bound replay work.
 	CompactEvery int
 }
 

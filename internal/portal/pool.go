@@ -172,6 +172,15 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	return c
 }
 
+// toolEntry is one registered tool with its circuit breaker and its
+// labeled series: the pool's one tool table maps names to these, and
+// each ticket holds its tool's entry.
+type toolEntry struct {
+	t  Tool
+	br *Breaker
+	tm *toolMetrics
+}
+
 // toolMetrics caches one tool's labeled series, resolved once at
 // Register so the worker hot path pays only the child metric's atomic
 // cost — never a label lookup per job.
@@ -183,7 +192,7 @@ type toolMetrics struct {
 	shedBreaker  *obs.Counter   // pool_tool_shed_total{tool,reason=breaker}
 	shedQuota    *obs.Counter   // pool_tool_shed_total{tool,reason=quota}
 	seconds      *obs.Histogram // pool_tool_job_seconds{tool}
-	breakerState *obs.Gauge     // portal_breaker_state{tool}: 0 closed, 1 open, 2 half-open
+	breakerState *obs.Gauge     // portal_breaker_state{tool}: the BreakerState value
 }
 
 // resolveToolMetrics binds one tool's labeled children on the given
@@ -205,44 +214,31 @@ func resolveToolMetrics(ob *obs.Observer, tool string) *toolMetrics {
 // lifecycleMetrics caches the ticket-lifecycle series so the
 // admission and completion hot paths never pay a label lookup.
 type lifecycleMetrics struct {
-	queueWait   *obs.Histogram  // pool_queue_wait_seconds
-	admitted    *obs.Counter    // pool_tickets_total{state=admitted}
-	completed   *obs.Counter    // pool_tickets_total{state=completed}
-	expired     *obs.Counter    // pool_tickets_total{state=expired}
-	cancelled   *obs.Counter    // pool_tickets_total{state=cancelled}
-	replayed    *obs.Counter    // pool_tickets_total{state=replayed}: completed re-runs after recovery
-	expQueued   *obs.Counter    // pool_deadline_expiries_total{where=queued}
-	expRunning  *obs.Counter    // pool_deadline_expiries_total{where=running}
-	expDraining *obs.Counter    // pool_deadline_expiries_total{where=draining}
-	quotaSheds  *obs.CounterVec // pool_quota_sheds_total{user_class}
+	queueWait  *obs.Histogram  // pool_queue_wait_seconds
+	admitted   *obs.Counter    // pool_tickets_total{state=admitted}
+	completed  *obs.Counter    // pool_tickets_total{state=completed}
+	expired    *obs.Counter    // pool_tickets_total{state=expired}
+	cancelled  *obs.Counter    // pool_tickets_total{state=cancelled}
+	replayed   *obs.Counter    // pool_tickets_total{state=replayed}: completed re-runs after recovery
+	expiries   *obs.CounterVec // pool_deadline_expiries_total{where}
+	quotaSheds *obs.CounterVec // pool_quota_sheds_total{user_class}
 }
 
 func resolveLifecycleMetrics(ob *obs.Observer) *lifecycleMetrics {
 	tickets := ob.CounterVec("pool_tickets_total", "state")
 	exp := ob.CounterVec("pool_deadline_expiries_total", "where")
-	return &lifecycleMetrics{
-		queueWait:   ob.Histogram("pool_queue_wait_seconds"),
-		admitted:    tickets.With("admitted"),
-		completed:   tickets.With("completed"),
-		expired:     tickets.With("expired"),
-		cancelled:   tickets.With("cancelled"),
-		replayed:    tickets.With("replayed"),
-		expQueued:   exp.With("queued"),
-		expRunning:  exp.With("running"),
-		expDraining: exp.With("draining"),
-		quotaSheds:  ob.CounterVec("pool_quota_sheds_total", "user_class"),
+	for _, where := range []string{"queued", "running", "draining"} {
+		exp.With(where) // every site is exposed from the start, at zero
 	}
-}
-
-// expiry returns the pool_deadline_expiries_total child for a site.
-func (lm *lifecycleMetrics) expiry(where string) *obs.Counter {
-	switch where {
-	case "running":
-		return lm.expRunning
-	case "draining":
-		return lm.expDraining
-	default:
-		return lm.expQueued
+	return &lifecycleMetrics{
+		queueWait:  ob.Histogram("pool_queue_wait_seconds"),
+		admitted:   tickets.With("admitted"),
+		completed:  tickets.With("completed"),
+		expired:    tickets.With("expired"),
+		cancelled:  tickets.With("cancelled"),
+		replayed:   tickets.With("replayed"),
+		expiries:   exp,
+		quotaSheds: ob.CounterVec("pool_quota_sheds_total", "user_class"),
 	}
 }
 
@@ -264,19 +260,16 @@ type Pool struct {
 
 	// The wiring below is fixed by newPool and read without a lock.
 	clock func() time.Time
-	after func(time.Duration) <-chan time.Time // nil = real timers
 	obs   *obs.Observer
 	lm    *lifecycleMetrics
 
-	mu        sync.RWMutex // guards tools, breakers, toolStats; read-heavy
-	tools     map[string]Tool
-	breakers  map[string]*Breaker
-	toolStats map[string]*toolMetrics
+	mu    sync.RWMutex // guards tools; read-heavy
+	tools map[string]*toolEntry
 
 	rngMu    sync.Mutex // jitter stream has its own lock off the hot path
 	rngState uint64
 
-	fq    *fairQueue
+	fq    *fairQueue // its closed flag is the pool's
 	quota *quotaTable
 
 	// jmu is the recovery-consistency lock: it guards the sequence
@@ -298,9 +291,7 @@ type Pool struct {
 	histMu  sync.Mutex
 	history map[string][]JobResult
 
-	lifeMu sync.RWMutex // guards closed against concurrent Close
-	closed bool
-	wg     sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // NewPool builds the engine and starts its workers. Callers should
@@ -332,21 +323,19 @@ func newPool(cfg PoolConfig) *Pool {
 		observer = cfg.Observer
 	}
 	p := &Pool{
-		cfg:       cfg,
-		tools:     map[string]Tool{},
-		breakers:  map[string]*Breaker{},
-		toolStats: map[string]*toolMetrics{},
-		clock:     clock,
-		after:     cfg.After,
-		obs:       observer,
-		lm:        resolveLifecycleMetrics(observer),
-		rngState:  cfg.Seed,
-		quota:     newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst),
-		jr:        cfg.Journal,
-		live:      map[uint64]*Ticket{},
-		history:   map[string][]JobResult{},
+		cfg:      cfg,
+		tools:    map[string]*toolEntry{},
+		clock:    clock,
+		obs:      observer,
+		lm:       resolveLifecycleMetrics(observer),
+		rngState: cfg.Seed,
+		quota:    newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst),
+		jr:       cfg.Journal,
+		live:     map[uint64]*Ticket{},
+		history:  map[string][]JobResult{},
 	}
 	p.fq = newFairQueue(cfg.QueueDepth, perUserCap)
+	p.fq.depth = observer.Gauge("pool_queue_depth")
 	p.jr.bind(p.obs)
 	return p
 }
@@ -362,8 +351,8 @@ type poolTimer struct {
 // timer arms a timer for d: a stoppable real timer, or the injected
 // PoolConfig.After channel.
 func (p *Pool) timer(d time.Duration) poolTimer {
-	if p.after != nil {
-		return poolTimer{C: p.after(d)}
+	if p.cfg.After != nil {
+		return poolTimer{C: p.cfg.After(d)}
 	}
 	t := time.NewTimer(d)
 	return poolTimer{C: t.C, t: t}
@@ -416,13 +405,7 @@ func (p *Pool) CloseWithTimeout(d time.Duration) bool {
 // shutdown is the one close path: drain gracefully until timer fires,
 // then force the rest. Close passes a nil timer, which never fires.
 func (p *Pool) shutdown(timer <-chan time.Time) bool {
-	p.lifeMu.Lock()
-	already := p.closed
-	p.closed = true
-	p.lifeMu.Unlock()
-	if !already {
-		p.fq.closeQueue()
-	}
+	already := p.fq.closeQueue()
 	drained := make(chan struct{})
 	go func() {
 		p.wg.Wait()
@@ -434,8 +417,7 @@ func (p *Pool) shutdown(timer <-chan time.Time) bool {
 	case <-timer:
 		graceful = false
 		for _, tk := range p.fq.drainAll() {
-			p.obs.Gauge("pool_queue_depth").Add(-1)
-			p.finish(tk, JobResult{}, ErrDeadline, false, "draining")
+			p.finish(tk, JobResult{}, ErrDeadline, false)
 		}
 		// Every non-terminal ticket is in live; the queued ones were
 		// just finished, so only running ones remain to interrupt.
@@ -461,24 +443,12 @@ func (p *Pool) shutdown(timer <-chan time.Time) bool {
 }
 
 // closing reports whether Close has begun — used to label deadline
-// expiries that land during the drain.
+// expiries that land during the drain. The fair queue's closed flag is
+// the one record of it.
 func (p *Pool) closing() bool {
-	p.lifeMu.RLock()
-	defer p.lifeMu.RUnlock()
-	return p.closed
-}
-
-// breakerStateValue encodes a breaker state for the
-// portal_breaker_state gauge: 0 closed, 1 open, 2 half-open.
-func breakerStateValue(s BreakerState) float64 {
-	switch s {
-	case BreakerOpen:
-		return 1
-	case BreakerHalfOpen:
-		return 2
-	default:
-		return 0
-	}
+	p.fq.mu.Lock()
+	defer p.fq.mu.Unlock()
+	return p.fq.closed
 }
 
 // Register installs a tool and its circuit breaker; registering a
@@ -491,22 +461,20 @@ func (p *Pool) Register(t Tool) error {
 		return fmt.Errorf("portal: tool %q already registered", name)
 	}
 	tm := resolveToolMetrics(p.obs, name)
-	tm.breakerState.Set(breakerStateValue(BreakerClosed))
+	tm.breakerState.Set(float64(BreakerClosed))
 	transitions := p.obs.CounterVec("pool_breaker_transitions_total", "tool", "to")
 	br := NewBreaker(p.cfg.Breaker, p.clock)
 	// Every flip moves the portal_breaker_state{tool} gauge, counts a
 	// labeled transition, bumps the flat aggregate, and logs an event.
 	br.onTransition = func(from, to BreakerState) {
-		tm.breakerState.Set(breakerStateValue(to))
+		tm.breakerState.Set(float64(to))
 		transitions.With(name, to.String()).Inc()
 		p.obs.Counter("pool_breaker_" + to.String()).Inc()
 		p.obs.Emit("pool.breaker", map[string]string{
 			"tool": name, "from": from.String(), "to": to.String(),
 		})
 	}
-	p.tools[name] = t
-	p.breakers[name] = br
-	p.toolStats[name] = tm
+	p.tools[name] = &toolEntry{t: t, br: br, tm: tm}
 	return nil
 }
 
@@ -525,13 +493,18 @@ func (p *Pool) Tools() []string {
 // BreakerState reports the effective breaker state for a tool (and
 // whether the tool exists) — the health column of a status page.
 func (p *Pool) BreakerState(tool string) (BreakerState, bool) {
-	p.mu.RLock()
-	br, ok := p.breakers[tool]
-	p.mu.RUnlock()
-	if !ok {
+	te := p.entry(tool)
+	if te == nil {
 		return BreakerClosed, false
 	}
-	return br.State(), true
+	return te.br.State(), true
+}
+
+// entry returns the named tool's entry, nil when none is registered.
+func (p *Pool) entry(tool string) *toolEntry {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.tools[tool]
 }
 
 // jitter draws a uniform sample in [0, 1) from the pool's seeded
@@ -560,16 +533,13 @@ func (p *Pool) SubmitAsync(user, tool, input string) (*Ticket, error) {
 
 // SubmitAsyncOpts is SubmitAsync with per-ticket options (deadline).
 func (p *Pool) SubmitAsyncOpts(user, tool, input string, opts TicketOpts) (*Ticket, error) {
-	p.mu.RLock()
-	t, ok := p.tools[tool]
-	br := p.breakers[tool]
-	tm := p.toolStats[tool]
-	p.mu.RUnlock()
+	te := p.entry(tool)
 	ob, lm := p.obs, p.lm
-	if !ok {
+	if te == nil {
 		ob.Counter("pool_jobs_unknown_tool").Inc()
 		return nil, fmt.Errorf("portal: no tool %q", tool)
 	}
+	br, tm := te.br, te.tm
 	if err := br.Allow(); err != nil {
 		ob.Counter("pool_jobs_shed_breaker").Inc()
 		tm.shedBreaker.Inc()
@@ -589,7 +559,7 @@ func (p *Pool) SubmitAsyncOpts(user, tool, input string, opts TicketOpts) (*Tick
 	tk := &Ticket{
 		user: user, tool: tool, input: input,
 		queuedAt: now,
-		t:        t, br: br, tm: tm, p: p,
+		te:       te, p: p,
 		done: make(chan struct{}),
 		quit: make(chan struct{}),
 	}
@@ -652,7 +622,6 @@ func (p *Pool) SubmitAsyncOpts(user, tool, input string, opts TicketOpts) (*Tick
 	p.jmu.Unlock()
 	p.jr.durable(mark)
 	lm.admitted.Inc()
-	ob.Gauge("pool_queue_depth").Add(1)
 	if d > 0 {
 		go p.watchTicket(tk, d)
 	}
@@ -693,7 +662,10 @@ func (p *Pool) watchTicket(tk *Ticket, d time.Duration) {
 // interrupted through its quit channel and finishes via the normal
 // worker path; a terminal one is left alone.
 func (p *Pool) expireTicket(tk *Ticket) {
-	draining := p.closing()
+	where := "running"
+	if p.closing() {
+		where = "draining"
+	}
 	tk.mu.Lock()
 	switch tk.state {
 	case TicketDone:
@@ -701,21 +673,13 @@ func (p *Pool) expireTicket(tk *Ticket) {
 	case TicketRunning:
 		if tk.quitErr == nil {
 			tk.quitErr = ErrDeadline
-			if draining {
-				tk.quitWhere = "draining"
-			} else {
-				tk.quitWhere = "running"
-			}
+			tk.quitWhere = where
 			close(tk.quit)
 		}
 		tk.mu.Unlock()
 	default:
 		tk.mu.Unlock()
-		where := "queued"
-		if draining {
-			where = "draining"
-		}
-		p.finish(tk, JobResult{}, ErrDeadline, false, where)
+		p.finish(tk, JobResult{}, ErrDeadline, false)
 	}
 }
 
@@ -732,11 +696,7 @@ func (p *Pool) startTicket(tk *Ticket, now time.Time) bool {
 	}
 	if !tk.deadline.IsZero() && !now.Before(tk.deadline) {
 		tk.mu.Unlock()
-		where := "queued"
-		if p.closing() {
-			where = "draining"
-		}
-		p.finish(tk, JobResult{}, ErrDeadline, false, where)
+		p.finish(tk, JobResult{}, ErrDeadline, false)
 		return false
 	}
 	tk.state = TicketRunning
@@ -760,14 +720,15 @@ func (p *Pool) startTicket(tk *Ticket, now time.Time) bool {
 // is a completed run whose details live in res. A ticket that never
 // ran finishes only from TicketQueued (the first caller wins), gets a
 // result synthesized from its admission, writes no history, and gives
-// its breaker slot back — the tool never got a chance to fail. where
-// is the deadline-expiry site; a run takes it from the quit interrupt.
+// its breaker slot back — the tool never got a chance to fail. An
+// expiry's site is the quit interrupt's for a ticket that ran; one that
+// never ran expired queued, or draining once Close has begun.
 // History, ledger, live-set removal, and the journal's done record
 // commit atomically under jmu, so a compaction snapshot sees the
 // ticket either live or terminal, never between; the done record (and
 // any compaction snapshot written with it) is durable before the
 // ticket reads as done.
-func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool, where string) {
+func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool) {
 	state, doneState := "completed", doneCompleted
 	switch {
 	case errors.Is(cause, ErrDeadline):
@@ -800,9 +761,7 @@ func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool, where st
 		p.jmu.Unlock()
 		return
 	}
-	if ran {
-		where = tk.quitWhere
-	}
+	where := tk.quitWhere
 	tk.state = TicketDone
 	tk.res = res
 	tk.err = cause
@@ -821,16 +780,22 @@ func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool, where st
 	p.jmu.Unlock()
 	p.jr.durable(mark)
 
-	if !ran {
-		tk.br.Release()
+	if !ran && tk.te != nil {
+		tk.te.br.Release()
 	}
 	switch doneState {
 	case doneExpired:
 		p.lm.expired.Inc()
-		if where == "" {
+		switch {
+		case where != "": // the quit interrupt's site
+		case !ran && p.closing():
+			where = "draining"
+		case !ran:
+			where = "queued"
+		default:
 			where = "running"
 		}
-		p.lm.expiry(where).Inc()
+		p.lm.expiries.With(where).Inc()
 		p.obs.Emit("pool.deadline", map[string]string{"tool": tk.tool, "user": tk.user, "where": where})
 	case doneCancelled:
 		p.lm.cancelled.Inc()
@@ -862,7 +827,6 @@ func (p *Pool) worker() {
 		if tk == nil {
 			return
 		}
-		p.obs.Gauge("pool_queue_depth").Add(-1)
 		now := p.clock()
 		p.lm.queueWait.ObserveDuration(now.Sub(tk.queuedAt))
 		if !p.startTicket(tk, now) {
@@ -871,7 +835,7 @@ func (p *Pool) worker() {
 			continue
 		}
 		res, rawErr := p.runJob(tk)
-		p.finish(tk, res, rawErr, true, "")
+		p.finish(tk, res, rawErr, true)
 		p.fq.release(tk.user)
 	}
 }
@@ -900,7 +864,7 @@ func (p *Pool) runJob(tk *Ticket) (JobResult, error) {
 			break
 		}
 		ob.Counter("pool_retries").Inc()
-		tk.tm.retries.Inc()
+		tk.te.tm.retries.Inc()
 		interrupted := false
 		backoff := p.timer(p.cfg.Retry.Delay(attempt, p.jitter()))
 		select {
@@ -927,14 +891,14 @@ func (p *Pool) runJob(tk *Ticket) (JobResult, error) {
 		// The interrupt is the ticket's fault, not the tool's: give
 		// back the admission slot instead of recording a failure, so
 		// user deadlines can't trip a healthy tool's breaker.
-		tk.br.Release()
+		tk.te.br.Release()
 	} else {
-		tk.br.Record(rawErr == nil && !res.TimedOut)
+		tk.te.br.Record(rawErr == nil && !res.TimedOut)
 	}
 
 	ob.Gauge("pool_jobs_inflight").Add(-1)
 	ob.Counter("pool_jobs_total").Inc()
-	tk.tm.jobs.Inc()
+	tk.te.tm.jobs.Inc()
 	if res.TimedOut {
 		ob.Counter("pool_jobs_timeout").Inc()
 	}
@@ -942,7 +906,7 @@ func (p *Pool) runJob(tk *Ticket) (JobResult, error) {
 		ob.Counter("pool_jobs_error").Inc()
 	}
 	ob.Histogram("pool_job_seconds").ObserveDuration(res.Duration)
-	tk.tm.seconds.ObserveDuration(res.Duration)
+	tk.te.tm.seconds.ObserveDuration(res.Duration)
 	return res, rawErr
 }
 
@@ -978,7 +942,7 @@ type runOutcome struct {
 // alongside the stringified JobResult.Err so callers can classify it
 // (IsTransient, ErrToolPanic) without string matching.
 func execTool(tk *Ticket, timeout time.Duration, ob *obs.Observer) (JobResult, error) {
-	t, tool, input, tm := tk.t, tk.tool, tk.input, tk.tm
+	t, tool, input, tm := tk.te.t, tk.tool, tk.input, tk.te.tm
 	cancel := make(chan struct{})
 	done := make(chan runOutcome, 1)
 	go func() {
@@ -1064,16 +1028,16 @@ func (p *Pool) Ready() error {
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if len(p.breakers) == 0 {
+	if len(p.tools) == 0 {
 		return nil
 	}
 	open := 0
-	for _, br := range p.breakers {
-		if br.State() == BreakerOpen {
+	for _, te := range p.tools {
+		if te.br.State() == BreakerOpen {
 			open++
 		}
 	}
-	if open == len(p.breakers) {
+	if open == len(p.tools) {
 		return fmt.Errorf("portal: all %d tool breakers open", open)
 	}
 	return nil
@@ -1145,9 +1109,11 @@ func (p *Pool) snapshotLocked() *poolSnapshot {
 	return s
 }
 
-// CompactJournal appends a snapshot record now, letting operators (and
-// Close) bound replay work regardless of JournalOpts.CompactEvery.
-// No-op without a journal.
+// CompactJournal appends a snapshot record of the pool's whole
+// recoverable state now, whatever JournalOpts.CompactEvery says; Close
+// calls it. Replay resets its state at the snapshot, but RecoverPool
+// still reads and decodes the journal from offset 0, so the snapshot
+// shortens neither the file nor the replay. No-op without a journal.
 func (p *Pool) CompactJournal() {
 	if p.jr == nil {
 		return

@@ -609,3 +609,78 @@ func TestPoolHistoryLimit(t *testing.T) {
 		}
 	}
 }
+
+// gateSyncer is a WriteSyncer whose Sync blocks until release is
+// closed; writes counts the records written so far.
+type gateSyncer struct {
+	release chan struct{}
+
+	mu     sync.Mutex
+	writes int
+}
+
+func (g *gateSyncer) Write(p []byte) (int, error) {
+	g.mu.Lock()
+	g.writes++
+	g.mu.Unlock()
+	return len(p), nil
+}
+
+func (g *gateSyncer) Sync() error {
+	<-g.release
+	return nil
+}
+
+func (g *gateSyncer) written() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.writes
+}
+
+// TestPoolQueueDepthNeverNegative holds the admit record's Sync while
+// the one worker pops the ticket and writes its start record: the
+// pool_queue_depth gauge must never read below zero on the way, and
+// must read zero once the pool is quiet.
+func TestPoolQueueDepthNeverNegative(t *testing.T) {
+	ob := obs.NewObserver(nil)
+	gs := &gateSyncer{release: make(chan struct{})}
+	p := NewPool(PoolConfig{Workers: 1, Observer: ob, Journal: NewJournal(gs, JournalOpts{})})
+	if err := p.Register(echoTool()); err != nil {
+		t.Fatal(err)
+	}
+	depth := ob.Gauge("pool_queue_depth")
+	low := 0.0
+	sample := func() {
+		if v := depth.Value(); v < low {
+			low = v
+		}
+	}
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := p.Submit("u", "echo", "x")
+		submitted <- err
+	}()
+	// The admit record is written and its Sync held; the worker pops the
+	// ticket and writes its start record before it too waits for a Sync.
+	deadline := time.Now().Add(5 * time.Second)
+	for gs.written() < 2 {
+		sample()
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never wrote the start record (%d records written)", gs.written())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	sample()
+	close(gs.release)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	sample()
+	if low < 0 {
+		t.Fatalf("pool_queue_depth read %g while the admit Sync was held, want never below 0", low)
+	}
+	if v := depth.Value(); v != 0 {
+		t.Fatalf("pool_queue_depth = %g at quiescence, want 0", v)
+	}
+}

@@ -282,15 +282,10 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 	p.quota.restore(st.quota)
 	for _, seqNo := range order {
 		rec := st.live[seqNo]
-		p.mu.RLock()
-		t := p.tools[rec.tool]
-		br := p.breakers[rec.tool]
-		tm := p.toolStats[rec.tool]
-		p.mu.RUnlock()
 		tk := &Ticket{
 			user: rec.user, tool: rec.tool, input: rec.input,
 			queuedAt: rec.queuedAt, deadline: rec.deadline,
-			t: t, br: br, tm: tm, p: p,
+			te: p.entry(rec.tool), p: p,
 			done: make(chan struct{}), quit: make(chan struct{}),
 			// A ticket that was running (in any previous lifetime) stays
 			// marked for at-least-once accounting even across chained
@@ -324,14 +319,14 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 	now := p.clock()
 	for _, tk := range tickets {
 		switch {
-		case tk.t == nil:
+		case tk.te == nil:
 			rep.Orphaned++
 			disp.With("orphaned").Inc()
-			p.finish(tk, JobResult{}, fmt.Errorf("portal: recovered ticket for unregistered tool %q: %w", tk.tool, ErrCancelled), false, "")
+			p.finish(tk, JobResult{}, fmt.Errorf("portal: recovered ticket for unregistered tool %q: %w", tk.tool, ErrCancelled), false)
 		case !tk.deadline.IsZero() && !now.Before(tk.deadline):
 			rep.Expired++
 			disp.With("expired").Inc()
-			p.finish(tk, JobResult{}, ErrDeadline, false, "queued")
+			p.finish(tk, JobResult{}, ErrDeadline, false)
 		default:
 			if st.live[tk.seq].running {
 				rep.Rerun++
@@ -341,7 +336,6 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 				disp.With("requeued").Inc()
 			}
 			p.fq.restore(tk)
-			ob.Gauge("pool_queue_depth").Add(1)
 			if !tk.deadline.IsZero() {
 				go p.watchTicket(tk, tk.deadline.Sub(now))
 			}

@@ -55,9 +55,7 @@ type Ticket struct {
 	deadline time.Time
 	queuedAt time.Time
 
-	t  Tool
-	br *Breaker
-	tm *toolMetrics
+	te *toolEntry // nil for a recovered ticket whose tool is not registered
 	sp *obs.Span
 	p  *Pool
 
@@ -158,7 +156,7 @@ func (tk *Ticket) Cancel() {
 		return
 	default:
 		tk.mu.Unlock()
-		tk.p.finish(tk, JobResult{}, ErrCancelled, false, "")
+		tk.p.finish(tk, JobResult{}, ErrCancelled, false)
 	}
 }
 
