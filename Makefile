@@ -2,9 +2,13 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench bench-record bench-gate xcheck fuzz corpus chaos
+.PHONY: check fmt vet build test race bench bench-record bench-gate xcheck fuzz corpus chaos
 
-check: vet build race xcheck fuzz bench
+check: fmt vet build race xcheck fuzz bench
+
+# Fail when any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

@@ -5,7 +5,6 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"os"
 
@@ -17,24 +16,5 @@ func main() {
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "axb:", err)
-		return 1
-	}
-	var src []byte
-	var err error
-	if len(args) > 0 {
-		src, err = os.ReadFile(args[0])
-	} else {
-		src, err = io.ReadAll(stdin)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	out, err := portal.AxbTool().Run(string(src), make(chan struct{}))
-	if err != nil {
-		return fail(err)
-	}
-	fmt.Fprint(stdout, out)
-	return 0
+	return portal.RunCLI(portal.AxbTool(), args, stdin, stdout, stderr)
 }

@@ -4,7 +4,6 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"os"
 
@@ -16,22 +15,5 @@ func main() {
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	var src []byte
-	var err error
-	if len(args) > 0 {
-		src, err = os.ReadFile(args[0])
-	} else {
-		src, err = io.ReadAll(stdin)
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "espresso:", err)
-		return 1
-	}
-	out, err := portal.EspressoTool().Run(string(src), make(chan struct{}))
-	if err != nil {
-		fmt.Fprintln(stderr, "espresso:", err)
-		return 1
-	}
-	fmt.Fprint(stdout, out)
-	return 0
+	return portal.RunCLI(portal.EspressoTool(), args, stdin, stdout, stderr)
 }

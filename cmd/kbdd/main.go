@@ -10,7 +10,6 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"os"
 
@@ -22,23 +21,5 @@ func main() {
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	var src []byte
-	var err error
-	if len(args) > 0 {
-		src, err = os.ReadFile(args[0])
-	} else {
-		src, err = io.ReadAll(stdin)
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "kbdd:", err)
-		return 1
-	}
-	k := portal.NewKBDD(64)
-	runErr := k.RunScript(string(src))
-	fmt.Fprint(stdout, k.Output())
-	if runErr != nil {
-		fmt.Fprintln(stderr, "kbdd:", runErr)
-		return 1
-	}
-	return 0
+	return portal.RunCLI(portal.KBDDTool(), args, stdin, stdout, stderr)
 }

@@ -6,7 +6,6 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"os"
 
@@ -18,22 +17,5 @@ func main() {
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	var src []byte
-	var err error
-	if len(args) > 0 {
-		src, err = os.ReadFile(args[0])
-	} else {
-		src, err = io.ReadAll(stdin)
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "sis:", err)
-		return 1
-	}
-	out, err := portal.SISTool().Run(string(src), make(chan struct{}))
-	fmt.Fprint(stdout, out)
-	if err != nil {
-		fmt.Fprintln(stderr, "sis:", err)
-		return 1
-	}
-	return 0
+	return portal.RunCLI(portal.SISTool(), args, stdin, stdout, stderr)
 }

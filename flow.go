@@ -38,8 +38,6 @@ const (
 
 // FlowOpts configures RunFlow.
 type FlowOpts struct {
-	// MapObjective selects area (default) or delay mapping.
-	MapObjective techmap.Objective
 	// Seed drives the randomized stages (routing rip-up order).
 	Seed int64
 	// AnnealPlace refines the legalized placement with simulated
@@ -261,7 +259,7 @@ func (r *flowRun) mapGates(*obs.Span) error {
 		return err
 	}
 	r.Subject = subj
-	if r.Mapping, err = techmap.Map(subj, techmap.StandardLibrary(), r.MapObjective); err != nil {
+	if r.Mapping, err = techmap.Map(subj, techmap.StandardLibrary(), techmap.MinArea); err != nil {
 		return err
 	}
 	r.Area = r.Mapping.Area

@@ -137,13 +137,3 @@ func TestRunFlowGeneratedDesignsLegal(t *testing.T) {
 		}
 	}
 }
-
-func TestRunFlowDelayObjective(t *testing.T) {
-	f, err := RunFlow(strings.NewReader(adderBLIF), FlowOpts{MapObjective: 1}) // MinDelay
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.CriticalDelay <= 0 {
-		t.Error("no timing under delay mapping")
-	}
-}

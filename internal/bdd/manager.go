@@ -171,22 +171,6 @@ func (m *Manager) IsTerminal(f Node) bool { return f == FalseNode || f == TrueNo
 // a level below all variables).
 func (m *Manager) level(f Node) int32 { return m.nodes[f].level }
 
-// TopVar returns the variable index tested at the root of f, or -1
-// for terminals.
-func (m *Manager) TopVar(f Node) int {
-	lvl := m.nodes[f].level
-	if lvl == terminalLevel {
-		return -1
-	}
-	return int(m.varAtLevel[lvl])
-}
-
-// Lo returns the low (variable=0) cofactor of a non-terminal node.
-func (m *Manager) Lo(f Node) Node { return m.nodes[f].lo }
-
-// Hi returns the high (variable=1) cofactor of a non-terminal node.
-func (m *Manager) Hi(f Node) Node { return m.nodes[f].hi }
-
 // mk finds or creates the node (level, lo, hi), applying the ROBDD
 // reduction rules.
 func (m *Manager) mk(level int32, lo, hi Node) Node {

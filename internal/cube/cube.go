@@ -216,17 +216,3 @@ func (c Cube) Expr() string {
 	}
 	return strings.Join(parts, " ")
 }
-
-// FromLiterals builds a cube of n variables from (variable, phase)
-// pairs; phase true means the positive literal.
-func FromLiterals(n int, lits map[int]bool) Cube {
-	c := NewCube(n)
-	for v, phase := range lits {
-		if phase {
-			c[v] = Pos
-		} else {
-			c[v] = Neg
-		}
-	}
-	return c
-}

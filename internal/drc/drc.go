@@ -97,14 +97,14 @@ func Check(shapes []Rect, rules Rules) []Violation {
 	for _, layer := range layers {
 		rects := byLayer[layer]
 		spacing := rules.MinSpacing[layer]
-		// Scanline over x: events at X0 (insert) and X1 (remove), with
-		// shapes bloated by spacing/2 — bloat-and-intersect turns the
-		// spacing check into an overlap check. For exactness with
-		// integer rules we bloat one side by the full spacing.
+		// Sweep over x with shapes bloated by the spacing rule —
+		// bloat-and-intersect turns the spacing check into an overlap
+		// check.
 		out = append(out, sweepLayer(layer, rects, spacing)...)
 	}
-	// A total order: sweepLayer emits in active-map order, so any tie
-	// left here would reorder violations from run to run.
+	// A total order: sweepLayer emits in left-edge order, and shapes
+	// that share a left edge come out in an order set by the input, so
+	// any tie left here would let the input order show through.
 	slices.SortFunc(out, func(a, b Violation) int {
 		return cmp.Or(
 			cmp.Compare(a.Layer, b.Layer),
@@ -120,38 +120,20 @@ func Check(shapes []Rect, rules Rules) []Violation {
 	return out
 }
 
-type event struct {
-	x      int
-	insert bool
-	idx    int
-}
-
 // sweepLayer finds same-layer shorts (different-net overlaps) and
-// spacing violations with an x-sweep and an active set. Each shape
-// enters and leaves the active set once, so a pair of shapes is
-// examined at most once: when the later of the two is inserted, if the
-// earlier is still active.
+// spacing violations with a sort-and-sweep over x. With every shape
+// bloated by spacing on both sides, it sorts the shapes by left edge
+// and pairs each shape with the following ones whose bloated left edge
+// lies left of its own bloated right edge: exactly the pairs whose
+// bloated x-extents overlap, each examined once. rects is reordered.
 func sweepLayer(layer string, rects []Rect, spacing int) []Violation {
-	var events []event
-	for i, r := range rects {
-		events = append(events, event{r.X0 - spacing, true, i}, event{r.X1 + spacing, false, i})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].x != events[j].x {
-			return events[i].x < events[j].x
-		}
-		return !events[i].insert && events[j].insert // removals first
-	})
-	active := map[int]bool{}
+	slices.SortFunc(rects, func(a, b Rect) int { return cmp.Compare(a.X0, b.X0) })
 	var out []Violation
-	for _, e := range events {
-		if !e.insert {
-			delete(active, e.idx)
-			continue
-		}
-		r := rects[e.idx]
-		for j := range active {
-			s := rects[j]
+	for i, r := range rects {
+		for _, s := range rects[i+1:] {
+			if s.X0-spacing >= r.X1+spacing {
+				break
+			}
 			if r.Net == s.Net {
 				continue // same net may touch itself
 			}
@@ -170,7 +152,6 @@ func sweepLayer(layer string, rects []Rect, spacing int) []Violation {
 				})
 			}
 		}
-		active[e.idx] = true
 	}
 	return out
 }

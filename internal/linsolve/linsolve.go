@@ -264,9 +264,9 @@ func SolveDense(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Entries returns the sorted (i, j, v) triplets — used by the axb
-// portal's echo output. It reads the frozen CSR image (rebuilding it
-// if stale), so repeated calls re-sort nothing.
+// Entries returns the sorted (i, j, v) triplets. It reads the frozen
+// CSR image (rebuilding it if stale), so repeated calls re-sort
+// nothing.
 func (a *Sparse) Entries() [][3]float64 {
 	f := a.Freeze()
 	out := make([][3]float64, 0, len(f.Val))

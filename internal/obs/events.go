@@ -28,16 +28,12 @@ type EventLog struct {
 }
 
 // NewEventLog returns an event log using the given clock (time.Now
-// when nil) keeping at most capacity events (DefaultEventCapacity
-// when <= 0).
-func NewEventLog(clock func() time.Time, capacity int) *EventLog {
+// when nil) keeping at most DefaultEventCapacity events.
+func NewEventLog(clock func() time.Time) *EventLog {
 	if clock == nil {
 		clock = time.Now
 	}
-	if capacity <= 0 {
-		capacity = DefaultEventCapacity
-	}
-	return &EventLog{clock: clock, ring: ring[Event]{cap: capacity}}
+	return &EventLog{clock: clock, ring: ring[Event]{cap: DefaultEventCapacity}}
 }
 
 // Emit appends an event. The fields map is copied. Safe on nil.

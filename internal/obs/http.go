@@ -13,7 +13,7 @@ import (
 // cloud service; this is the piece that makes the reproduction
 // scrapeable the same way — Prometheus text on /metrics, the full
 // JSON snapshot on /snapshot, liveness/readiness probes, and the
-// sampled span ring on /debug/spans. stdlib net/http only.
+// retained span ring on /debug/spans. stdlib net/http only.
 
 // HandlerOpts configures NewHandler.
 type HandlerOpts struct {
@@ -21,16 +21,14 @@ type HandlerOpts struct {
 	// error serves 503 with the error text. Wire it to pool/breaker
 	// state so a scheduler stops routing users at a sick portal.
 	Ready func() error
-	// Live, when non-nil, gates /healthz the same way (default:
-	// always 200 — the process answering is the liveness signal).
-	Live func() error
 }
 
 // NewHandler serves the observer's telemetry:
 //
 //	/metrics      Prometheus text format (deterministic ordering)
 //	/snapshot     full JSON snapshot (metrics + spans + events)
-//	/healthz      liveness probe
+//	/healthz      liveness probe (always 200: the process answering
+//	              is the liveness signal)
 //	/readyz       readiness probe (HandlerOpts.Ready)
 //	/debug/spans  retained spans as JSON Lines
 func NewHandler(o *Observer, opts HandlerOpts) http.Handler {
@@ -43,7 +41,7 @@ func NewHandler(o *Observer, opts HandlerOpts) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		o.Snapshot().WriteJSON(w)
 	})
-	mux.HandleFunc("/healthz", probe(opts.Live))
+	mux.HandleFunc("/healthz", probe(nil))
 	mux.HandleFunc("/readyz", probe(opts.Ready))
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/jsonl")

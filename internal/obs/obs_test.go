@@ -131,39 +131,41 @@ func TestSpansDeterministicUnderFakeClock(t *testing.T) {
 }
 
 func TestSpanRingBounded(t *testing.T) {
-	tr := NewTracer(nil, 4)
-	for i := 0; i < 10; i++ {
+	tr := NewTracer(nil)
+	const extra = 6
+	for i := 0; i < DefaultSpanCapacity+extra; i++ {
 		tr.Start(fmt.Sprintf("s%d", i)).End()
 	}
 	got := tr.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("retained %d spans, want 4", len(got))
+	if len(got) != DefaultSpanCapacity {
+		t.Fatalf("retained %d spans, want %d", len(got), DefaultSpanCapacity)
 	}
-	if got[0].Name != "s6" || got[3].Name != "s9" {
-		t.Errorf("ring kept wrong spans: %v", got)
+	if last := got[len(got)-1].Name; got[0].Name != fmt.Sprintf("s%d", extra) || last != fmt.Sprintf("s%d", DefaultSpanCapacity+extra-1) {
+		t.Errorf("ring kept wrong spans: first %s, last %s", got[0].Name, last)
 	}
-	if tr.Dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", tr.Dropped())
+	if tr.Dropped() != extra {
+		t.Errorf("dropped = %d, want %d", tr.Dropped(), extra)
 	}
 }
 
 func TestEventLogBounded(t *testing.T) {
-	l := NewEventLog(nil, 3)
-	for i := 0; i < 5; i++ {
+	l := NewEventLog(nil)
+	const extra = 2
+	for i := 0; i < DefaultEventCapacity+extra; i++ {
 		l.Emit("e", map[string]string{"i": fmt.Sprint(i)})
 	}
 	got := l.Snapshot()
-	if len(got) != 3 {
-		t.Fatalf("retained %d events, want 3", len(got))
+	if len(got) != DefaultEventCapacity {
+		t.Fatalf("retained %d events, want %d", len(got), DefaultEventCapacity)
 	}
-	if got[0].Fields["i"] != "2" || got[2].Fields["i"] != "4" {
-		t.Errorf("wrong events retained: %v", got)
+	if got[0].Fields["i"] != fmt.Sprint(extra) || got[len(got)-1].Fields["i"] != fmt.Sprint(DefaultEventCapacity+extra-1) {
+		t.Errorf("wrong events retained: first %v, last %v", got[0], got[len(got)-1])
 	}
-	if got[0].Seq != 3 {
-		t.Errorf("seq = %d, want 3", got[0].Seq)
+	if got[0].Seq != extra+1 {
+		t.Errorf("seq = %d, want %d", got[0].Seq, extra+1)
 	}
-	if l.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", l.Dropped())
+	if l.Dropped() != extra {
+		t.Errorf("dropped = %d, want %d", l.Dropped(), extra)
 	}
 }
 

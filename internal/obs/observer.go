@@ -20,45 +20,17 @@ type Observer struct {
 }
 
 // NewObserver builds a fresh observer around the given clock
-// (time.Now when nil). Pass a FakeClock's Now for deterministic
-// snapshots in tests.
+// (time.Now when nil), keeping the last DefaultSpanCapacity finished
+// spans and DefaultEventCapacity events. Pass a FakeClock's Now for
+// deterministic snapshots in tests.
 func NewObserver(clock func() time.Time) *Observer {
-	return NewObserverWith(Config{Clock: clock})
-}
-
-// Config sizes an observer for long-running service use. The zero
-// value reproduces NewObserver(nil): wall clock, default ring
-// capacities, no span sampling.
-type Config struct {
-	// Clock is the time source (time.Now when nil).
-	Clock func() time.Time
-	// SpanCapacity bounds the finished-span ring (DefaultSpanCapacity
-	// when <= 0).
-	SpanCapacity int
-	// SpanSampleOneIn keeps 1-in-N root spans (<= 1 keeps all),
-	// decided by a seeded hash — the long-run answer to unbounded
-	// trace growth: bounded ring plus deterministic decimation.
-	SpanSampleOneIn int64
-	// SampleSeed seeds the sampling hash (so two runs with the same
-	// seed and call sequence retain the same spans).
-	SampleSeed uint64
-	// EventCapacity bounds the event ring (DefaultEventCapacity when
-	// <= 0).
-	EventCapacity int
-}
-
-// NewObserverWith builds an observer from an explicit Config.
-func NewObserverWith(cfg Config) *Observer {
-	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
 	}
-	tr := NewTracer(clock, cfg.SpanCapacity)
-	tr.SetSampling(cfg.SpanSampleOneIn, cfg.SampleSeed)
 	return &Observer{
 		reg:    NewRegistry(),
-		tracer: tr,
-		events: NewEventLog(clock, cfg.EventCapacity),
+		tracer: NewTracer(clock),
+		events: NewEventLog(clock),
 		clock:  clock,
 	}
 }

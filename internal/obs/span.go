@@ -13,86 +13,34 @@ import (
 // flow snapshot) never depend on wall time. IDs are assigned in start
 // order, so with a deterministic clock and call sequence the snapshot
 // is fully reproducible.
-//
-// For long-running services the ring can additionally be *sampled*:
-// with SetSampling(n, seed), only 1-in-n root spans (children follow
-// their root's decision) are retained, chosen by a seeded hash of the
-// span ID — deterministic for a given seed and call sequence, no RNG
-// state to race on. Unsampled spans still time themselves (End
-// returns the real duration, histograms fed from it are complete);
-// they just never enter the ring.
 type Tracer struct {
-	mu         sync.Mutex
-	clock      func() time.Time
-	nextID     int64
-	done       ring[SpanRecord] // finished spans
-	sampleN    int64            // keep 1-in-N roots; <=1 keeps everything
-	sampleSeed uint64           // hash seed for the sampling decision
-	sampledOut int64            // finished spans skipped by sampling
+	mu     sync.Mutex
+	clock  func() time.Time
+	nextID int64
+	done   ring[SpanRecord] // finished spans
 }
 
 // DefaultSpanCapacity bounds the finished-span ring of a new Tracer.
 const DefaultSpanCapacity = 4096
 
 // NewTracer returns a tracer using the given clock (time.Now when
-// nil) keeping at most capacity finished spans (DefaultSpanCapacity
-// when <= 0).
-func NewTracer(clock func() time.Time, capacity int) *Tracer {
+// nil) keeping at most DefaultSpanCapacity finished spans.
+func NewTracer(clock func() time.Time) *Tracer {
 	if clock == nil {
 		clock = time.Now
 	}
-	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
-	}
-	return &Tracer{clock: clock, done: ring[SpanRecord]{cap: capacity}}
-}
-
-// SetSampling keeps 1-in-n root spans (n <= 1 keeps all), decided by
-// a SplitMix64 hash of seed^spanID. Safe on nil; affects spans
-// started after the call.
-func (t *Tracer) SetSampling(n int64, seed uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sampleN = n
-	t.sampleSeed = seed
-	t.mu.Unlock()
-}
-
-// SampledOut reports how many finished spans the sampler skipped.
-func (t *Tracer) SampledOut() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sampledOut
-}
-
-// sampleKeep decides whether a root span with the given id is
-// retained. Callers must hold t.mu.
-func (t *Tracer) sampleKeep(id int64) bool {
-	if t.sampleN <= 1 {
-		return true
-	}
-	z := t.sampleSeed ^ uint64(id)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return z%uint64(t.sampleN) == 0
+	return &Tracer{clock: clock, done: ring[SpanRecord]{cap: DefaultSpanCapacity}}
 }
 
 // Span is one timed operation. Start it with Tracer.Start or
 // Span.StartChild, optionally attach labels, then End it — only ended
 // spans appear in snapshots. All methods are safe on a nil receiver.
 type Span struct {
-	tr      *Tracer
-	id      int64
-	parent  int64
-	name    string
-	start   time.Time
-	sampled bool
+	tr     *Tracer
+	id     int64
+	parent int64
+	name   string
+	start  time.Time
 
 	mu     sync.Mutex
 	labels map[string]string
@@ -123,12 +71,7 @@ func (t *Tracer) start(name string, parent *Span) *Span {
 	now := t.clock()
 	sp := &Span{tr: t, id: id, name: name, start: now}
 	if parent != nil {
-		// Children inherit the root's sampling decision so retained
-		// traces are always whole.
 		sp.parent = parent.id
-		sp.sampled = parent.sampled
-	} else {
-		sp.sampled = t.sampleKeep(id)
 	}
 	t.mu.Unlock()
 	return sp
@@ -187,11 +130,6 @@ func (s *Span) End() time.Duration {
 	s.mu.Unlock()
 
 	t.mu.Lock()
-	if !s.sampled {
-		t.sampledOut++
-		t.mu.Unlock()
-		return d
-	}
 	t.done.push(SpanRecord{
 		ID: s.id, Parent: s.parent, Name: s.name,
 		Start: s.start, Duration: d, Labels: labels,

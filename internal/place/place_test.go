@@ -80,7 +80,7 @@ func TestHPWLChain(t *testing.T) {
 func TestQuadraticChainSolution(t *testing.T) {
 	// One cell between two pads lands midway.
 	p := tinyProblem(1)
-	pl, err := Quadratic(p, QuadraticOpts{LeafSize: 10})
+	pl, err := Quadratic(p, QuadraticOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestAnnealTracksCostCorrectly(t *testing.T) {
 
 func TestQuadraticWLDecreasesWithSolve(t *testing.T) {
 	p := tinyProblem(4)
-	q, err := Quadratic(p, QuadraticOpts{LeafSize: 10})
+	q, err := Quadratic(p, QuadraticOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

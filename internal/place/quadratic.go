@@ -35,8 +35,6 @@ import (
 
 // QuadraticOpts tunes the placer.
 type QuadraticOpts struct {
-	LeafSize int // stop splitting below this many cells (default 3)
-
 	// Workers bounds how many regions of one bipartition level solve
 	// concurrently: 0 means GOMAXPROCS, 1 forces serial execution. The
 	// placement is byte-identical for every value — parallelism changes
@@ -53,6 +51,10 @@ type QuadraticOpts struct {
 // quadTol is the CG tolerance of every region solve.
 const quadTol = 1e-8
 
+// quadLeafCells is the cell count at or below which a region stops
+// splitting and is spread.
+const quadLeafCells = 3
+
 // QuadLevelStats reports one bipartition level of a quadratic
 // placement run.
 type QuadLevelStats struct {
@@ -68,9 +70,6 @@ type QuadLevelStats struct {
 func Quadratic(p *Problem, opts QuadraticOpts) (*Placement, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.LeafSize <= 0 {
-		opts.LeafSize = 3
 	}
 	// A region stops splitting at twice the depth that would reach
 	// single cells.
@@ -109,7 +108,7 @@ func Quadratic(p *Problem, opts QuadraticOpts) (*Placement, error) {
 				errs[ti] = err
 				return
 			}
-			if len(cells) <= opts.LeafSize || t.depth >= maxDepth {
+			if len(cells) <= quadLeafCells || t.depth >= maxDepth {
 				spreadInRegion(pl, cells, t.region)
 				return
 			}

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -24,6 +25,31 @@ func TestQuadraticWorkersInvariant(t *testing.T) {
 			if pl.X[c] != ref.X[c] || pl.Y[c] != ref.Y[c] {
 				t.Fatalf("Workers=%d: cell %d at (%v, %v), serial run has (%v, %v)",
 					workers, c, pl.X[c], pl.Y[c], ref.X[c], ref.Y[c])
+			}
+		}
+	}
+}
+
+// TestQuadraticGOMAXPROCSInvariance: the placement is bit-identical
+// for every Workers × GOMAXPROCS combination within one process, not
+// only across worker counts at the host's proc count.
+func TestQuadraticGOMAXPROCSInvariance(t *testing.T) {
+	p := randomProblem(150, 300, 12, 9, 21)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref *Placement
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, w := range []int{1, 2, 4} {
+			got, err := Quadratic(p, QuadraticOpts{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("GOMAXPROCS=%d workers=%d: placement differs from GOMAXPROCS=1 workers=1", procs, w)
 			}
 		}
 	}

@@ -48,17 +48,11 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before admitting
 	// half-open probes.
 	Cooldown time.Duration
-	// ProbeSuccesses is how many consecutive half-open probe
-	// successes close the breaker again (default 1).
-	ProbeSuccesses int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 250 * time.Millisecond
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 1
 	}
 	return c
 }
@@ -77,7 +71,6 @@ type Breaker struct {
 	fails        int       // consecutive failures while closed
 	openedAt     time.Time // when the breaker last tripped open
 	probeFlights int       // admitted, not-yet-recorded half-open probes
-	probeOKs     int       // consecutive half-open probe successes
 
 	// onTransition, when set, observes every state change; the pool
 	// sets it at Register, before publishing the breaker, to thread
@@ -111,7 +104,6 @@ func (b *Breaker) maybeHalfOpen() {
 	if b.state == BreakerOpen && b.clock().Sub(b.openedAt) >= b.cfg.Cooldown {
 		b.transition(BreakerHalfOpen)
 		b.probeFlights = 0
-		b.probeOKs = 0
 	}
 }
 
@@ -169,8 +161,8 @@ func (b *Breaker) Release() {
 
 // Record reports the outcome of a job previously admitted by Allow.
 // Failures while closed count toward the trip threshold; any failure
-// while half-open re-opens the breaker; ProbeSuccesses consecutive
-// half-open successes close it.
+// while half-open re-opens the breaker; one half-open success closes
+// it.
 func (b *Breaker) Record(success bool) {
 	if b == nil || b.disabled() {
 		return
@@ -194,11 +186,8 @@ func (b *Breaker) Record(success bool) {
 			b.probeFlights--
 		}
 		if success {
-			b.probeOKs++
-			if b.probeOKs >= b.cfg.ProbeSuccesses {
-				b.transition(BreakerClosed)
-				b.fails = 0
-			}
+			b.transition(BreakerClosed)
+			b.fails = 0
 			return
 		}
 		b.transition(BreakerOpen)

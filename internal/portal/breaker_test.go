@@ -10,7 +10,7 @@ import (
 
 func TestBreakerStateMachine(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(1000, 0).UTC(), 0)
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Second, ProbeSuccesses: 2}, clk.Now)
+	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Second}, clk.Now)
 
 	if b.State() != BreakerClosed {
 		t.Fatalf("initial state = %v", b.State())
@@ -50,17 +50,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("second concurrent probe allowed: %v", err)
 	}
-	// Probe 1 succeeds; needs ProbeSuccesses=2, so still half-open.
-	b.Record(true)
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state after 1 probe success = %v", b.State())
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatalf("next probe rejected: %v", err)
-	}
+	// One probe success closes it.
 	b.Record(true)
 	if b.State() != BreakerClosed {
-		t.Fatalf("state after 2 probe successes = %v, want closed", b.State())
+		t.Fatalf("state after a probe success = %v, want closed", b.State())
 	}
 
 	// Trip again; a failing half-open probe re-opens immediately.

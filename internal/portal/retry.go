@@ -27,7 +27,7 @@ func MarkTransient(err error) error {
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // RetryPolicy controls how the pool retries transient failures:
-// exponential backoff from BaseDelay, capped at MaxDelay, with
+// exponential backoff from BaseDelay, doubling with no cap, with
 // multiplicative jitter so a burst of failing jobs doesn't retry in
 // lockstep. The zero value disables retries.
 type RetryPolicy struct {
@@ -37,8 +37,6 @@ type RetryPolicy struct {
 	// BaseDelay is the backoff before the first retry; attempt k
 	// (1-based retry index) waits BaseDelay << (k-1).
 	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth (0 means no cap).
-	MaxDelay time.Duration
 	// JitterFrac in [0, 1] scales each delay by a random factor in
 	// [1-JitterFrac, 1+JitterFrac]. 0 disables jitter.
 	JitterFrac float64
@@ -52,17 +50,7 @@ func (rp RetryPolicy) Delay(k int, u float64) time.Duration {
 	if k < 1 {
 		k = 1
 	}
-	d := rp.BaseDelay
-	for i := 1; i < k; i++ {
-		d *= 2
-		if rp.MaxDelay > 0 && d >= rp.MaxDelay {
-			d = rp.MaxDelay
-			break
-		}
-	}
-	if rp.MaxDelay > 0 && d > rp.MaxDelay {
-		d = rp.MaxDelay
-	}
+	d := rp.BaseDelay << (k - 1)
 	if rp.JitterFrac > 0 {
 		scale := 1 + rp.JitterFrac*(2*u-1)
 		if scale < 0 {

@@ -30,11 +30,10 @@ func TestMarkTransient(t *testing.T) {
 }
 
 func TestRetryPolicyDelay(t *testing.T) {
-	rp := RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond,
-		MaxDelay: 60 * time.Millisecond}
-	// Exponential doubling, capped at MaxDelay. u=0.5 is identity with
-	// zero JitterFrac.
-	want := []time.Duration{10, 20, 40, 60, 60}
+	rp := RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond}
+	// Exponential doubling with no cap. u=0.5 is identity with zero
+	// JitterFrac.
+	want := []time.Duration{10, 20, 40, 80, 160}
 	for i, w := range want {
 		if d := rp.Delay(i+1, 0.5); d != w*time.Millisecond {
 			t.Errorf("Delay(%d) = %v, want %vms", i+1, d, w)

@@ -2,6 +2,8 @@ package portal
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -26,6 +28,30 @@ func (t toolFunc) Name() string     { return t.name }
 func (t toolFunc) Describe() string { return t.desc }
 func (t toolFunc) Run(input string, cancel <-chan struct{}) (string, error) {
 	return t.run(input, cancel)
+}
+
+// RunCLI is the command-line shell of a portal tool: it reads the
+// file named by the first argument (stdin when there is none), runs t
+// on it and prints the output. On error it prints "<name>: <err>" to
+// stderr and returns exit code 1.
+func RunCLI(t Tool, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	var src []byte
+	var err error
+	if len(args) > 0 {
+		src, err = os.ReadFile(args[0])
+	} else {
+		src, err = io.ReadAll(stdin)
+	}
+	if err == nil {
+		var out string
+		out, err = t.Run(string(src), nil)
+		fmt.Fprint(stdout, out)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", t.Name(), err)
+		return 1
+	}
+	return 0
 }
 
 // KBDDTool wraps the scripting BDD calculator.

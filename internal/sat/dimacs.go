@@ -12,12 +12,7 @@ import (
 // solver. Variables 1..n in the file map to solver variables 0..n-1.
 // It returns the solver and the declared variable count.
 func ParseDIMACS(r io.Reader) (*Solver, int, error) {
-	return ParseDIMACSWithOpts(r, Opts{})
-}
-
-// ParseDIMACSWithOpts is ParseDIMACS with solver options.
-func ParseDIMACSWithOpts(r io.Reader, opts Opts) (*Solver, int, error) {
-	s := NewWithOpts(opts)
+	s := New()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	nvars, nclauses := -1, -1

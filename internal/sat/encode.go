@@ -13,9 +13,6 @@ type Enc struct {
 // NewEnc returns an encoder over a fresh solver.
 func NewEnc() *Enc { return &Enc{S: New()} }
 
-// NewEncWith returns an encoder over an existing solver.
-func NewEncWith(s *Solver) *Enc { return &Enc{S: s} }
-
 // Input allocates a fresh unconstrained input and returns its positive
 // literal.
 func (e *Enc) Input() Lit { return PosLit(e.S.NewVar()) }

@@ -139,9 +139,6 @@ func (s *Solver) NewVar() int {
 // NVars returns the number of variables.
 func (s *Solver) NVars() int { return len(s.assigns) }
 
-// NClauses returns the number of problem clauses.
-func (s *Solver) NClauses() int { return len(s.clauses) }
-
 // Stats returns the solver's effort counters.
 func (s *Solver) Stats() Stats { return s.stats }
 
