@@ -2,9 +2,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race bench bench-record bench-gate xcheck fuzz corpus chaos
+.PHONY: check fmt vet build test race bench bench-harness bench-record bench-gate xcheck fuzz corpus chaos
 
-check: fmt vet build race xcheck fuzz bench
+check: fmt vet build race xcheck fuzz bench bench-harness
 
 # Fail when any Go file is not gofmt-formatted.
 fmt:
@@ -24,6 +24,11 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# cmd/moocbench has its own go.mod, so the root `./...` above never
+# builds it, although it imports internal/portal and internal/obs.
+bench-harness:
+	$(GO) -C cmd/moocbench vet ./... && $(GO) -C cmd/moocbench test ./...
 
 # Record the performance trajectory: run the hot-path benchmarks at a
 # real benchtime and parse them into BENCH_FILE (see EXPERIMENTS.md

@@ -22,8 +22,9 @@ func TestAxbBadInput(t *testing.T) {
 	if code := run(nil, strings.NewReader("not a system\n"), &out, &errb); code != 1 {
 		t.Fatalf("code=%d, want 1 (stderr=%q)", code, errb.String())
 	}
-	if errb.Len() == 0 {
-		t.Fatal("no error message on stderr")
+	// RunCLI names the tool once; the tool's own error does not.
+	if got, want := errb.String(), "axb: bad dimension \"not\"\n"; got != want {
+		t.Fatalf("stderr = %q, want %q", got, want)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestEspressoMajority(t *testing.T) {
 }
 
 func TestEspressoErrors(t *testing.T) {
-	if code, _, errb := runEspresso(t, "garbage"); code != 1 || !strings.Contains(errb, "espresso:") {
+	if code, _, errb := runEspresso(t, "garbage"); code != 1 || errb != "espresso: cube row before .i/.o\n" {
 		t.Errorf("garbage input: code=%d stderr=%q", code, errb)
 	}
 }

@@ -41,8 +41,11 @@ func TestKBDDErrors(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("code=%d, want 1", code)
 	}
-	if !strings.Contains(out, "a") || !strings.Contains(errb, "kbdd:") {
+	if !strings.Contains(out, "a") {
 		t.Fatalf("out=%q stderr=%q", out, errb)
+	}
+	if want := "kbdd: line 3: unknown command \"bogus\"\n"; errb != want {
+		t.Fatalf("stderr = %q, want %q", errb, want)
 	}
 	if code, _, _ := runKBDD(t, "", filepath.Join(t.TempDir(), "missing.kbdd")); code != 1 {
 		t.Errorf("missing file: code=%d, want 1", code)

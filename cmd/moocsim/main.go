@@ -598,7 +598,7 @@ func recoveryDrill(w io.Writer, seed uint64, journalPath string, ob *obs.Observe
 	// the pool itself keeps serving (availability over durability).
 	ws := &journalBuf{}
 	cw := fault.NewCrashWriter(ws, budget)
-	p1 := workload(portal.NewJournal(cw, portal.JournalOpts{CompactEvery: 32}), ob)
+	p1 := workload(portal.NewJournal(cw, portal.JournalOpts{}), ob)
 	rec1, _ := p1.Journal().Stats()
 	jerr := p1.Journal().Err()
 	p1.Close() // the dead process analogue: nothing past the cut survives
@@ -624,7 +624,7 @@ func recoveryDrill(w io.Writer, seed uint64, journalPath string, ob *obs.Observe
 	}
 	p2, rep, err := portal.RecoverPool(portal.PoolConfig{
 		Workers: 4, QueueDepth: 64, Seed: seed,
-		Journal:  portal.NewJournal(second, portal.JournalOpts{CompactEvery: 32}),
+		Journal:  portal.NewJournal(second, portal.JournalOpts{}),
 		Observer: ob,
 	}, bytes.NewReader(ws.Bytes()), portal.AxbTool())
 	if err != nil {

@@ -30,4 +30,7 @@ func TestSISBadInput(t *testing.T) {
 	if code := run(nil, strings.NewReader("garbage\n"), &out, &errb); code != 1 {
 		t.Fatalf("code=%d, want 1 (stderr=%q)", code, errb.String())
 	}
+	if got, want := errb.String(), "sis: input must contain a BLIF model ending in .end\n"; got != want {
+		t.Fatalf("stderr = %q, want %q", got, want)
+	}
 }

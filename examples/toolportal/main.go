@@ -45,7 +45,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		jr = portal.NewJournal(f, portal.JournalOpts{CompactEvery: 64})
+		jr = portal.NewJournal(f, portal.JournalOpts{})
 	}
 	ob := obs.NewObserver(nil)
 	p := portal.NewPool(portal.PoolConfig{

@@ -45,13 +45,13 @@ func ParsePLA(r io.Reader) (*PLA, error) {
 		case ".i":
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("espresso: bad .i line %q", line)
+				return nil, fmt.Errorf("bad .i line %q", line)
 			}
 			p.NI = n
 		case ".o":
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("espresso: bad .o line %q", line)
+				return nil, fmt.Errorf("bad .o line %q", line)
 			}
 			p.NO = n
 		case ".ilb":
@@ -64,16 +64,16 @@ func ParsePLA(r io.Reader) (*PLA, error) {
 			// done
 		default:
 			if strings.HasPrefix(fields[0], ".") {
-				return nil, fmt.Errorf("espresso: unsupported directive %q", fields[0])
+				return nil, fmt.Errorf("unsupported directive %q", fields[0])
 			}
 			if p.NI < 0 || p.NO < 0 {
-				return nil, fmt.Errorf("espresso: cube row before .i/.o")
+				return nil, fmt.Errorf("cube row before .i/.o")
 			}
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("espresso: bad row %q", line)
+				return nil, fmt.Errorf("bad row %q", line)
 			}
 			if len(fields[0]) != p.NI || len(fields[1]) != p.NO {
-				return nil, fmt.Errorf("espresso: row %q does not match .i %d .o %d", line, p.NI, p.NO)
+				return nil, fmt.Errorf("row %q does not match .i %d .o %d", line, p.NI, p.NO)
 			}
 			in, err := cube.ParseCube(fields[0])
 			if err != nil {
@@ -82,7 +82,7 @@ func ParsePLA(r io.Reader) (*PLA, error) {
 			out := []byte(fields[1])
 			for _, b := range out {
 				if b != '1' && b != '0' && b != '-' && b != '~' {
-					return nil, fmt.Errorf("espresso: bad output plane %q", fields[1])
+					return nil, fmt.Errorf("bad output plane %q", fields[1])
 				}
 			}
 			p.Rows = append(p.Rows, Row{In: in, Out: out})
@@ -92,7 +92,7 @@ func ParsePLA(r io.Reader) (*PLA, error) {
 		return nil, err
 	}
 	if p.NI < 0 || p.NO < 0 {
-		return nil, fmt.Errorf("espresso: missing .i or .o")
+		return nil, fmt.Errorf("missing .i or .o")
 	}
 	if p.InNames == nil {
 		for i := 0; i < p.NI; i++ {

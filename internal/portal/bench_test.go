@@ -54,7 +54,7 @@ func BenchmarkPoolSubmitJournal(b *testing.B) {
 		// unbounded retention would make each snapshot re-encode every
 		// result ever seen.
 		HistoryLimit: 32,
-		Journal:      NewJournal(&memSyncer{}, JournalOpts{CompactEvery: 1024}),
+		Journal:      NewJournal(&memSyncer{}, JournalOpts{}),
 		Observer:     obs.NewObserver(nil),
 	})
 	defer p.Close()
@@ -98,7 +98,7 @@ func BenchmarkPoolSubmitJournalSlowSync(b *testing.B) {
 		Workers:      8 * procs,
 		QueueDepth:   64 * procs,
 		HistoryLimit: 32,
-		Journal:      NewJournal(sleepSyncer(100*time.Microsecond), JournalOpts{CompactEvery: 1024}),
+		Journal:      NewJournal(sleepSyncer(100*time.Microsecond), JournalOpts{}),
 		Observer:     obs.NewObserver(nil),
 	})
 	defer p.Close()

@@ -212,13 +212,12 @@ func (fq *fairQueue) release(user string) {
 }
 
 // closeQueue stops admissions; queued tickets remain for the workers
-// to drain. It reports whether the queue was already closed.
-func (fq *fairQueue) closeQueue() (already bool) {
+// to drain.
+func (fq *fairQueue) closeQueue() {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
-	already, fq.closed = fq.closed, true
+	fq.closed = true
 	fq.cond.Broadcast()
-	return already
 }
 
 // drainAll rips every queued ticket out of the lanes (per-lane FIFO

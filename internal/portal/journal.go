@@ -29,9 +29,13 @@ import (
 // a crash mid-write fails the length or checksum test and is handled
 // by the reader as a torn tail (silently truncated at end of log) or
 // as corruption (ErrJournalCorrupt, replay stops at the last good
-// record). Periodically the pool compacts the log by appending a
-// snapshot record — the full pool state at that instant — after which
-// replay needs nothing earlier.
+// record). Each fact is written once: a done record leaves the tool
+// and input to its ticket's admit record, and a snapshot record — the
+// full pool state — is written only as record 0 of the journal
+// RecoverPool gives a recovered pool. Replay still resets its state at
+// a snapshot anywhere in the log, so older journals (snapshots mid-log,
+// inputs repeated in done records, logs concatenated after a restart)
+// replay as before.
 
 // WriteSyncer is the journal's durability contract: Write appends
 // bytes and Sync makes everything written so far durable. *os.File
@@ -94,12 +98,10 @@ const maxRecordLen = 1 << 28
 
 // JournalOpts tunes a Journal.
 type JournalOpts struct {
-	// CompactEvery makes the pool append a snapshot record after this
-	// many non-snapshot records (0 disables automatic compaction;
-	// Pool.CompactJournal still snapshots on demand). Replay resets its
-	// state at each snapshot, but the journal never shrinks, and
-	// RecoverPool still reads the whole file and decodes every record
-	// from offset 0, so a snapshot does not bound replay work.
+	// Deprecated: CompactEvery is ignored. The pool no longer writes
+	// periodic snapshots: replay decodes the journal from offset 0
+	// whatever it holds, so a snapshot bounded neither the file nor
+	// recovery. The field stays only so existing callers still build.
 	CompactEvery int
 }
 
@@ -113,15 +115,13 @@ type JournalOpts struct {
 // counted on pool_journal_errors_total and reported by Err, and no
 // further bytes are written.
 type Journal struct {
-	mu   sync.Mutex
-	w    WriteSyncer
-	opts JournalOpts
+	mu sync.Mutex
+	w  WriteSyncer
 
-	buf       []byte // reused frame-encoding scratch
-	err       error  // first write/sync error; wedges the journal
-	records   int64  // records covered by a finished Sync
-	bytes     int64  // frame bytes covered by a finished Sync
-	sinceSnap int    // non-snapshot records written since the last snapshot
+	buf     []byte // reused frame-encoding scratch
+	err     error  // first write/sync error; wedges the journal
+	records int64  // records covered by a finished Sync
+	bytes   int64  // frame bytes covered by a finished Sync
 
 	// Group commit. Marks are log positions in bytes written: a record's
 	// mark is the position just past its frame. written is the end of
@@ -143,9 +143,9 @@ type Journal struct {
 }
 
 // NewJournal builds a journal over w. The caller owns w's lifetime;
-// the journal never closes it.
-func NewJournal(w WriteSyncer, opts JournalOpts) *Journal {
-	j := &Journal{w: w, opts: opts}
+// the journal never closes it. No JournalOpts field has any effect.
+func NewJournal(w WriteSyncer, _ JournalOpts) *Journal {
+	j := &Journal{w: w}
 	j.syncDone = sync.NewCond(&j.mu)
 	return j
 }
@@ -211,11 +211,6 @@ func (j *Journal) append(kind byte, payload []byte) int64 {
 	j.written += int64(len(frame))
 	j.pendRecs[kind]++
 	j.pendBytes += int64(len(frame))
-	if kind == recSnapshot {
-		j.sinceSnap = 0
-	} else {
-		j.sinceSnap++
-	}
 	return j.written
 }
 
@@ -256,14 +251,6 @@ func (j *Journal) durable(mark int64) {
 		}
 		j.syncDone.Broadcast()
 	}
-}
-
-// wantsCompact reports whether enough records accumulated since the
-// last snapshot to trigger automatic compaction.
-func (j *Journal) wantsCompact() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err == nil && j.opts.CompactEvery > 0 && j.sinceSnap >= j.opts.CompactEvery
 }
 
 // ---- payload encoding -------------------------------------------------
@@ -450,8 +437,9 @@ func (r *payloadReader) jobResult() JobResult {
 }
 
 // admitRec is the decoded form of a recAdmit payload; it doubles as
-// the snapshot's live-ticket entry (with the running flag set for
-// tickets a worker held at snapshot time).
+// the snapshot's live-ticket entry. Replay sets running on a start
+// record; a chain snapshot writes every ticket queued, but an older
+// journal's mid-log snapshot sets it for tickets a worker held then.
 type admitRec struct {
 	seq      uint64
 	user     string
@@ -514,14 +502,22 @@ func (j *Journal) appendStart(seq uint64) int64 {
 	return j.append(recStart, payload)
 }
 
-// appendDone journals a terminal transition.
+// appendDone journals a terminal transition. The result's tool and
+// input are its ticket's, which the admit record already holds, so
+// they are written as empty strings and replay fills them back in.
 func (j *Journal) appendDone(d doneRec) int64 {
-	payload := []byte{recDone}
-	payload = appendUvarint(payload, d.seq)
-	payload = append(payload, d.state)
-	payload = appendBool(payload, d.ran)
-	payload = appendJobResult(payload, d.res)
-	return j.append(recDone, payload)
+	d.res.Tool, d.res.Input = "", ""
+	return j.append(recDone, encodeDone(d))
+}
+
+// encodeDone renders a done-record payload as given; older journals
+// wrote the tool and input here too.
+func encodeDone(d doneRec) []byte {
+	b := []byte{recDone}
+	b = appendUvarint(b, d.seq)
+	b = append(b, d.state)
+	b = appendBool(b, d.ran)
+	return appendJobResult(b, d.res)
 }
 
 // appendShed journals a shed admission's quota-bucket touch.

@@ -24,7 +24,10 @@ func fuzzCfg() PoolConfig {
 }
 
 // fuzzSeedJournals builds the seed corpus: an empty log, a valid log
-// exercising every record kind, a torn tail, and a checksum flip.
+// in the older format exercising every record kind (a snapshot
+// mid-log, tool and input repeated in a done record), a torn tail, a
+// checksum flip, and a valid log in the current format (the chain
+// snapshot first, done records without tool or input).
 // TestWriteFuzzSeeds promotes these into testdata/fuzz.
 func fuzzSeedJournals() [][]byte {
 	t0 := time.Unix(9000, 0).UTC()
@@ -35,8 +38,8 @@ func fuzzSeedJournals() [][]byte {
 	j.appendAdmit(&Ticket{seq: 2, user: "v", tool: "gone", input: "b", queuedAt: t0,
 		deadline: t0.Add(time.Minute)})
 	j.appendShed("u", t0)
-	j.appendDone(doneRec{seq: 1, state: doneCompleted, ran: true,
-		res: JobResult{Tool: "echo", Input: "a", Output: "a", When: t0}})
+	j.append(recDone, encodeDone(doneRec{seq: 1, state: doneCompleted, ran: true,
+		res: JobResult{Tool: "echo", Input: "a", Output: "a", When: t0}}))
 	snap := newPoolSnapshot()
 	snap.ledger = Ledger{Admitted: 2, Completed: 1}
 	snap.nextSeq = 2
@@ -51,7 +54,18 @@ func fuzzSeedJournals() [][]byte {
 	torn := append([]byte(nil), valid[:len(valid)-3]...)
 	corrupt := append([]byte(nil), valid...)
 	corrupt[8+1] ^= 0xff // inside the first record's payload
-	return [][]byte{nil, valid, torn, corrupt}
+
+	ms = &memSyncer{}
+	j = NewJournal(ms, JournalOpts{})
+	snap.live[2].running, snap.live[2].replayed = false, true
+	j.append(recSnapshot, encodeSnapshot(snap))
+	j.appendAdmit(&Ticket{seq: 3, user: "u", tool: "echo", input: "c", queuedAt: t0})
+	j.appendStart(3)
+	j.appendShed("u", t0)
+	j.appendDone(doneRec{seq: 3, state: doneCompleted, ran: true,
+		res: JobResult{Tool: "echo", Input: "c", Output: "c", When: t0}})
+	j.appendStart(2)
+	return [][]byte{nil, valid, torn, corrupt, ms.Bytes()}
 }
 
 // FuzzJournalReplay feeds arbitrary bytes through replay and full
@@ -131,7 +145,7 @@ func TestWriteFuzzSeeds(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"seed-empty", "seed-valid", "seed-torn", "seed-corrupt"}
+	names := []string{"seed-empty", "seed-valid", "seed-torn", "seed-corrupt", "seed-chain"}
 	for i, data := range fuzzSeedJournals() {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
 		if err := os.WriteFile(filepath.Join(dir, names[i]), []byte(body), 0o644); err != nil {

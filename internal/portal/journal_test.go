@@ -76,8 +76,8 @@ func TestJournalRoundTripRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if !rep.SnapshotUsed {
-		t.Fatal("Close compacts: recovery should replay from the snapshot")
+	if rep.SnapshotUsed {
+		t.Fatal("a first-life journal holds no snapshot record")
 	}
 	if rep.Requeued != 0 || rep.Rerun != 0 || rep.Expired != 0 || rep.Orphaned != 0 {
 		t.Fatalf("quiescent journal should restore no live tickets: %+v", rep)
@@ -102,15 +102,17 @@ func TestJournalRoundTripRecover(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailSweep chops a recorded journal at every byte
+// TestJournalTornTailSweep chops recorded journals at every byte
 // offset and asserts each prefix replays without error (a torn tail is
 // a crash signature, not corruption) into internally consistent state:
 // admitted == terminal + live, order ⊆ live, and the valid prefix plus
-// the torn tail account for every byte.
+// the torn tail account for every byte. It sweeps a first-life journal
+// and a recovered pool's, whose chain snapshot gives cuts inside a
+// snapshot record.
 func TestJournalTornTailSweep(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), time.Millisecond)
-	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk.Now,
-		QuotaRate: 100, QuotaBurst: 100}, JournalOpts{CompactEvery: 5})
+	cfg := PoolConfig{Workers: 1, Clock: clk.Now, QuotaRate: 100, QuotaBurst: 100}
+	p, ms := journaledPool(cfg, JournalOpts{})
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}
@@ -120,25 +122,47 @@ func TestJournalTornTailSweep(t *testing.T) {
 		}
 	}
 	p.Close()
-	data := ms.Bytes()
-	cfg := PoolConfig{QuotaRate: 100, QuotaBurst: 100}.withDefaults()
+	first := ms.Bytes()
 
-	for cut := 0; cut <= len(data); cut++ {
-		st, order, rep, err := replayJournal(data[:cut], cfg)
-		if err != nil {
-			t.Fatalf("cut %d/%d: unexpected corruption: %v", cut, len(data), err)
+	// Recover from a crash halfway through, run the restored tickets
+	// and a few more, and sweep the recovered pool's journal too.
+	ms2 := &memSyncer{}
+	rcfg := cfg
+	rcfg.Journal, rcfg.Observer = NewJournal(ms2, JournalOpts{}), obs.NewObserver(nil)
+	p2, _, err := RecoverPool(rcfg, bytes.NewReader(first[:len(first)/2]), echoTool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 8; i < 11; i++ {
+		if _, err := p2.Submit("u", "echo", fmt.Sprintf("j%d", i)); err != nil {
+			t.Fatal(err)
 		}
-		terminal := st.ledger.Completed + st.ledger.Expired + st.ledger.Cancelled + st.ledger.Replayed
-		if st.ledger.Admitted != terminal+int64(len(st.live)) {
-			t.Fatalf("cut %d: ledger %+v inconsistent with %d live", cut, st.ledger, len(st.live))
-		}
-		for _, seq := range order {
-			if _, ok := st.live[seq]; !ok {
-				t.Fatalf("cut %d: order references dead seq %d", cut, seq)
+	}
+	p2.Close()
+	second := ms2.Bytes()
+	if second[8] != recSnapshot {
+		t.Fatalf("recovered journal starts with a %s record, want a snapshot", recKindName(second[8]))
+	}
+
+	cfg = cfg.withDefaults()
+	for _, data := range [][]byte{first, second} {
+		for cut := 0; cut <= len(data); cut++ {
+			st, order, rep, err := replayJournal(data[:cut], cfg)
+			if err != nil {
+				t.Fatalf("cut %d/%d: unexpected corruption: %v", cut, len(data), err)
 			}
-		}
-		if rep.Bytes+rep.TornBytes != int64(cut) {
-			t.Fatalf("cut %d: bytes %d + torn %d don't cover the prefix", cut, rep.Bytes, rep.TornBytes)
+			terminal := st.ledger.Completed + st.ledger.Expired + st.ledger.Cancelled + st.ledger.Replayed
+			if st.ledger.Admitted != terminal+int64(len(st.live)) {
+				t.Fatalf("cut %d: ledger %+v inconsistent with %d live", cut, st.ledger, len(st.live))
+			}
+			for _, seq := range order {
+				if _, ok := st.live[seq]; !ok {
+					t.Fatalf("cut %d: order references dead seq %d", cut, seq)
+				}
+			}
+			if rep.Bytes+rep.TornBytes != int64(cut) {
+				t.Fatalf("cut %d: bytes %d + torn %d don't cover the prefix", cut, rep.Bytes, rep.TornBytes)
+			}
 		}
 	}
 }
@@ -228,53 +252,6 @@ func TestJournalDuplicateAndUnknownRecords(t *testing.T) {
 	}
 }
 
-func TestJournalCompaction(t *testing.T) {
-	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), time.Millisecond)
-	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk.Now, HistoryLimit: 4},
-		JournalOpts{CompactEvery: 4})
-	if err := p.Register(echoTool()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := p.Submit("u", "echo", fmt.Sprintf("j%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Close()
-	data := ms.Bytes()
-
-	// Count snapshot frames: 20 jobs × 3 records at CompactEvery=4
-	// must have compacted repeatedly, plus the Close snapshot.
-	snaps := 0
-	for off := 0; off+8 <= len(data); {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if data[off+8] == recSnapshot {
-			snaps++
-		}
-		off += 8 + n
-	}
-	if snaps < 5 {
-		t.Fatalf("found %d snapshot records, want ≥ 5", snaps)
-	}
-
-	p2, rep, err := RecoverPool(PoolConfig{Workers: 1, Clock: clk.Now, HistoryLimit: 4,
-		Observer: obs.NewObserver(nil)}, bytes.NewReader(data), echoTool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if !rep.SnapshotUsed {
-		t.Fatal("recovery should restart from the last snapshot")
-	}
-	if !reflect.DeepEqual(p2.History("u"), p.History("u")) {
-		t.Fatalf("compacted recovery history diverged:\n got %+v\nwant %+v",
-			p2.History("u"), p.History("u"))
-	}
-	if got := p2.Ledger(); got != p.Ledger() {
-		t.Fatalf("ledger %+v != %+v", got, p.Ledger())
-	}
-}
-
 // failAfterSyncer accepts n writes then fails permanently — the
 // disk-gone case, which must wedge the journal, not the pool.
 type failAfterSyncer struct{ n int }
@@ -317,21 +294,28 @@ func TestJournalWriteErrorWedgesJournalNotPool(t *testing.T) {
 	}
 }
 
-// serialJournalDigest is the SHA-256 of the journal TestJournalSerialDigest
-// writes. The on-disk format and the record order of a serial run are
-// fixed, so this changes only with the format itself.
-const serialJournalDigest = "53abf6eb0a8eef2afa54b249a9e5d3ee79bdf7fdfc571192d6f9297b7ee5999f"
+// serialJournalDigests are the SHA-256 digests of the two journals
+// TestJournalSerialDigest writes: a serial run's, and that of a pool
+// recovered from it. The on-disk format and the record order of a
+// serial run are fixed, so these change only with the format itself.
+var serialJournalDigests = [2]string{
+	"e2401b70468afec8b19fb8dc08ca01796665199a350b1e415baeb153a3542095",
+	"d92ac704b35d02c38116434545c4246587a5224ebc13e713ddebba040fab8a4a",
+}
 
 // TestJournalSerialDigest pins the exact bytes of a serial run's
 // journal — one worker, one submitter, a fake clock, timers that never
-// fire — covering every record kind: admits, starts, dones, quota
-// sheds, a deadline expired on pop, periodic compaction snapshots and
-// Close's snapshot.
+// fire — covering admits, starts, dones, quota sheds and a deadline
+// expired on pop. It then recovers a pool from that journal cut just
+// after the last start record, so one ticket is mid-flight, lets it
+// re-run, and pins the recovered pool's journal too: its chain
+// snapshot, the one snapshot a journal holds, and a replayed done.
 func TestJournalSerialDigest(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), time.Millisecond)
 	never := func(time.Duration) <-chan time.Time { return nil }
-	p, ms := journaledPool(PoolConfig{Workers: 1, Clock: clk.Now, After: never,
-		QuotaRate: 50, QuotaBurst: 3, HistoryLimit: 4}, JournalOpts{CompactEvery: 7})
+	cfg := PoolConfig{Workers: 1, Clock: clk.Now, After: never,
+		QuotaRate: 50, QuotaBurst: 3, HistoryLimit: 4}
+	p, ms := journaledPool(cfg, JournalOpts{})
 	if err := p.Register(echoTool()); err != nil {
 		t.Fatal(err)
 	}
@@ -351,18 +335,46 @@ func TestJournalSerialDigest(t *testing.T) {
 	p.Close()
 	data := ms.Bytes()
 
-	kinds := map[byte]int{}
-	for off := 0; off+8 <= len(data); off += 8 + int(binary.LittleEndian.Uint32(data[off:])) {
-		kinds[data[off+8]]++
+	// Cut just after the last start record: that ticket is mid-flight.
+	cut := 0
+	for off := 0; off+8 <= len(data); {
+		end := off + 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		if data[off+8] == recStart {
+			cut = end
+		}
+		off = end
 	}
-	for kind := recAdmit; kind <= recShed; kind++ {
-		if kinds[kind] == 0 {
-			t.Fatalf("no %s record in the serial run: %v", recKindName(kind), kinds)
+	ms2 := &memSyncer{}
+	cfg.Journal, cfg.Observer = NewJournal(ms2, JournalOpts{}), obs.NewObserver(nil)
+	p2, rep, err := RecoverPool(cfg, bytes.NewReader(data[:cut]), echoTool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2.Close()
+	if rep.Rerun != 1 {
+		t.Fatalf("recovery re-ran %d tickets, want the 1 mid-flight", rep.Rerun)
+	}
+
+	all := map[byte]int{}
+	for i, data := range [][]byte{data, ms2.Bytes()} {
+		var kinds []byte
+		for off := 0; off+8 <= len(data); off += 8 + int(binary.LittleEndian.Uint32(data[off:])) {
+			kinds = append(kinds, data[off+8])
+			all[data[off+8]]++
+		}
+		snaps := bytes.Count(kinds, []byte{recSnapshot})
+		if want := i; snaps != want || (i == 1 && kinds[0] != recSnapshot) {
+			t.Fatalf("journal %d holds %d snapshot records (kinds %v), want %d, as record 0", i, snaps, kinds, want)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != serialJournalDigests[i] {
+			t.Fatalf("journal %d digest = %s, want %s (%d bytes, records by kind %v)",
+				i, got, serialJournalDigests[i], len(data), kinds)
 		}
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != serialJournalDigest {
-		t.Fatalf("serial journal digest = %s, want %s (%d bytes, records by kind %v)",
-			got, serialJournalDigest, len(data), kinds)
+	for kind := recAdmit; kind <= recShed; kind++ {
+		if all[kind] == 0 {
+			t.Fatalf("no %s record in the serial run or its recovery: %v", recKindName(kind), all)
+		}
 	}
 }
 
@@ -499,7 +511,7 @@ func TestJournalGroupCommitDurableBeforeAck(t *testing.T) {
 	// Stats and the counters count a record once a Sync covers it: after
 	// Close every record is covered.
 	records, nbytes := p.Journal().Stats()
-	if want := int64(3*users*jobs + 1); records != want || nbytes != int64(len(data)) {
+	if want := int64(3 * users * jobs); records != want || nbytes != int64(len(data)) {
 		t.Fatalf("Stats = %d records / %d bytes, want %d / %d", records, nbytes, want, len(data))
 	}
 	m := ob.Snapshot().Metrics.Counters
@@ -537,8 +549,8 @@ func TestJournalGroupCommitBatchesSyncs(t *testing.T) {
 	wg.Wait()
 	p.Close()
 	records, _ := p.Journal().Stats()
-	if records != 3*submitters*jobs+1 {
-		t.Fatalf("journal holds %d records, want %d", records, 3*submitters*jobs+1)
+	if records != 3*submitters*jobs {
+		t.Fatalf("journal holds %d records, want %d", records, 3*submitters*jobs)
 	}
 	if syncs := ss.syncCount(); int64(syncs) >= records {
 		t.Fatalf("%d Syncs for %d records: concurrent transitions did not share fsyncs", syncs, records)

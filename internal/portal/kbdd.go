@@ -35,7 +35,7 @@ func (k *KBDD) lookup(name string) (bdd.Node, error) {
 	if v, ok := k.env.Names()[name]; ok {
 		return k.m.Var(v), nil
 	}
-	return bdd.FalseNode, fmt.Errorf("kbdd: unknown function %q", name)
+	return bdd.FalseNode, fmt.Errorf("unknown function %q", name)
 }
 
 // declared counts the variables the script has introduced; satcount
@@ -46,7 +46,7 @@ func (k *KBDD) varIndex(name string) (int, error) {
 	if v, ok := k.env.Names()[name]; ok {
 		return v, nil
 	}
-	return 0, fmt.Errorf("kbdd: unknown variable %q", name)
+	return 0, fmt.Errorf("unknown variable %q", name)
 }
 
 // Exec runs one command line.
@@ -142,7 +142,7 @@ func (k *KBDD) Exec(line string) error {
 		fmt.Fprintf(&k.out, "tautology(%s) = %v\n", fields[1], n == bdd.TrueNode)
 	case "equal":
 		if len(fields) < 3 {
-			return fmt.Errorf("kbdd: equal needs two functions")
+			return fmt.Errorf("equal needs two functions")
 		}
 		a, err := k.lookup(fields[1])
 		if err != nil {
@@ -180,7 +180,7 @@ func (k *KBDD) Exec(line string) error {
 		fmt.Fprintf(&k.out, "order: %s\n", strings.Join(names, " < "))
 	case "exists", "forall":
 		if len(fields) < 4 {
-			return fmt.Errorf("kbdd: %s needs dst, src and variables", fields[0])
+			return fmt.Errorf("%s needs dst, src and variables", fields[0])
 		}
 		src, err := k.lookup(fields[2])
 		if err != nil {
@@ -205,7 +205,7 @@ func (k *KBDD) Exec(line string) error {
 		fmt.Fprintf(&k.out, "%s = %s\n", fields[1], k.m.Format(r))
 	case "restrict":
 		if len(fields) != 5 {
-			return fmt.Errorf("kbdd: restrict <dst> <f> <var> 0|1")
+			return fmt.Errorf("restrict <dst> <f> <var> 0|1")
 		}
 		src, err := k.lookup(fields[2])
 		if err != nil {
@@ -217,7 +217,7 @@ func (k *KBDD) Exec(line string) error {
 		}
 		val, err := strconv.Atoi(fields[4])
 		if err != nil || (val != 0 && val != 1) {
-			return fmt.Errorf("kbdd: restrict value must be 0 or 1")
+			return fmt.Errorf("restrict value must be 0 or 1")
 		}
 		r := k.m.Restrict(src, v, val == 1)
 		k.env.Define(fields[1], r)
@@ -225,7 +225,7 @@ func (k *KBDD) Exec(line string) error {
 		fmt.Fprintf(&k.out, "%s = %s\n", fields[1], k.m.Format(r))
 	case "compose":
 		if len(fields) != 5 {
-			return fmt.Errorf("kbdd: compose <dst> <f> <var> <g>")
+			return fmt.Errorf("compose <dst> <f> <var> <g>")
 		}
 		f, err := k.lookup(fields[2])
 		if err != nil {
@@ -245,7 +245,7 @@ func (k *KBDD) Exec(line string) error {
 		fmt.Fprintf(&k.out, "%s = %s\n", fields[1], k.m.Format(r))
 	case "bdiff":
 		if len(fields) != 4 {
-			return fmt.Errorf("kbdd: bdiff <dst> <f> <var>")
+			return fmt.Errorf("bdiff <dst> <f> <var>")
 		}
 		f, err := k.lookup(fields[2])
 		if err != nil {
@@ -284,7 +284,7 @@ func (k *KBDD) Exec(line string) error {
 		freed := k.m.GC()
 		fmt.Fprintf(&k.out, "gc: freed %d nodes\n", freed)
 	default:
-		return fmt.Errorf("kbdd: unknown command %q", fields[0])
+		return fmt.Errorf("unknown command %q", fields[0])
 	}
 	return nil
 }

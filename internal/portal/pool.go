@@ -274,8 +274,8 @@ type Pool struct {
 
 	// jmu is the recovery-consistency lock: it guards the sequence
 	// counter, the live-ticket set (every non-terminal ticket), the
-	// conservation ledger, and every journal append — so a compaction
-	// snapshot can never observe a ticket half-transitioned, and the
+	// conservation ledger, and every journal append — so each
+	// transition's state change and its record commit together, and the
 	// record order on disk is the jmu order. The wait for a record's
 	// Sync (Journal.durable) happens after jmu is released, so
 	// transitions share fsyncs. Lock order: jmu before histMu, tk.mu,
@@ -405,7 +405,7 @@ func (p *Pool) CloseWithTimeout(d time.Duration) bool {
 // shutdown is the one close path: drain gracefully until timer fires,
 // then force the rest. Close passes a nil timer, which never fires.
 func (p *Pool) shutdown(timer <-chan time.Time) bool {
-	already := p.fq.closeQueue()
+	p.fq.closeQueue()
 	drained := make(chan struct{})
 	go func() {
 		p.wg.Wait()
@@ -433,11 +433,6 @@ func (p *Pool) shutdown(timer <-chan time.Time) bool {
 		}
 		p.jmu.Unlock()
 		<-drained
-	}
-	if !already {
-		// A clean shutdown leaves a compact journal: one snapshot
-		// record a restart replays wholesale.
-		p.CompactJournal()
 	}
 	return graceful
 }
@@ -724,10 +719,9 @@ func (p *Pool) startTicket(tk *Ticket, now time.Time) bool {
 // expiry's site is the quit interrupt's for a ticket that ran; one that
 // never ran expired queued, or draining once Close has begun.
 // History, ledger, live-set removal, and the journal's done record
-// commit atomically under jmu, so a compaction snapshot sees the
-// ticket either live or terminal, never between; the done record (and
-// any compaction snapshot written with it) is durable before the
-// ticket reads as done.
+// commit atomically under jmu, so the record order on disk is the
+// order the pool's state changed in; the done record is durable before
+// the ticket reads as done.
 func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool) {
 	state, doneState := "completed", doneCompleted
 	switch {
@@ -773,9 +767,6 @@ func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool) {
 	var mark int64
 	if p.jr != nil {
 		mark = p.jr.appendDone(doneRec{seq: tk.seq, state: doneState, ran: ran, res: res})
-		if p.jr.wantsCompact() {
-			mark = p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
-		}
 	}
 	p.jmu.Unlock()
 	p.jr.durable(mark)
@@ -1077,49 +1068,6 @@ func (p *Pool) journalShed(user string, now time.Time) {
 	}
 	p.jmu.Lock()
 	mark := p.jr.appendShed(user, now)
-	p.jmu.Unlock()
-	p.jr.durable(mark)
-}
-
-// snapshotLocked assembles the pool's full recoverable state.
-// Callers hold p.jmu.
-func (p *Pool) snapshotLocked() *poolSnapshot {
-	s := newPoolSnapshot()
-	s.ledger = p.ledger
-	s.nextSeq = p.seq
-	p.histMu.Lock()
-	for user, h := range p.history {
-		s.hist[user] = append([]JobResult(nil), h...)
-	}
-	p.histMu.Unlock()
-	s.quota = p.quota.snapshot()
-	for seq, tk := range p.live {
-		tk.mu.Lock()
-		state := tk.state
-		tk.mu.Unlock()
-		// A ticket caught mid-finalization (terminal under tk.mu but
-		// its done record not yet committed under jmu) snapshots as
-		// running: replay re-runs it, which at-least-once permits.
-		s.live[seq] = &admitRec{
-			seq: seq, user: tk.user, tool: tk.tool, input: tk.input,
-			queuedAt: tk.queuedAt, deadline: tk.deadline,
-			running: state != TicketQueued, replayed: tk.replayed,
-		}
-	}
-	return s
-}
-
-// CompactJournal appends a snapshot record of the pool's whole
-// recoverable state now, whatever JournalOpts.CompactEvery says; Close
-// calls it. Replay resets its state at the snapshot, but RecoverPool
-// still reads and decodes the journal from offset 0, so the snapshot
-// shortens neither the file nor the replay. No-op without a journal.
-func (p *Pool) CompactJournal() {
-	if p.jr == nil {
-		return
-	}
-	p.jmu.Lock()
-	mark := p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
 	p.jmu.Unlock()
 	p.jr.durable(mark)
 }

@@ -69,8 +69,10 @@ type RecoveryReport struct {
 	// TornBytes is the length of an incomplete trailing record
 	// discarded as a torn tail (a crash mid-write).
 	TornBytes int64
-	// SnapshotUsed reports whether replay restarted from a compaction
-	// snapshot instead of the log's beginning.
+	// SnapshotUsed reports whether replay restarted from a snapshot
+	// record instead of the log's beginning: the chain snapshot a
+	// recovered pool's journal starts with, or a snapshot that an older
+	// journal or a concatenated log holds mid-log.
 	SnapshotUsed bool
 	// Requeued counts restored tickets that had not started (re-queued
 	// in original admission order); Rerun counts mid-flight tickets
@@ -183,6 +185,9 @@ func replayJournal(data []byte, cfg PoolConfig) (*poolSnapshot, []uint64, *Recov
 			delete(st.live, done.seq)
 			st.ledger.count(done.state)
 			if done.ran {
+				// The admit record owns the tool and input; a done record
+				// that repeats them (an older journal) holds the same.
+				done.res.Tool, done.res.Input = rec.tool, rec.input
 				st.hist[rec.user] = appendHistory(st.hist[rec.user], done.res, cfg.HistoryLimit)
 			}
 		case recSnapshot:
@@ -269,28 +274,31 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 	ob := p.obs
 	sp := ob.StartSpan("portal.recover")
 
-	// Install the replayed state, restored tickets included: every one
-	// enters live, so the chain snapshot below comes from the same
-	// snapshotLocked a compaction uses.
+	// Install the replayed state, restored tickets included. p is not
+	// shared yet: no worker, watchdog or caller can see it. chain is the
+	// same state with every restored ticket queued, since none has
+	// started in this pool yet.
+	chain := *st
+	chain.live = make(map[uint64]*admitRec, len(order))
 	tickets := make([]*Ticket, 0, len(order))
-	p.jmu.Lock()
 	p.seq = st.nextSeq
 	p.ledger = st.ledger
-	p.histMu.Lock()
 	p.history = st.hist
-	p.histMu.Unlock()
 	p.quota.restore(st.quota)
 	for _, seqNo := range order {
 		rec := st.live[seqNo]
+		// A ticket that was running (in any previous lifetime) stays
+		// marked for at-least-once accounting even across chained
+		// crashes.
+		queued := *rec
+		queued.running, queued.replayed = false, rec.replayed || rec.running
+		chain.live[seqNo] = &queued
 		tk := &Ticket{
 			user: rec.user, tool: rec.tool, input: rec.input,
 			queuedAt: rec.queuedAt, deadline: rec.deadline,
 			te: p.entry(rec.tool), p: p,
 			done: make(chan struct{}), quit: make(chan struct{}),
-			// A ticket that was running (in any previous lifetime) stays
-			// marked for at-least-once accounting even across chained
-			// crashes.
-			seq: rec.seq, replayed: rec.replayed || rec.running,
+			seq: rec.seq, replayed: queued.replayed,
 		}
 		tsp := ob.StartSpan("portal.ticket")
 		tsp.SetLabel("tool", rec.tool)
@@ -300,16 +308,12 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 		p.live[tk.seq] = tk
 		tickets = append(tickets, tk)
 	}
-	// Chain durability: make the restored state the new journal's
-	// first record, so recovery-after-recovery never needs the old
-	// log. Restored tickets snapshot as queued — none has started in
-	// this pool yet.
-	var mark int64
+	// Chain durability: make the restored state the new journal's first
+	// record, so recovery-after-recovery never needs the old log. This
+	// is the one place a snapshot is written.
 	if p.jr != nil {
-		mark = p.jr.append(recSnapshot, encodeSnapshot(p.snapshotLocked()))
+		p.jr.durable(p.jr.append(recSnapshot, encodeSnapshot(&chain)))
 	}
-	p.jmu.Unlock()
-	p.jr.durable(mark)
 	rep.Ledger = st.ledger
 
 	// Dispatch live tickets in original admission order. restore

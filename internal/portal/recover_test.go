@@ -222,7 +222,8 @@ func lastSnapshotAt(data []byte) int {
 // TestRecoverQuotaBucketsPreserved replays every way admission
 // touches a token bucket — a spend, a quota shed, a spend refunded by
 // a fair-share or queue-full shed — and a bucket table reset at a
-// compaction snapshot. Recovered buckets must equal the live pool's
+// snapshot record mid-log, as an older journal or a log concatenated
+// after a restart holds. Recovered buckets must equal the live pool's
 // exactly. A ticking clock keeps refills fractional.
 func TestRecoverQuotaBucketsPreserved(t *testing.T) {
 	// wedge pins one gate ticket on the only worker and queues n more
@@ -245,11 +246,11 @@ func TestRecoverQuotaBucketsPreserved(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name    string
-		cfg     PoolConfig
-		opts    JournalOpts
-		drive   func(t *testing.T, p *Pool) error
-		wantErr error
+		name     string
+		cfg      PoolConfig
+		drive    func(t *testing.T, p *Pool) error
+		wantErr  error
+		snapshot bool // drive writes a snapshot record mid-log
 	}{
 		{
 			name: "quota shed",
@@ -288,7 +289,6 @@ func TestRecoverQuotaBucketsPreserved(t *testing.T) {
 		{
 			name: "reset at snapshot",
 			cfg:  PoolConfig{QuotaRate: 3, QuotaBurst: 3},
-			opts: JournalOpts{CompactEvery: 2},
 			drive: func(t *testing.T, p *Pool) error {
 				for i := 0; i < 3; i++ {
 					for _, user := range []string{"hot", "cold"} {
@@ -296,15 +296,27 @@ func TestRecoverQuotaBucketsPreserved(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+					if i != 1 {
+						continue
+					}
+					// The pool is idle: write the state its journal so far
+					// replays to as a snapshot record, directly, as
+					// fuzzSeedJournals does.
+					st, _, _, err := replayJournal(p.jr.w.(*memSyncer).Bytes(), p.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.jr.durable(p.jr.append(recSnapshot, encodeSnapshot(st)))
 				}
-				// The shed lands after the last snapshot record.
+				// The shed lands after the snapshot record.
 				var err error
 				for err == nil {
 					_, err = p.SubmitAsync("hot", "echo", "burst")
 				}
 				return err
 			},
-			wantErr: ErrQuotaExceeded,
+			wantErr:  ErrQuotaExceeded,
+			snapshot: true,
 		},
 	}
 	for _, tc := range cases {
@@ -312,7 +324,7 @@ func TestRecoverQuotaBucketsPreserved(t *testing.T) {
 			clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), 7*time.Millisecond)
 			cfg := tc.cfg
 			cfg.Workers, cfg.Clock = 1, clk.Now
-			p, ms := journaledPool(cfg, tc.opts)
+			p, ms := journaledPool(cfg, JournalOpts{})
 			// Cleanups run last-in first-out: the gate opens first.
 			t.Cleanup(p.Close)
 			if err := p.Register(echoTool()); err != nil {
@@ -323,12 +335,11 @@ func TestRecoverQuotaBucketsPreserved(t *testing.T) {
 			}
 			want := p.quota.snapshot()
 
-			// With compaction on, the log from its last snapshot record
-			// on must recover the same buckets: replay resets its table
-			// there.
+			// With a snapshot record mid-log, the log from it on must
+			// recover the same buckets: replay resets its table there.
 			data := ms.Bytes()
 			logs := [][]byte{data}
-			if tc.opts.CompactEvery > 0 {
+			if tc.snapshot {
 				logs = append(logs, data[lastSnapshotAt(data):])
 			}
 			cfg.Journal, cfg.Observer = nil, obs.NewObserver(nil)
@@ -339,8 +350,8 @@ func TestRecoverQuotaBucketsPreserved(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer pr.Close()
-				if rep.SnapshotUsed != (tc.opts.CompactEvery > 0) {
-					t.Fatalf("SnapshotUsed = %v with CompactEvery %d", rep.SnapshotUsed, tc.opts.CompactEvery)
+				if rep.SnapshotUsed != tc.snapshot {
+					t.Fatalf("SnapshotUsed = %v, want %v", rep.SnapshotUsed, tc.snapshot)
 				}
 				if got := pr.quota.snapshot(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("quota buckets diverged (%d-byte log):\n got %+v\nwant %+v", len(log), got, want)

@@ -136,7 +136,7 @@ func SISTool() Tool {
 		run: func(input string, cancel <-chan struct{}) (string, error) {
 			idx := strings.Index(input, ".end")
 			if idx < 0 {
-				return "", fmt.Errorf("sis: input must contain a BLIF model ending in .end")
+				return "", fmt.Errorf("input must contain a BLIF model ending in .end")
 			}
 			blif := input[:idx+len(".end")]
 			script := input[idx+len(".end"):]
@@ -168,11 +168,11 @@ func AxbTool() Tool {
 		run: func(input string, cancel <-chan struct{}) (string, error) {
 			fields := strings.Fields(input)
 			if len(fields) == 0 {
-				return "", fmt.Errorf("axb: empty input")
+				return "", fmt.Errorf("empty input")
 			}
 			n, err := strconv.Atoi(fields[0])
 			if err != nil || n <= 0 {
-				return "", fmt.Errorf("axb: bad dimension %q", fields[0])
+				return "", fmt.Errorf("bad dimension %q", fields[0])
 			}
 			pos := 1
 			method := "dense"
@@ -184,13 +184,13 @@ func AxbTool() Tool {
 			}
 			need := n*n + n
 			if len(fields)-pos != need {
-				return "", fmt.Errorf("axb: need %d numbers after the header, got %d", need, len(fields)-pos)
+				return "", fmt.Errorf("need %d numbers after the header, got %d", need, len(fields)-pos)
 			}
 			nums := make([]float64, need)
 			for i := range nums {
 				v, err := strconv.ParseFloat(fields[pos+i], 64)
 				if err != nil {
-					return "", fmt.Errorf("axb: bad number %q", fields[pos+i])
+					return "", fmt.Errorf("bad number %q", fields[pos+i])
 				}
 				nums[i] = v
 			}
@@ -230,11 +230,11 @@ func AxbTool() Tool {
 					res = linsolve.JacobiInto(x, sp, b, 1e-10, 100000)
 				}
 				if !res.Converged {
-					return "", fmt.Errorf("axb: %s did not converge (residual %g)", method, res.Residual)
+					return "", fmt.Errorf("%s did not converge (residual %g)", method, res.Residual)
 				}
 				note = fmt.Sprintf("%s, %d iterations", method, res.Iterations)
 			default:
-				return "", fmt.Errorf("axb: unknown method %q", method)
+				return "", fmt.Errorf("unknown method %q", method)
 			}
 			var out strings.Builder
 			fmt.Fprintf(&out, "# solved %dx%d by %s\n", n, n, note)
