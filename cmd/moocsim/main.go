@@ -74,7 +74,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer srv.Close()
-		rc := obs.StartRuntimeCollector(ob, time.Second)
+		rc := obs.StartRuntimeCollector(ob)
 		defer rc.Stop()
 		fmt.Fprintf(stdout, "serving telemetry on %s\n", srv.URL())
 	}

@@ -66,7 +66,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		rc := obs.StartRuntimeCollector(ob, time.Second)
+		rc := obs.StartRuntimeCollector(ob)
 		defer rc.Stop()
 		fmt.Printf("serving telemetry on %s\n", srv.URL())
 	}

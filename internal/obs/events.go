@@ -56,20 +56,17 @@ func (l *EventLog) Emit(kind string, fields map[string]string) {
 
 // Snapshot returns the retained events, oldest first.
 func (l *EventLog) Snapshot() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ring.items()
+	out, _ := l.snapshot()
+	return out
 }
 
-// Dropped reports how many events fell off the ring.
-func (l *EventLog) Dropped() int64 {
+// snapshot is Snapshot plus how many events fell off the ring, both
+// read under one lock hold.
+func (l *EventLog) snapshot() ([]Event, int64) {
 	if l == nil {
-		return 0
+		return nil, 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.dropped
+	return l.ring.items(), l.ring.dropped
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,30 +132,37 @@ func TestSpansDeterministicUnderFakeClock(t *testing.T) {
 }
 
 func TestSpanRingBounded(t *testing.T) {
-	tr := NewTracer(nil)
+	o := NewObserver(nil)
 	const extra = 6
 	for i := 0; i < DefaultSpanCapacity+extra; i++ {
-		tr.Start(fmt.Sprintf("s%d", i)).End()
+		o.StartSpan(fmt.Sprintf("s%d", i)).End()
 	}
-	got := tr.Snapshot()
+	s := o.Snapshot()
+	got := s.Spans
 	if len(got) != DefaultSpanCapacity {
 		t.Fatalf("retained %d spans, want %d", len(got), DefaultSpanCapacity)
 	}
 	if last := got[len(got)-1].Name; got[0].Name != fmt.Sprintf("s%d", extra) || last != fmt.Sprintf("s%d", DefaultSpanCapacity+extra-1) {
 		t.Errorf("ring kept wrong spans: first %s, last %s", got[0].Name, last)
 	}
-	if tr.Dropped() != extra {
-		t.Errorf("dropped = %d, want %d", tr.Dropped(), extra)
+	if s.SpansDropped != extra {
+		t.Errorf("dropped = %d, want %d", s.SpansDropped, extra)
+	}
+	var page strings.Builder
+	s.WriteText(&page)
+	if want := fmt.Sprintf("spans (%d finished, %d dropped):\n", DefaultSpanCapacity, extra); !strings.Contains(page.String(), want) {
+		t.Errorf("text page lacks %q", want)
 	}
 }
 
 func TestEventLogBounded(t *testing.T) {
-	l := NewEventLog(nil)
+	o := NewObserver(nil)
 	const extra = 2
 	for i := 0; i < DefaultEventCapacity+extra; i++ {
-		l.Emit("e", map[string]string{"i": fmt.Sprint(i)})
+		o.Emit("e", map[string]string{"i": fmt.Sprint(i)})
 	}
-	got := l.Snapshot()
+	s := o.Snapshot()
+	got := s.Events
 	if len(got) != DefaultEventCapacity {
 		t.Fatalf("retained %d events, want %d", len(got), DefaultEventCapacity)
 	}
@@ -164,8 +172,20 @@ func TestEventLogBounded(t *testing.T) {
 	if got[0].Seq != extra+1 {
 		t.Errorf("seq = %d, want %d", got[0].Seq, extra+1)
 	}
-	if l.Dropped() != extra {
-		t.Errorf("dropped = %d, want %d", l.Dropped(), extra)
+	if s.EventsDropped != extra {
+		t.Errorf("dropped = %d, want %d", s.EventsDropped, extra)
+	}
+	var page strings.Builder
+	s.WriteText(&page)
+	if want := fmt.Sprintf("events (%d retained, %d dropped):\n", DefaultEventCapacity, extra); !strings.Contains(page.String(), want) {
+		t.Errorf("text page lacks %q", want)
+	}
+	var js bytes.Buffer
+	if err := s.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`"events_dropped": %d`, extra); !strings.Contains(js.String(), want) {
+		t.Errorf("JSON snapshot lacks %s", want)
 	}
 }
 

@@ -118,19 +118,23 @@ func (o *Observer) StartSpan(name string) *Span { return o.Tracer().Start(name) 
 func (o *Observer) Emit(kind string, fields map[string]string) { o.Events().Emit(kind, fields) }
 
 // Snapshot is a complete, export-ready copy of the observer's state.
+// SpansDropped and EventsDropped count what fell off the bounded
+// span and event rings, so a page shows what it no longer holds.
 type Snapshot struct {
-	Metrics RegistrySnapshot `json:"metrics"`
-	Spans   []SpanRecord     `json:"spans,omitempty"`
-	Events  []Event          `json:"events,omitempty"`
+	Metrics       RegistrySnapshot `json:"metrics"`
+	Spans         []SpanRecord     `json:"spans,omitempty"`
+	SpansDropped  int64            `json:"spans_dropped,omitempty"`
+	Events        []Event          `json:"events,omitempty"`
+	EventsDropped int64            `json:"events_dropped,omitempty"`
 }
 
-// Snapshot captures metrics, finished spans and retained events.
+// Snapshot captures metrics, finished spans and retained events, with
+// the counts of those the rings dropped.
 func (o *Observer) Snapshot() Snapshot {
-	return Snapshot{
-		Metrics: o.Registry().Snapshot(),
-		Spans:   o.Tracer().Snapshot(),
-		Events:  o.Events().Snapshot(),
-	}
+	s := Snapshot{Metrics: o.Registry().Snapshot()}
+	s.Spans, s.SpansDropped = o.Tracer().snapshot()
+	s.Events, s.EventsDropped = o.Events().snapshot()
+	return s
 }
 
 // WriteJSON emits the snapshot as indented JSON. Map keys are sorted
@@ -151,7 +155,7 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 func (s Snapshot) WriteText(w io.Writer) {
 	s.Metrics.WriteText(w)
 	if len(s.Spans) > 0 {
-		fmt.Fprintf(w, "spans (%d finished):\n", len(s.Spans))
+		fmt.Fprintf(w, "spans (%d finished%s):\n", len(s.Spans), droppedNote(s.SpansDropped))
 		depth := map[int64]int{}
 		for _, sp := range s.Spans {
 			d := 0
@@ -175,7 +179,7 @@ func (s Snapshot) WriteText(w io.Writer) {
 		}
 	}
 	if len(s.Events) > 0 {
-		fmt.Fprintf(w, "events (%d retained):\n", len(s.Events))
+		fmt.Fprintf(w, "events (%d retained%s):\n", len(s.Events), droppedNote(s.EventsDropped))
 		for _, e := range s.Events {
 			fmt.Fprintf(w, "  #%d %s", e.Seq, e.Kind)
 			keys := make([]string, 0, len(e.Fields))
@@ -189,6 +193,15 @@ func (s Snapshot) WriteText(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
+}
+
+// droppedNote is the ", N dropped" suffix of a ring's header on the
+// text page, empty when the ring dropped nothing.
+func droppedNote(n int64) string {
+	if n == 0 {
+		return ""
+	}
+	return fmt.Sprintf(", %d dropped", n)
 }
 
 // FakeClock is a deterministic clock for tests: every Now() call

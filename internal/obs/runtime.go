@@ -23,19 +23,19 @@ type RuntimeCollector struct {
 	done     chan struct{}
 }
 
-// DefaultRuntimeInterval is the poll period when none is given.
-const DefaultRuntimeInterval = 5 * time.Second
-
 // StartRuntimeCollector samples the runtime into o's gauges every
-// interval (DefaultRuntimeInterval when <= 0) until Stop. One sample
-// is taken synchronously before returning, so the gauges are live
-// from the first scrape. Returns nil when o is nil.
-func StartRuntimeCollector(o *Observer, interval time.Duration) *RuntimeCollector {
+// second until Stop. One sample is taken synchronously before
+// returning, so the gauges are live from the first scrape. Returns nil
+// when o is nil.
+func StartRuntimeCollector(o *Observer) *RuntimeCollector {
+	return startRuntimeCollector(o, time.Second)
+}
+
+// startRuntimeCollector is StartRuntimeCollector with the poll period
+// as a parameter, so tests can watch the ticker fire.
+func startRuntimeCollector(o *Observer, interval time.Duration) *RuntimeCollector {
 	if o == nil {
 		return nil
-	}
-	if interval <= 0 {
-		interval = DefaultRuntimeInterval
 	}
 	c := &RuntimeCollector{stop: make(chan struct{}), done: make(chan struct{})}
 	CollectRuntime(o)

@@ -28,7 +28,7 @@ func TestCollectRuntime(t *testing.T) {
 
 func TestRuntimeCollectorLifecycle(t *testing.T) {
 	o := NewObserver(nil)
-	c := StartRuntimeCollector(o, time.Hour) // one synchronous sample, then idle
+	c := startRuntimeCollector(o, time.Hour) // one synchronous sample, then idle
 	if v := o.Gauge("runtime_goroutines").Value(); v < 1 {
 		t.Errorf("first sample not taken before Start returned: goroutines = %g", v)
 	}
@@ -36,14 +36,14 @@ func TestRuntimeCollectorLifecycle(t *testing.T) {
 	c.Stop() // idempotent
 	var nilC *RuntimeCollector
 	nilC.Stop()
-	if StartRuntimeCollector(nil, time.Second) != nil {
+	if StartRuntimeCollector(nil) != nil {
 		t.Error("nil observer should return nil collector")
 	}
 }
 
 func TestRuntimeCollectorTicks(t *testing.T) {
 	o := NewObserver(nil)
-	c := StartRuntimeCollector(o, time.Millisecond)
+	c := startRuntimeCollector(o, time.Millisecond)
 	defer c.Stop()
 	// The GC-runs gauge only moves on a real GC; goroutines is always
 	// refreshed — wait until the ticker has demonstrably fired by

@@ -141,14 +141,21 @@ func (s *Span) End() time.Duration {
 // Snapshot returns the finished spans in start order (ID). Nil
 // tracers snapshot empty.
 func (t *Tracer) Snapshot() []SpanRecord {
+	out, _ := t.snapshot()
+	return out
+}
+
+// snapshot is Snapshot plus how many finished spans fell off the
+// ring, both read under one lock hold.
+func (t *Tracer) snapshot() ([]SpanRecord, int64) {
 	if t == nil {
-		return nil
+		return nil, 0
 	}
 	t.mu.Lock()
-	out := t.done.items()
+	out, dropped := t.done.items(), t.done.dropped
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out, dropped
 }
 
 // SnapshotTree returns the finished spans of the tree under span root
@@ -165,16 +172,6 @@ func (t *Tracer) SnapshotTree(root int64) []SpanRecord {
 		}
 	}
 	return out
-}
-
-// Dropped reports how many finished spans fell off the ring.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done.dropped
 }
 
 // WriteJSONL exports the retained spans as JSON Lines (one SpanRecord

@@ -81,15 +81,16 @@ func TestSamplingDoesNotAffectDurations(t *testing.T) {
 }
 
 func TestSamplingOffKeepsEverything(t *testing.T) {
-	tr := NewTracer(nil)
+	o := NewObserver(nil)
 	for i := 0; i < 20; i++ {
-		tr.Start("op").End()
+		o.StartSpan("op").End()
 	}
-	if got := len(tr.Snapshot()); got != 20 {
+	s := o.Snapshot()
+	if got := len(s.Spans); got != 20 {
 		t.Errorf("kept %d of 20", got)
 	}
-	if tr.Dropped() != 0 {
-		t.Errorf("Dropped = %d below capacity", tr.Dropped())
+	if s.SpansDropped != 0 {
+		t.Errorf("SpansDropped = %d below capacity", s.SpansDropped)
 	}
 }
 

@@ -94,16 +94,15 @@ type ChainStats struct {
 }
 
 // AnnealResult reports the annealing run. Moves, Accepted and
-// Recomputes are summed over all chains; Placement, HPWL and
-// Temperature come from the winning chain.
+// Recomputes are summed over all chains; Placement and HPWL come from
+// the winning chain.
 type AnnealResult struct {
-	Placement   *Placement
-	HPWL        float64
-	Moves       int
-	Accepted    int
-	Recomputes  int
-	Temperature float64 // winning chain's final temperature
-	Chain       int     // winning chain index
+	Placement  *Placement
+	HPWL       float64
+	Moves      int
+	Accepted   int
+	Recomputes int
+	Chain      int // winning chain index
 }
 
 // chainSeed derives chain i's RNG seed with one SplitMix64 scramble,
@@ -342,7 +341,6 @@ func Anneal(p *Problem, opts AnnealOpts) (*AnnealResult, error) {
 	}
 	res.Placement = results[best].pl
 	res.HPWL = results[best].hpwl
-	res.Temperature = results[best].temp
 	res.Chain = best
 	if opts.OnChain != nil {
 		for i := range results {
@@ -366,7 +364,6 @@ type chainResult struct {
 	moves      int
 	accepted   int
 	recomputes int
-	temp       float64
 	err        error
 }
 
@@ -584,7 +581,6 @@ func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, c
 						cr.err = fmt.Errorf("incremental cost %g drifted from full recompute %g after %d accepted moves", cost, full, cr.accepted)
 						cr.pl = pl
 						cr.hpwl = full
-						cr.temp = temp
 						return cr
 					}
 				}
@@ -611,7 +607,6 @@ func annealChain(p *Problem, sh *annealShared, opts AnnealOpts, movesPerT int, c
 	}
 	cr.pl = pl
 	cr.hpwl = p.HPWL(pl) // exact final recompute, drift-free
-	cr.temp = temp
 	return cr
 }
 

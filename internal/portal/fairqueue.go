@@ -220,23 +220,6 @@ func (fq *fairQueue) closeQueue() {
 	fq.cond.Broadcast()
 }
 
-// drainAll rips every queued ticket out of the lanes (per-lane FIFO
-// order preserved) for forced finalization — the CloseWithTimeout
-// budget-exhausted path.
-func (fq *fairQueue) drainAll() []*Ticket {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
-	var out []*Ticket
-	for _, lane := range fq.ring {
-		out = append(out, lane.q...)
-		lane.q = nil
-	}
-	fq.size = 0
-	fq.depth.Set(0)
-	fq.cond.Broadcast()
-	return out
-}
-
 // queued reports the number of queued tickets (terminal-but-unpopped
 // tickets included, since they still hold queue slots).
 func (fq *fairQueue) queued() int {

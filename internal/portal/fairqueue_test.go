@@ -164,27 +164,3 @@ func TestFairQueueCloseDrains(t *testing.T) {
 		t.Fatalf("pop after drain = %q, want nil", tk.input)
 	}
 }
-
-func TestFairQueueDrainAll(t *testing.T) {
-	fq := newFairQueue(16, 16)
-	for _, u := range []string{"a", "b"} {
-		for i := 0; i < 2; i++ {
-			if err := fq.push(fqTicket(u, fmt.Sprintf("%s%d", u, i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	out := fq.drainAll()
-	if len(out) != 4 {
-		t.Fatalf("drainAll returned %d tickets, want 4", len(out))
-	}
-	want := []string{"a0", "a1", "b0", "b1"}
-	for i, tk := range out {
-		if tk.input != want[i] {
-			t.Fatalf("drainAll[%d] = %q, want %q (per-lane FIFO)", i, tk.input, want[i])
-		}
-	}
-	if fq.queued() != 0 {
-		t.Fatalf("queued after drainAll = %d", fq.queued())
-	}
-}

@@ -136,10 +136,10 @@ type PoolConfig struct {
 	// on it. Nil uses obs.Default().
 	Observer *obs.Observer
 	// Clock and After are the pool's time source and timer, used for
-	// durations, timeout enforcement, retry backoff, deadlines, drain
-	// budgets, and breaker cooldowns; tests inject fakes so recovered
-	// deadlines re-arm and admission timestamps resolve
-	// deterministically. Nil = real time.
+	// durations, timeout enforcement, retry backoff, deadlines, and
+	// breaker cooldowns; tests inject fakes so recovered deadlines
+	// re-arm and admission timestamps resolve deterministically.
+	// Nil = real time.
 	Clock func() time.Time
 	After func(time.Duration) <-chan time.Time
 }
@@ -273,17 +273,15 @@ type Pool struct {
 	quota *quotaTable
 
 	// jmu is the recovery-consistency lock: it guards the sequence
-	// counter, the live-ticket set (every non-terminal ticket), the
-	// conservation ledger, and every journal append — so each
-	// transition's state change and its record commit together, and the
-	// record order on disk is the jmu order. The wait for a record's
+	// counter, the conservation ledger, and every journal append — so
+	// each transition's state change and its record commit together, and
+	// the record order on disk is the jmu order. The wait for a record's
 	// Sync (Journal.durable) happens after jmu is released, so
 	// transitions share fsyncs. Lock order: jmu before histMu, tk.mu,
 	// quota.mu, and the journal's own lock; never the reverse.
 	jmu    sync.Mutex
 	jr     *Journal // nil = journaling off
 	seq    uint64   // last assigned ticket sequence
-	live   map[uint64]*Ticket
 	ledger Ledger
 
 	// histMu guards history. Writers already hold jmu, so it only
@@ -331,7 +329,6 @@ func newPool(cfg PoolConfig) *Pool {
 		rngState: cfg.Seed,
 		quota:    newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst),
 		jr:       cfg.Journal,
-		live:     map[uint64]*Ticket{},
 		history:  map[string][]JobResult{},
 	}
 	p.fq = newFairQueue(cfg.QueueDepth, perUserCap)
@@ -385,56 +382,11 @@ func (p *Pool) classOf(user string) string {
 // already-admitted ticket still reaches a terminal state — executing
 // normally, or expiring with ErrDeadline if its deadline passes while
 // draining — before the workers exit. No admitted ticket is ever
-// lost: Wait on any of them returns. Blocks until the drain is done;
-// use CloseWithTimeout to bound it. Safe to call more than once.
-func (p *Pool) Close() { p.shutdown(nil) }
-
-// CloseWithTimeout is Close with a drain budget: it waits up to d for
-// the graceful drain, then forces the rest — still-queued tickets
-// expire with ErrDeadline (pool_deadline_expiries_total
-// where="draining") and running jobs are interrupted through their
-// quit channels, each getting the usual cancel + grace window. Every
-// admitted ticket still terminates exactly once. Reports whether the
-// graceful drain finished within budget.
-func (p *Pool) CloseWithTimeout(d time.Duration) bool {
-	t := p.timer(d)
-	defer t.Stop()
-	return p.shutdown(t.C)
-}
-
-// shutdown is the one close path: drain gracefully until timer fires,
-// then force the rest. Close passes a nil timer, which never fires.
-func (p *Pool) shutdown(timer <-chan time.Time) bool {
+// lost: Wait on any of them returns. Blocks until the drain is done.
+// Safe to call more than once.
+func (p *Pool) Close() {
 	p.fq.closeQueue()
-	drained := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(drained)
-	}()
-	graceful := true
-	select {
-	case <-drained:
-	case <-timer:
-		graceful = false
-		for _, tk := range p.fq.drainAll() {
-			p.finish(tk, JobResult{}, ErrDeadline, false)
-		}
-		// Every non-terminal ticket is in live; the queued ones were
-		// just finished, so only running ones remain to interrupt.
-		p.jmu.Lock()
-		for _, tk := range p.live {
-			tk.mu.Lock()
-			if tk.state == TicketRunning && tk.quitErr == nil {
-				tk.quitErr = ErrDeadline
-				tk.quitWhere = "draining"
-				close(tk.quit)
-			}
-			tk.mu.Unlock()
-		}
-		p.jmu.Unlock()
-		<-drained
-	}
-	return graceful
+	p.wg.Wait()
 }
 
 // closing reports whether Close has begun — used to label deadline
@@ -602,14 +554,13 @@ func (p *Pool) SubmitAsyncOpts(user, tool, input string, opts TicketOpts) (*Tick
 		}
 	}
 	// Admission bookkeeping is atomic with the push: under jmu the
-	// ticket gets its sequence, enters the live set and the ledger,
-	// and its admit record is written — all before any worker can
-	// finish it (finishing takes jmu too). The record is durable
-	// before SubmitAsync acknowledges the ticket to the caller.
+	// ticket gets its sequence, enters the ledger, and its admit
+	// record is written — all before any worker can finish it
+	// (finishing takes jmu too). The record is durable before
+	// SubmitAsync acknowledges the ticket to the caller.
 	p.seq++
 	tk.seq = p.seq
 	p.ledger.Admitted++
-	p.live[tk.seq] = tk
 	var mark int64
 	if p.jr != nil {
 		mark = p.jr.appendAdmit(tk)
@@ -647,34 +598,26 @@ func (p *Pool) watchTicket(tk *Ticket, d time.Duration) {
 	defer t.Stop()
 	select {
 	case <-t.C:
-		p.expireTicket(tk)
+		p.stop(tk, ErrDeadline)
 	case <-tk.done:
 	}
 }
 
-// expireTicket enforces tk's deadline wherever the ticket currently
-// is: a queued ticket is finished immediately; a running one is
-// interrupted through its quit channel and finishes via the normal
-// worker path; a terminal one is left alone.
-func (p *Pool) expireTicket(tk *Ticket) {
-	where := "running"
-	if p.closing() {
-		where = "draining"
-	}
+// stop is the one way to end a ticket early, with cause ErrCancelled
+// or ErrDeadline, wherever the ticket is: a queued one finishes at
+// once without running; a running one is interrupted through its quit
+// channel and finishes via the worker after the usual cancel + grace
+// window; a terminal one is left alone.
+func (p *Pool) stop(tk *Ticket, cause error) {
 	tk.mu.Lock()
-	switch tk.state {
-	case TicketDone:
-		tk.mu.Unlock()
-	case TicketRunning:
-		if tk.quitErr == nil {
-			tk.quitErr = ErrDeadline
-			tk.quitWhere = where
-			close(tk.quit)
-		}
-		tk.mu.Unlock()
-	default:
-		tk.mu.Unlock()
-		p.finish(tk, JobResult{}, ErrDeadline, false)
+	queued := tk.state == TicketQueued
+	if tk.state == TicketRunning && tk.quitErr == nil {
+		tk.quitErr = cause
+		close(tk.quit)
+	}
+	tk.mu.Unlock()
+	if queued {
+		p.finish(tk, JobResult{}, cause, false)
 	}
 }
 
@@ -708,20 +651,20 @@ func (p *Pool) startTicket(tk *Ticket, now time.Time) bool {
 }
 
 // finish is the one terminal transition, for every way a ticket ends:
-// the worker after a run (ran), and Cancel, deadline expiry, the forced
-// drain, and recovery's orphaned or expired tickets for one that never
-// ran. cause classifies the outcome: ErrDeadline and ErrCancelled are
-// lifecycle errors Wait returns; anything else (tool failure, timeout)
-// is a completed run whose details live in res. A ticket that never
+// the worker after a run (ran), and stop and recovery's orphaned or
+// expired tickets for one that never ran. cause classifies the
+// outcome: ErrDeadline and ErrCancelled are lifecycle errors Wait
+// returns; anything else (tool failure, timeout) is a completed run
+// whose details live in res. A ticket that never
 // ran finishes only from TicketQueued (the first caller wins), gets a
 // result synthesized from its admission, writes no history, and gives
 // its breaker slot back — the tool never got a chance to fail. An
-// expiry's site is the quit interrupt's for a ticket that ran; one that
-// never ran expired queued, or draining once Close has begun.
-// History, ledger, live-set removal, and the journal's done record
-// commit atomically under jmu, so the record order on disk is the
-// order the pool's state changed in; the done record is durable before
-// the ticket reads as done.
+// expiry's site is running for a ticket that ran and queued for one
+// that did not — or draining, either way, once Close has begun.
+// History, ledger, and the journal's done record commit atomically
+// under jmu, so the record order on disk is the order the pool's state
+// changed in; the done record is durable before the ticket reads as
+// done.
 func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool) {
 	state, doneState := "completed", doneCompleted
 	switch {
@@ -755,7 +698,6 @@ func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool) {
 		p.jmu.Unlock()
 		return
 	}
-	where := tk.quitWhere
 	tk.state = TicketDone
 	tk.res = res
 	tk.err = cause
@@ -763,7 +705,6 @@ func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool) {
 	tk.mu.Unlock()
 
 	p.ledger.count(doneState)
-	delete(p.live, tk.seq)
 	var mark int64
 	if p.jr != nil {
 		mark = p.jr.appendDone(doneRec{seq: tk.seq, state: doneState, ran: ran, res: res})
@@ -777,13 +718,11 @@ func (p *Pool) finish(tk *Ticket, res JobResult, cause error, ran bool) {
 	switch doneState {
 	case doneExpired:
 		p.lm.expired.Inc()
+		where := "queued"
 		switch {
-		case where != "": // the quit interrupt's site
-		case !ran && p.closing():
+		case p.closing():
 			where = "draining"
-		case !ran:
-			where = "queued"
-		default:
+		case ran:
 			where = "running"
 		}
 		p.lm.expiries.With(where).Inc()

@@ -305,7 +305,6 @@ func RecoverPool(cfg PoolConfig, journal io.Reader, tools ...Tool) (*Pool, *Reco
 		tsp.SetLabel("user", rec.user)
 		tsp.SetLabel("recovered", strconv.FormatBool(true))
 		tk.sp = tsp
-		p.live[tk.seq] = tk
 		tickets = append(tickets, tk)
 	}
 	// Chain durability: make the restored state the new journal's first

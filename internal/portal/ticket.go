@@ -10,8 +10,8 @@ import (
 )
 
 // ErrDeadline marks a job whose per-ticket deadline expired before it
-// could finish — while still queued, mid-run, or during a forced
-// drain. It is distinct from a per-attempt Timeout (which marks
+// could finish — while still queued, mid-run, or while Close drains
+// the queue. It is distinct from a per-attempt Timeout (which marks
 // JobResult.TimedOut and may be retried): a deadline bounds the whole
 // ticket's lifetime and is never retried past.
 var ErrDeadline = errors.New("portal: job deadline exceeded")
@@ -75,12 +75,11 @@ type Ticket struct {
 	// timer inside execTool.
 	quit chan struct{}
 
-	mu        sync.Mutex
-	state     TicketState
-	res       JobResult
-	err       error
-	quitErr   error
-	quitWhere string // deadline-expiry site for a running interrupt: "running" or "draining"
+	mu      sync.Mutex
+	state   TicketState
+	res     JobResult
+	err     error
+	quitErr error
 }
 
 // User returns the submitting user.
@@ -91,10 +90,6 @@ func (tk *Ticket) Tool() string { return tk.tool }
 
 // Input returns the submitted text.
 func (tk *Ticket) Input() string { return tk.input }
-
-// Deadline returns the ticket's absolute expiry instant (zero when
-// the ticket has none).
-func (tk *Ticket) Deadline() time.Time { return tk.deadline }
 
 // State reports the ticket's current lifecycle position.
 func (tk *Ticket) State() TicketState {
@@ -141,24 +136,7 @@ func (tk *Ticket) Wait(ctx context.Context) (JobResult, error) {
 // with ErrCancelled (it never runs); a running one is interrupted
 // through quit and finishes with ErrCancelled after the usual
 // cancel + grace window. Idempotent, and a no-op once terminal.
-func (tk *Ticket) Cancel() {
-	tk.mu.Lock()
-	switch tk.state {
-	case TicketDone:
-		tk.mu.Unlock()
-		return
-	case TicketRunning:
-		if tk.quitErr == nil {
-			tk.quitErr = ErrCancelled
-			close(tk.quit)
-		}
-		tk.mu.Unlock()
-		return
-	default:
-		tk.mu.Unlock()
-		tk.p.finish(tk, JobResult{}, ErrCancelled, false)
-	}
-}
+func (tk *Ticket) Cancel() { tk.p.stop(tk, ErrCancelled) }
 
 // quitReason reports why quit was closed; execTool and the retry loop
 // call it after <-quit fires, so quitErr is always set by then.

@@ -410,11 +410,11 @@ func TestCloseDrainsQueuedTickets(t *testing.T) {
 	}
 }
 
-func TestCloseWithTimeoutForceDrain(t *testing.T) {
+func TestCloseExpiresQueuedTicketWhileDraining(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ob := obs.NewObserver(nil)
 	hub := newTimerHub()
-	const budget = 30 * time.Second
+	const deadline = 75 * time.Millisecond
 	p := portal.NewPool(portal.PoolConfig{Workers: 1, Observer: ob, After: hub.after})
 	inj := fault.Script(echoTool{}, fault.Stall)
 	if err := p.Register(inj); err != nil {
@@ -425,37 +425,43 @@ func TestCloseWithTimeoutForceDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTicketState(t, running, portal.TicketRunning)
-	var queued []*portal.Ticket
-	for _, u := range []string{"b", "c"} {
-		tk, err := p.SubmitAsync(u, "echo", "y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		queued = append(queued, tk)
+	queued, err := p.SubmitAsyncOpts("b", "echo", "y", portal.TicketOpts{Deadline: deadline})
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan bool, 1)
-	go func() { done <- p.CloseWithTimeout(budget) }()
-	// The drain budget timer parks; firing it forces the drain.
-	waitHubTimer(t, hub, budget, 1)
-	hub.fire(budget)
-	if graceful := <-done; graceful {
-		t.Fatal("CloseWithTimeout reported a graceful drain despite the stalled worker")
-	}
-	// Queued tickets expired without running; the running one was
-	// interrupted. Every admitted ticket is terminal — none lost.
-	for _, tk := range append(queued, running) {
-		if _, err := tk.Wait(nil); !errors.Is(err, portal.ErrDeadline) {
-			t.Fatalf("force-drained ticket err = %v, want ErrDeadline", err)
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	waitUntil := time.Now().Add(10 * time.Second)
+	for p.Ready() == nil {
+		if time.Now().After(waitUntil) {
+			t.Fatal("pool never reported closed")
 		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// The stalled worker holds the drain open; the queued ticket's
+	// deadline lands during it and expires the ticket where it waits.
+	waitHubTimer(t, hub, deadline, 1)
+	hub.fire(deadline)
+	if _, err := queued.Wait(nil); !errors.Is(err, portal.ErrDeadline) {
+		t.Fatalf("queued ticket err = %v, want ErrDeadline", err)
 	}
 	m := ob.Snapshot().Metrics
-	if got, _ := m.CounterSeries("pool_deadline_expiries_total", map[string]string{"where": "draining"}); got != 3 {
-		t.Fatalf("draining expiries = %d, want 3", got)
+	if got, _ := m.CounterSeries("pool_deadline_expiries_total", map[string]string{"where": "draining"}); got != 1 {
+		t.Fatalf("draining expiries = %d, want 1", got)
 	}
-	admitted, _ := m.CounterSeries("pool_tickets_total", map[string]string{"state": "admitted"})
-	expired, _ := m.CounterSeries("pool_tickets_total", map[string]string{"state": "expired"})
-	if admitted != 3 || expired != 3 {
-		t.Fatalf("admitted %d / expired %d, want 3/3", admitted, expired)
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a worker was still stalled")
+	default:
+	}
+	// Release the worker: the drain then finishes and Close returns.
+	running.Cancel()
+	<-closed
+	if _, err := running.Wait(nil); !errors.Is(err, portal.ErrCancelled) {
+		t.Fatalf("running ticket err = %v, want ErrCancelled", err)
 	}
 	waitGoroutines(t, base)
 }
