@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzCoverMinimize -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzSATvsBDD -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzRoute$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzNet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzPRoute -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/xcheck -run=^$$ -fuzz=FuzzPAnneal -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/portal -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME)

@@ -90,17 +90,6 @@ func printCover(w io.Writer, f *cube.Cover) {
 		return
 	}
 	for _, c := range f.Cubes {
-		row := make([]byte, len(c))
-		for i, l := range c {
-			switch l {
-			case cube.Pos:
-				row[i] = '1'
-			case cube.Neg:
-				row[i] = '0'
-			default:
-				row[i] = '-'
-			}
-		}
-		fmt.Fprintln(w, string(row))
+		fmt.Fprintln(w, c.Row())
 	}
 }

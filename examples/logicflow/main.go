@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"strings"
 
 	"vlsicad/internal/cube"
@@ -40,7 +41,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("Week 3: two-level minimization (espresso) per node")
-	for name, node := range nw.Nodes {
+	names := make([]string, 0, len(nw.Nodes))
+	for name := range nw.Nodes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		node := nw.Nodes[name]
 		min, st := espresso.Minimize(node.Cover, nil)
 		fmt.Printf("  %-8s %d -> %d cubes, %d -> %d literals\n",
 			name, st.InitialCubes, st.FinalCubes, st.InitialLits, st.FinalLits)

@@ -9,22 +9,27 @@ import "vlsicad/internal/cube"
 // must have at least cover.N variables; cover variable i maps to
 // manager variable i.
 func FromCover(m *Manager, f *cube.Cover) Node {
+	vars := make([]Node, f.N)
+	for i := range vars {
+		vars[i] = m.Var(i)
+	}
 	r := FalseNode
 	for _, c := range f.Cubes {
-		r = m.Or(r, FromCube(m, c))
+		r = m.Or(r, Product(m, c, vars))
 	}
 	return r
 }
 
-// FromCube builds the BDD of a single product term.
-func FromCube(m *Manager, c cube.Cube) Node {
+// Product builds the BDD of the product term c over the given input
+// functions: cube variable i stands for in[i].
+func Product(m *Manager, c cube.Cube, in []Node) Node {
 	r := TrueNode
-	for v, l := range c {
+	for i, l := range c {
 		switch l {
 		case cube.Pos:
-			r = m.And(r, m.Var(v))
+			r = m.And(r, in[i])
 		case cube.Neg:
-			r = m.And(r, m.NVar(v))
+			r = m.And(r, m.Not(in[i]))
 		case cube.Void:
 			return FalseNode
 		}

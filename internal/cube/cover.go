@@ -238,15 +238,7 @@ func (f *Cover) Expr() string {
 func FromMinterms(n int, minterms []uint) *Cover {
 	f := NewCover(n)
 	for _, m := range minterms {
-		c := NewCube(n)
-		for i := 0; i < n; i++ {
-			if m&(1<<uint(i)) != 0 {
-				c[i] = Pos
-			} else {
-				c[i] = Neg
-			}
-		}
-		f.Cubes = append(f.Cubes, c)
+		f.Cubes = append(f.Cubes, Minterm(n, m))
 	}
 	return f
 }

@@ -197,6 +197,38 @@ func (c Cube) String() string {
 	return b.String()
 }
 
+// Row renders the cube in the 0/1/- row form of PLA and BLIF files,
+// the inverse of ParseCube: '1' for Pos, '0' for Neg and '-' for DC
+// (and for Void, which the row form cannot express).
+func (c Cube) Row() string {
+	row := make([]byte, len(c))
+	for i, l := range c {
+		switch l {
+		case Pos:
+			row[i] = '1'
+		case Neg:
+			row[i] = '0'
+		default:
+			row[i] = '-'
+		}
+	}
+	return string(row)
+}
+
+// Minterm returns the cube of minterm m over n variables: variable i
+// is Pos when bit i of m is set and Neg otherwise.
+func Minterm(n int, m uint) Cube {
+	c := make(Cube, n)
+	for i := range c {
+		if m&(1<<uint(i)) != 0 {
+			c[i] = Pos
+		} else {
+			c[i] = Neg
+		}
+	}
+	return c
+}
+
 // Expr renders the cube as a product term over named variables
 // x1..xn, e.g. "x1 x3'". The universal cube renders as "1".
 func (c Cube) Expr() string {

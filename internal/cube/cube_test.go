@@ -29,6 +29,15 @@ func TestParseCube(t *testing.T) {
 	if _, err := ParseCube("1x0"); err == nil {
 		t.Error("expected error on invalid character")
 	}
+	for _, row := range []string{"", "1", "0", "-", "10-", "0-1-10"} {
+		c, err := ParseCube(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Row(); got != row {
+			t.Errorf("ParseCube(%q).Row() = %q", row, got)
+		}
+	}
 }
 
 func TestCubeString(t *testing.T) {

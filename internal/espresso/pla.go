@@ -157,18 +157,7 @@ func WritePLA(w io.Writer, p *PLA) error {
 	fmt.Fprintf(bw, ".ob %s\n", strings.Join(p.OutNames, " "))
 	fmt.Fprintf(bw, ".p %d\n", len(p.Rows))
 	for _, row := range p.Rows {
-		in := make([]byte, len(row.In))
-		for i, l := range row.In {
-			switch l {
-			case cube.Pos:
-				in[i] = '1'
-			case cube.Neg:
-				in[i] = '0'
-			default:
-				in[i] = '-'
-			}
-		}
-		fmt.Fprintf(bw, "%s %s\n", in, row.Out)
+		fmt.Fprintf(bw, "%s %s\n", row.In.Row(), row.Out)
 	}
 	fmt.Fprintln(bw, ".e")
 	return bw.Flush()

@@ -201,58 +201,31 @@ func Simplify(nw *netlist.Network) int {
 // derived from the fanin functions (via BDDs over the primary
 // inputs). Nodes with more than maxFanin fanins are skipped.
 func FullSimplify(nw *netlist.Network, maxFanin int) (int, error) {
-	m, _, vars, err := nw.BuildBDDs()
-	if err != nil {
+	m := bdd.New(len(nw.Inputs))
+	sig := map[string]bdd.Node{}
+	for i, in := range nw.Inputs {
+		sig[in] = m.Var(i)
+	}
+	if err := nw.LowerBDD(m, sig); err != nil {
 		return 0, err
-	}
-	// Recompute every internal signal's BDD.
-	sigBDD := map[string]bdd.Node{}
-	for name, v := range vars {
-		sigBDD[name] = m.Var(v)
-	}
-	order, err := nw.TopoSort()
-	if err != nil {
-		return 0, err
-	}
-	for _, n := range order {
-		f := m.False()
-		for _, c := range n.Cover.Cubes {
-			term := m.True()
-			for i, l := range c {
-				g := sigBDD[n.Fanins[i]]
-				switch l {
-				case cube.Pos:
-					term = m.And(term, g)
-				case cube.Neg:
-					term = m.And(term, m.Not(g))
-				case cube.Void:
-					term = m.False()
-				}
-			}
-			f = m.Or(f, term)
-		}
-		sigBDD[n.Name] = f
 	}
 	saved := 0
-	for _, n := range order {
+	for _, name := range sortedNodeNames(nw) {
+		n := nw.Nodes[name]
 		k := len(n.Fanins)
 		if k == 0 || k > maxFanin {
 			continue
 		}
 		// Local SDC: fanin patterns no primary-input assignment can
 		// produce.
+		in := make([]bdd.Node, k)
+		for i, f := range n.Fanins {
+			in[i] = sig[f]
+		}
 		dc := cube.NewCover(k)
 		for p := uint(0); p < 1<<uint(k); p++ {
-			cond := m.True()
-			for i := 0; i < k; i++ {
-				g := sigBDD[n.Fanins[i]]
-				if p&(1<<uint(i)) == 0 {
-					g = m.Not(g)
-				}
-				cond = m.And(cond, g)
-			}
-			if cond == m.False() {
-				dc.Add(mintermCube(k, p))
+			if c := cube.Minterm(k, p); bdd.Product(m, c, in) == m.False() {
+				dc.Add(c)
 			}
 		}
 		before := n.Cover.Literals()
@@ -263,18 +236,6 @@ func FullSimplify(nw *netlist.Network, maxFanin int) (int, error) {
 		}
 	}
 	return saved, nil
-}
-
-func mintermCube(n int, m uint) cube.Cube {
-	c := cube.NewCube(n)
-	for i := 0; i < n; i++ {
-		if m&(1<<uint(i)) != 0 {
-			c[i] = cube.Pos
-		} else {
-			c[i] = cube.Neg
-		}
-	}
-	return c
 }
 
 // SweepConstants propagates constant-0/1 nodes into their fanouts and

@@ -80,18 +80,7 @@ func randomCover(rng *rand.Rand, n, k int) *cube.Cover {
 func coverText(f *cube.Cover) string {
 	var rows []string
 	for _, c := range f.Cubes {
-		row := make([]byte, len(c))
-		for i, l := range c {
-			switch l {
-			case cube.Pos:
-				row[i] = '1'
-			case cube.Neg:
-				row[i] = '0'
-			default:
-				row[i] = '-'
-			}
-		}
-		rows = append(rows, string(row))
+		rows = append(rows, c.Row())
 	}
 	return strings.Join(rows, " ")
 }

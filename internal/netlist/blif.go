@@ -171,22 +171,11 @@ func WriteBLIF(w io.Writer, nw *Network) error {
 			continue // constant 0: no rows
 		}
 		for _, c := range n.Cover.Cubes {
-			row := make([]byte, len(c))
-			for i, l := range c {
-				switch l {
-				case cube.Pos:
-					row[i] = '1'
-				case cube.Neg:
-					row[i] = '0'
-				default:
-					row[i] = '-'
-				}
+			if len(c) > 0 {
+				bw.WriteString(c.Row())
+				bw.WriteByte(' ')
 			}
-			if len(c) == 0 {
-				fmt.Fprintln(bw, "1")
-			} else {
-				fmt.Fprintf(bw, "%s 1\n", row)
-			}
+			bw.WriteString("1\n")
 		}
 	}
 	fmt.Fprintln(bw, ".end")

@@ -275,6 +275,28 @@ func TestEquivalenceBDDAndSAT(t *testing.T) {
 	}
 }
 
+// TestEquivalentBDDNodeNameCollision: a's internal node is named
+// "__b_o" and b computes o directly. Both networks must be built in
+// their own name spaces, so b's o cannot overwrite a's __b_o.
+func TestEquivalentBDDNodeNameCollision(t *testing.T) {
+	a := parseBLIF(t, ".model a\n.inputs x y\n.outputs o\n.names x y __b_o\n11 1\n.names __b_o o\n1 1\n.end")
+	b := parseBLIF(t, ".model b\n.inputs x y\n.outputs o\n.names x y o\n1- 1\n-1 1\n.end")
+	eqB, err := EquivalentBDD(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eqS, witness, err := EquivalentSAT(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eqB || eqS {
+		t.Errorf("x AND y vs x OR y: EquivalentBDD=%v EquivalentSAT=%v, want false, false", eqB, eqS)
+	}
+	if va, _ := a.Eval(witness); va["o"] == (witness["x"] || witness["y"]) {
+		t.Errorf("SAT witness %v does not distinguish", witness)
+	}
+}
+
 func TestProbablyEquivalent(t *testing.T) {
 	nw := parseBLIF(t, fullAdderBLIF)
 	same := nw.Clone()
@@ -310,6 +332,14 @@ func TestInterfaceMismatch(t *testing.T) {
 	}
 	if _, _, err := EquivalentSAT(a, b); err == nil {
 		t.Error("interface mismatch should error")
+	}
+	undriven := a.Clone()
+	delete(undriven.Nodes, "cout")
+	if _, err := EquivalentBDD(a, undriven); err == nil {
+		t.Error("undriven output should error")
+	}
+	if _, _, err := EquivalentSAT(a, undriven); err == nil {
+		t.Error("undriven output should error")
 	}
 }
 

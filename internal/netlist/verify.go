@@ -20,91 +20,72 @@ import (
 func (nw *Network) BuildBDDs() (*bdd.Manager, map[string]bdd.Node, map[string]int, error) {
 	m := bdd.New(len(nw.Inputs))
 	vars := map[string]int{}
+	sig := map[string]bdd.Node{}
 	for i, in := range nw.Inputs {
 		vars[in] = i
 		m.SetName(i, in)
+		sig[in] = m.Var(i)
+	}
+	if err := nw.LowerBDD(m, sig); err != nil {
+		return nil, nil, nil, err
+	}
+	outs, err := outputsOf(nw, sig)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return m, outs, vars, nil
+}
+
+// LowerBDD binds, in topological order, every node that sig does not
+// already bind to the BDD of its cover over its fanins' functions in
+// sig. The caller binds the primary inputs; a node it binds is a cut
+// point whose own cover is not read.
+func (nw *Network) LowerBDD(m *bdd.Manager, sig map[string]bdd.Node) error {
+	order, err := nw.TopoSort()
+	if err != nil {
+		return err
+	}
+	for _, n := range order {
+		if _, ok := sig[n.Name]; ok {
+			continue
+		}
+		in := make([]bdd.Node, len(n.Fanins))
+		for i, name := range n.Fanins {
+			g, ok := sig[name]
+			if !ok {
+				return fmt.Errorf("netlist: node %s reads unknown signal %s", n.Name, name)
+			}
+			in[i] = g
+		}
+		f := m.False()
+		for _, c := range n.Cover.Cubes {
+			f = m.Or(f, bdd.Product(m, c, in))
+		}
+		sig[n.Name] = f
+	}
+	return nil
+}
+
+// EquivalentBDD checks functional equivalence of two networks with
+// identical input/output name sets by canonical BDD comparison: b is
+// built in a's manager over a's input variables.
+func EquivalentBDD(a, b *Network) (bool, error) {
+	if err := sameInterface(a, b); err != nil {
+		return false, err
+	}
+	m, outsA, vars, err := a.BuildBDDs()
+	if err != nil {
+		return false, err
 	}
 	sig := map[string]bdd.Node{}
 	for in, v := range vars {
 		sig[in] = m.Var(v)
 	}
-	order, err := nw.TopoSort()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for _, n := range order {
-		f := m.False()
-		for _, c := range n.Cover.Cubes {
-			term := m.True()
-			for i, l := range c {
-				in, ok := sig[n.Fanins[i]]
-				if !ok {
-					return nil, nil, nil, fmt.Errorf("netlist: node %s reads unknown signal %s", n.Name, n.Fanins[i])
-				}
-				switch {
-				case l == cube.Pos:
-					term = m.And(term, in)
-				case l == cube.Neg:
-					term = m.And(term, m.Not(in))
-				case l == cube.Void:
-					term = m.False()
-				}
-			}
-			f = m.Or(f, term)
-		}
-		sig[n.Name] = f
-	}
-	outs := map[string]bdd.Node{}
-	for _, o := range nw.Outputs {
-		f, ok := sig[o]
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("netlist: output %s undriven", o)
-		}
-		outs[o] = f
-	}
-	return m, outs, vars, nil
-}
-
-// EquivalentBDD checks functional equivalence of two networks with
-// identical input/output name sets by canonical BDD comparison.
-func EquivalentBDD(a, b *Network) (bool, error) {
-	if err := sameInterface(a, b); err != nil {
+	if err := b.LowerBDD(m, sig); err != nil {
 		return false, err
 	}
-	// Build both networks in one manager for canonical comparison:
-	// merge b into a namespace-disjoint copy sharing inputs.
-	merged := a.Clone()
-	rename := func(s string) string { return "__b_" + s }
-	for name, n := range b.Nodes {
-		nn := n.Clone()
-		nn.Name = rename(name)
-		for i, f := range nn.Fanins {
-			if !b.IsInput(f) {
-				nn.Fanins[i] = rename(f)
-			}
-		}
-		merged.Nodes[nn.Name] = nn
-	}
-	merged.Outputs = nil
-	merged.Outputs = append(merged.Outputs, a.Outputs...)
-	for _, o := range b.Outputs {
-		if b.IsInput(o) {
-			merged.Outputs = append(merged.Outputs, o)
-		} else {
-			merged.Outputs = append(merged.Outputs, rename(o))
-		}
-	}
-	m, outs, _, err := merged.BuildBDDs()
-	if err != nil {
-		return false, err
-	}
-	_ = m
 	for _, o := range a.Outputs {
-		bo := rename(o)
-		if b.IsInput(o) {
-			bo = o
-		}
-		if outs[o] != outs[bo] {
+		if outsA[o] != sig[o] {
 			return false, nil
 		}
 	}
@@ -121,9 +102,22 @@ func (nw *Network) ToCNF(e *sat.Enc) (ins map[string]sat.Lit, outs map[string]sa
 		sig[in] = l
 		ins[in] = l
 	}
-	order, err := nw.TopoSort()
+	if err := nw.lowerCNF(e, sig); err != nil {
+		return nil, nil, err
+	}
+	outs, err = outputsOf(nw, sig)
 	if err != nil {
 		return nil, nil, err
+	}
+	return ins, outs, nil
+}
+
+// lowerCNF Tseitin-encodes every node in topological order over the
+// literals its fanins have in sig, which must bind the primary inputs.
+func (nw *Network) lowerCNF(e *sat.Enc, sig map[string]sat.Lit) error {
+	order, err := nw.TopoSort()
+	if err != nil {
+		return err
 	}
 	for _, n := range order {
 		var terms []sat.Lit
@@ -133,7 +127,7 @@ func (nw *Network) ToCNF(e *sat.Enc) (ins map[string]sat.Lit, outs map[string]sa
 			for i, l := range c {
 				fl, ok := sig[n.Fanins[i]]
 				if !ok {
-					return nil, nil, fmt.Errorf("netlist: node %s reads unknown signal %s", n.Name, n.Fanins[i])
+					return fmt.Errorf("netlist: node %s reads unknown signal %s", n.Name, n.Fanins[i])
 				}
 				switch l {
 				case cube.Pos:
@@ -151,15 +145,7 @@ func (nw *Network) ToCNF(e *sat.Enc) (ins map[string]sat.Lit, outs map[string]sa
 		}
 		sig[n.Name] = e.OrN(terms...)
 	}
-	outs = map[string]sat.Lit{}
-	for _, o := range nw.Outputs {
-		l, ok := sig[o]
-		if !ok {
-			return nil, nil, fmt.Errorf("netlist: output %s undriven", o)
-		}
-		outs[o] = l
-	}
-	return ins, outs, nil
+	return nil
 }
 
 // EquivalentSAT checks functional equivalence of two networks with a
@@ -179,35 +165,8 @@ func EquivalentSAT(a, b *Network) (bool, map[string]bool, error) {
 	for name, l := range insA {
 		sig[name] = l
 	}
-	order, err := b.TopoSort()
-	if err != nil {
+	if err := b.lowerCNF(e, sig); err != nil {
 		return false, nil, err
-	}
-	for _, n := range order {
-		var terms []sat.Lit
-		for _, c := range n.Cover.Cubes {
-			var lits []sat.Lit
-			void := false
-			for i, l := range c {
-				fl, ok := sig[n.Fanins[i]]
-				if !ok {
-					return false, nil, fmt.Errorf("netlist: node %s reads unknown signal %s", n.Name, n.Fanins[i])
-				}
-				switch l {
-				case cube.Pos:
-					lits = append(lits, fl)
-				case cube.Neg:
-					lits = append(lits, fl.Neg())
-				case cube.Void:
-					void = true
-				}
-			}
-			if void {
-				continue
-			}
-			terms = append(terms, e.AndN(lits...))
-		}
-		sig[n.Name] = e.OrN(terms...)
 	}
 	var mA, mB []sat.Lit
 	var outNames []string
@@ -231,6 +190,20 @@ func EquivalentSAT(a, b *Network) (bool, map[string]bool, error) {
 	default:
 		return false, nil, fmt.Errorf("netlist: SAT solver gave up")
 	}
+}
+
+// outputsOf picks the primary outputs' entries out of a lowered
+// network's signal map.
+func outputsOf[T any](nw *Network, sig map[string]T) (map[string]T, error) {
+	outs := map[string]T{}
+	for _, o := range nw.Outputs {
+		f, ok := sig[o]
+		if !ok {
+			return nil, fmt.Errorf("netlist: output %s undriven", o)
+		}
+		outs[o] = f
+	}
+	return outs, nil
 }
 
 func sameInterface(a, b *Network) error {

@@ -50,61 +50,22 @@ func Repair(impl, spec *netlist.Network, suspect string) (*Result, error) {
 	}
 
 	// Manager over the primary inputs plus one extra variable t that
-	// stands for the suspect node's output.
+	// stands for the suspect node's output, which cuts impl there.
 	nPI := len(impl.Inputs)
 	m := bdd.New(nPI + 1)
 	tVar := nPI
-	piVar := map[string]int{}
-	for i, in := range impl.Inputs {
-		piVar[in] = i
-		m.SetName(i, in)
-	}
 	m.SetName(tVar, "$t")
-
-	evalNet := func(nw *netlist.Network, replaceSuspect bool) (map[string]bdd.Node, error) {
-		sig := map[string]bdd.Node{}
-		for in, v := range piVar {
-			sig[in] = m.Var(v)
-		}
-		order, err := nw.TopoSort()
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range order {
-			if replaceSuspect && n.Name == suspect {
-				sig[n.Name] = m.Var(tVar)
-				continue
-			}
-			f := m.False()
-			for _, c := range n.Cover.Cubes {
-				term := m.True()
-				for i, l := range c {
-					g, ok := sig[n.Fanins[i]]
-					if !ok {
-						return nil, fmt.Errorf("repair: node %s reads unknown signal %s", n.Name, n.Fanins[i])
-					}
-					switch l {
-					case cube.Pos:
-						term = m.And(term, g)
-					case cube.Neg:
-						term = m.And(term, m.Not(g))
-					case cube.Void:
-						term = m.False()
-					}
-				}
-				f = m.Or(f, term)
-			}
-			sig[n.Name] = f
-		}
-		return sig, nil
+	implSig := map[string]bdd.Node{suspect: m.Var(tVar)}
+	specSig := map[string]bdd.Node{}
+	for i, in := range impl.Inputs {
+		m.SetName(i, in)
+		implSig[in] = m.Var(i)
+		specSig[in] = m.Var(i)
 	}
-
-	implSig, err := evalNet(impl, true)
-	if err != nil {
+	if err := impl.LowerBDD(m, implSig); err != nil {
 		return nil, err
 	}
-	specSig, err := evalNet(spec, false)
-	if err != nil {
+	if err := spec.LowerBDD(m, specSig); err != nil {
 		return nil, err
 	}
 
@@ -121,20 +82,11 @@ func Repair(impl, spec *netlist.Network, suspect string) (*Result, error) {
 	a1 := m.Restrict(miter, tVar, true)
 	a0 := m.Restrict(miter, tVar, false)
 
-	// The fanin functions yi(x) as BDDs (from the unreplaced spec-side
-	// evaluation of impl's structure). Recompute impl without the
-	// replacement to obtain fanin functions.
-	implPlain, err := evalNet(impl, false)
-	if err != nil {
-		return nil, err
-	}
+	// The fanin functions yi(x): no fanin's cone contains the suspect
+	// (the network is acyclic), so the cut does not change them.
 	fanin := make([]bdd.Node, k)
 	for i, f := range node.Fanins {
-		g, ok := implPlain[f]
-		if !ok {
-			return nil, fmt.Errorf("repair: fanin %q unknown", f)
-		}
-		fanin[i] = g
+		fanin[i] = implSig[f]
 	}
 
 	// For each local pattern p decide: must-1, must-0, free, or
@@ -143,17 +95,11 @@ func Repair(impl, spec *netlist.Network, suspect string) (*Result, error) {
 	dc := cube.NewCover(k)
 	res := &Result{}
 	for p := uint(0); p < 1<<uint(k); p++ {
-		cond := m.True()
-		for i := 0; i < k; i++ {
-			g := fanin[i]
-			if p&(1<<uint(i)) == 0 {
-				g = m.Not(g)
-			}
-			cond = m.And(cond, g)
-		}
+		pc := cube.Minterm(k, p)
+		cond := bdd.Product(m, pc, fanin)
 		if cond == m.False() {
 			// Unreachable pattern: free.
-			dc.Add(patternCube(k, p))
+			dc.Add(pc)
 			res.DCPatterns++
 			continue
 		}
@@ -161,10 +107,10 @@ func Repair(impl, spec *netlist.Network, suspect string) (*Result, error) {
 		canBe0 := m.And(cond, m.Not(a0)) == m.False()
 		switch {
 		case canBe1 && canBe0:
-			dc.Add(patternCube(k, p))
+			dc.Add(pc)
 			res.DCPatterns++
 		case canBe1:
-			on.Add(patternCube(k, p))
+			on.Add(pc)
 			res.OnPatterns++
 		case canBe0:
 			// off-set: not added to on or dc
@@ -178,18 +124,6 @@ func Repair(impl, spec *netlist.Network, suspect string) (*Result, error) {
 	res.Repaired = true
 	res.NewCover = min
 	return res, nil
-}
-
-func patternCube(k int, p uint) cube.Cube {
-	c := cube.NewCube(k)
-	for i := 0; i < k; i++ {
-		if p&(1<<uint(i)) != 0 {
-			c[i] = cube.Pos
-		} else {
-			c[i] = cube.Neg
-		}
-	}
-	return c
 }
 
 // Apply installs the repair into the implementation network.

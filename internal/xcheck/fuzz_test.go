@@ -43,6 +43,16 @@ func FuzzSATvsBDD(f *testing.F) {
 	})
 }
 
+func FuzzNet(f *testing.F) {
+	seedCorpus(f, "net")
+	c := &Checker{}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		for _, m := range c.CheckNet(GenNet(seed)) {
+			t.Errorf("%v", m)
+		}
+	})
+}
+
 func FuzzRoute(f *testing.F) {
 	seedCorpus(f, "route")
 	c := &Checker{}

@@ -30,7 +30,7 @@ func (ci *CoverInstance) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "xcheck cover v1\nseed %d\nn %d\non %d\n", ci.Seed, ci.N, len(ci.On.Cubes))
 	for _, c := range ci.On.Cubes {
-		b.WriteString(cubeRow(c))
+		b.WriteString(c.Row())
 		b.WriteByte('\n')
 	}
 	ndc := 0
@@ -40,27 +40,11 @@ func (ci *CoverInstance) Dump() string {
 	fmt.Fprintf(&b, "dc %d\n", ndc)
 	if ci.DC != nil {
 		for _, c := range ci.DC.Cubes {
-			b.WriteString(cubeRow(c))
+			b.WriteString(c.Row())
 			b.WriteByte('\n')
 		}
 	}
 	return b.String()
-}
-
-// cubeRow renders a cube in 0/1/- notation.
-func cubeRow(c cube.Cube) string {
-	row := make([]byte, len(c))
-	for i, l := range c {
-		switch l {
-		case cube.Pos:
-			row[i] = '1'
-		case cube.Neg:
-			row[i] = '0'
-		default:
-			row[i] = '-'
-		}
-	}
-	return string(row)
 }
 
 // randCube draws a cube with the given don't-care probability (in

@@ -33,7 +33,7 @@ func (ni *NetInstance) Dump() string {
 		n := ni.Net.Nodes[name]
 		fmt.Fprintf(&b, "node %s <- %s\n", name, strings.Join(n.Fanins, " "))
 		for _, c := range n.Cover.Cubes {
-			fmt.Fprintf(&b, "  %s\n", cubeRow(c))
+			fmt.Fprintf(&b, "  %s\n", c.Row())
 		}
 	}
 	return b.String()
