@@ -95,7 +95,7 @@ func BenchmarkFig5Projects(b *testing.B) {
 		b.Fatal(err)
 	}
 	on, _ := cube.ParseCover([]string{"11--", "--11", "0-0-"})
-	c := bench.SmallSuite()[0]
+	c := bench.Suite()[0]
 	prob := bench.Placement(c, 1)
 
 	for i := 0; i < b.N; i++ {

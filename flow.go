@@ -142,6 +142,8 @@ func RunFlow(r io.Reader, opts FlowOpts) (*Flow, error) {
 }
 
 // RunFlowOnNetwork is RunFlow starting from an in-memory network.
+// No program calls it yet: the flow oracle of ROADMAP direction 4
+// will drive it on generated networks, as TestRouteTwoPinGolden does.
 func RunFlowOnNetwork(nw *netlist.Network, opts FlowOpts) (*Flow, error) {
 	return runFlow(&flowRun{Flow: &Flow{Source: nw.Clone()}, FlowOpts: opts})
 }

@@ -8,7 +8,6 @@ package atpg
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"vlsicad/internal/cube"
@@ -140,11 +139,10 @@ func Detects(nw *netlist.Network, f Fault, vec map[string]bool) (bool, error) {
 
 // Result summarizes a full ATPG run.
 type Result struct {
-	Total          int
-	Detected       int
-	Redundant      int
-	RandomDetected int    // faults caught by the random phase (if any)
-	Tests          []Test // one per productive vector (after fault dropping)
+	Total     int
+	Detected  int
+	Redundant int
+	Tests     []Test // one per productive vector (after fault dropping)
 }
 
 // Coverage is detected / (total - redundant); redundant faults are
@@ -162,58 +160,10 @@ func (r *Result) Coverage() float64 {
 // then fault-drop — simulate the vector against every remaining fault
 // and mark all it detects.
 func Run(nw *netlist.Network) (*Result, error) {
-	return run(nw, 0, 0)
-}
-
-// RunWithRandomPhase is the production-style two-phase flow: a cheap
-// random-pattern phase first knocks out the easy faults, then the
-// SAT engine targets only the random-resistant remainder. Stats
-// record how many faults each phase caught.
-func RunWithRandomPhase(nw *netlist.Network, patterns int, seed int64) (*Result, int, error) {
-	res, err := run(nw, patterns, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, res.RandomDetected, nil
-}
-
-func run(nw *netlist.Network, randomPatterns int, seed int64) (*Result, error) {
 	faults := Faults(nw)
 	res := &Result{Total: len(faults)}
 	detected := make([]bool, len(faults))
 	redundant := make([]bool, len(faults))
-
-	// Phase 1 (optional): random patterns with fault dropping.
-	if randomPatterns > 0 {
-		rng := rand.New(rand.NewSource(seed))
-		for p := 0; p < randomPatterns; p++ {
-			vec := map[string]bool{}
-			for _, in := range nw.Inputs {
-				vec[in] = rng.Intn(2) == 1
-			}
-			kept := false
-			for j, f := range faults {
-				if detected[j] {
-					continue
-				}
-				hit, err := Detects(nw, f, vec)
-				if err != nil {
-					return nil, err
-				}
-				if hit {
-					detected[j] = true
-					res.Detected++
-					res.RandomDetected++
-					if !kept {
-						res.Tests = append(res.Tests, Test{Fault: f, Vector: vec})
-						kept = true
-					}
-				}
-			}
-		}
-	}
-
-	// Phase 2: SAT-targeted generation for the remainder.
 	for i, f := range faults {
 		if detected[i] || redundant[i] {
 			continue

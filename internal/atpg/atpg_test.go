@@ -152,32 +152,6 @@ func TestRunWithRedundancy(t *testing.T) {
 	}
 }
 
-func TestRunWithRandomPhase(t *testing.T) {
-	nw := parse(t, andOr)
-	res, randomHits, err := RunWithRandomPhase(nw, 16, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Coverage() < 1.0 {
-		t.Errorf("coverage = %.2f, want 1.0", res.Coverage())
-	}
-	if randomHits == 0 {
-		t.Error("16 random patterns on a 3-input circuit should catch something")
-	}
-	if randomHits != res.RandomDetected {
-		t.Error("random-phase count inconsistent")
-	}
-	// Both phases together must match the SAT-only run's coverage.
-	satOnly, err := Run(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Detected != satOnly.Detected || res.Redundant != satOnly.Redundant {
-		t.Errorf("two-phase (%d det, %d red) disagrees with SAT-only (%d, %d)",
-			res.Detected, res.Redundant, satOnly.Detected, satOnly.Redundant)
-	}
-}
-
 func TestInjectPreservesInterface(t *testing.T) {
 	nw := parse(t, andOr)
 	faulty := InjectStuckAt(nw, Fault{Signal: "t", StuckAt: true})

@@ -77,7 +77,7 @@ func TestParseErrors(t *testing.T) {
 	if _, err := Parse(NewEnv(New(1)), "x | y"); err == nil {
 		t.Error("expected out-of-variables error")
 	}
-	fixed := NewEnvWith(m, map[string]int{"a": 0})
+	fixed := &Env{m: m, vars: map[string]int{"a": 0}}
 	if _, err := Parse(fixed, "a & b"); err == nil {
 		t.Error("expected unknown-variable error with fixed env")
 	}
@@ -133,9 +133,6 @@ func TestQuantifiers(t *testing.T) {
 	}
 	if m.ForAll(f, a, b, c) != FalseNode {
 		t.Error("ForAll over all vars should be 0")
-	}
-	if m.AndExists(m.Var(a), m.Var(b), a) != m.Var(b) {
-		t.Error("AndExists wrong")
 	}
 }
 
@@ -230,10 +227,6 @@ func TestGC(t *testing.T) {
 	// Rebuilding the kept function must return the same handle.
 	if MustParse(env, "a & b | c & d") != keep {
 		t.Error("canonicity broken after GC")
-	}
-	m.Unprotect(keep)
-	if m.GCCount() != 1 {
-		t.Errorf("GCCount = %d", m.GCCount())
 	}
 }
 
@@ -421,4 +414,34 @@ func TestNodeCountSmall(t *testing.T) {
 	if m.NodeCount(m.Var(0)) != 3 {
 		t.Error("NodeCount(x) != 3")
 	}
+}
+
+// MustParse is Parse that panics on error.
+func MustParse(env *Env, src string) Node {
+	n, err := Parse(env, src)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// InterleavedOrder returns the order a0 b0 a1 b1 ... for two buses of
+// the given width, assuming variables 0..w-1 are bus A and w..2w-1 are
+// bus B — the course's comparator example.
+func InterleavedOrder(width int) []int {
+	out := make([]int, 0, 2*width)
+	for i := 0; i < width; i++ {
+		out = append(out, i, width+i)
+	}
+	return out
+}
+
+// SeparatedOrder returns a0 a1 ... b0 b1 ... (the bad order for the
+// comparator).
+func SeparatedOrder(width int) []int {
+	out := make([]int, 0, 2*width)
+	for i := 0; i < 2*width; i++ {
+		out = append(out, i)
+	}
+	return out
 }

@@ -55,34 +55,3 @@ func (m *Manager) Dot(f Node, name string) string {
 	b.WriteString("}\n")
 	return b.String()
 }
-
-// Permute returns f with variables renamed according to perm
-// (perm[old] = new). The result lives in the same manager, built by
-// composition from the bottom up.
-func (m *Manager) Permute(f Node, perm []int) (Node, error) {
-	if len(perm) != m.nvars {
-		return FalseNode, fmt.Errorf("bdd: permutation has %d entries, want %d", len(perm), m.nvars)
-	}
-	seen := make([]bool, m.nvars)
-	for _, v := range perm {
-		if v < 0 || v >= m.nvars || seen[v] {
-			return FalseNode, fmt.Errorf("bdd: not a permutation")
-		}
-		seen[v] = true
-	}
-	memo := map[Node]Node{FalseNode: FalseNode, TrueNode: TrueNode}
-	var walk func(n Node) Node
-	walk = func(n Node) Node {
-		if r, ok := memo[n]; ok {
-			return r
-		}
-		rec := m.nodes[n]
-		v := int(m.varAtLevel[rec.level])
-		lo := walk(rec.lo)
-		hi := walk(rec.hi)
-		r := m.ITE(m.Var(perm[v]), hi, lo)
-		memo[n] = r
-		return r
-	}
-	return walk(f), nil
-}

@@ -24,52 +24,3 @@ func TestDotOutput(t *testing.T) {
 		t.Error("terminal diagram malformed")
 	}
 }
-
-func TestPermute(t *testing.T) {
-	m := New(3)
-	env := NewEnv(m)
-	f := MustParse(env, "a & ~b | c")
-	names := env.Names()
-	a, bv, c := names["a"], names["b"], names["c"]
-	// Swap a and c.
-	perm := make([]int, 3)
-	perm[a], perm[bv], perm[c] = c, bv, a
-	g, err := m.Permute(f, perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := make([]bool, 3)
-	for x := 0; x < 8; x++ {
-		for i := range assign {
-			assign[i] = x&(1<<uint(i)) != 0
-		}
-		swapped := make([]bool, 3)
-		swapped[a], swapped[bv], swapped[c] = assign[c], assign[bv], assign[a]
-		if m.Eval(g, assign) != m.Eval(f, swapped) {
-			t.Fatalf("Permute wrong at %03b", x)
-		}
-	}
-	// Identity permutation is a no-op.
-	id := []int{0, 1, 2}
-	h, err := m.Permute(f, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != f {
-		t.Error("identity permutation changed the node")
-	}
-}
-
-func TestPermuteErrors(t *testing.T) {
-	m := New(2)
-	f := m.Var(0)
-	if _, err := m.Permute(f, []int{0}); err == nil {
-		t.Error("short permutation should fail")
-	}
-	if _, err := m.Permute(f, []int{0, 0}); err == nil {
-		t.Error("non-permutation should fail")
-	}
-	if _, err := m.Permute(f, []int{0, 5}); err == nil {
-		t.Error("out-of-range should fail")
-	}
-}

@@ -50,11 +50,6 @@ func NewEnv(m *Manager) *Env {
 	return &Env{m: m, vars: map[string]int{}, auto: true}
 }
 
-// NewEnvWith returns an Env using a fixed name→variable binding.
-func NewEnvWith(m *Manager, vars map[string]int) *Env {
-	return &Env{m: m, vars: vars}
-}
-
 // VarIndex resolves a variable name, allocating it if the Env is
 // auto-allocating.
 func (e *Env) VarIndex(name string) (int, error) {
@@ -101,15 +96,6 @@ func Parse(env *Env, src string) (Node, error) {
 		return FalseNode, fmt.Errorf("bdd: trailing input at %q", string(p.src[p.pos:]))
 	}
 	return n, nil
-}
-
-// MustParse is Parse that panics on error; for tests and examples.
-func MustParse(env *Env, src string) Node {
-	n, err := Parse(env, src)
-	if err != nil {
-		panic(err)
-	}
-	return n
 }
 
 func (p *parser) skipSpace() {

@@ -48,10 +48,7 @@ const (
 	opExists
 	opForAll
 	opCompose
-	opSatCount
 	opRestrict
-	opAndExists
-	opSimplify
 )
 
 // Manager owns the node store, the unique table and the operation
@@ -65,12 +62,9 @@ type Manager struct {
 	nodes     []nodeRec
 	unique    map[uniqueKey]Node
 	cache     map[cacheKey]Node
-	aeCache   map[aeKey]Node
 	satCache  map[Node]float64
 	protected map[Node]int
 	freeList  []Node
-
-	gcCount int // number of garbage collections performed
 }
 
 // New creates a manager for n variables using the identity variable
@@ -219,17 +213,8 @@ func (m *Manager) NodeCount(f Node) int {
 }
 
 // Protect registers f as an external root so garbage collection keeps
-// it alive. Calls nest: each Protect needs a matching Unprotect.
+// it alive for the rest of the manager's life.
 func (m *Manager) Protect(f Node) { m.protected[f]++ }
-
-// Unprotect releases one protection reference on f.
-func (m *Manager) Unprotect(f Node) {
-	if c := m.protected[f]; c > 1 {
-		m.protected[f] = c - 1
-	} else {
-		delete(m.protected, f)
-	}
-}
 
 // GC performs mark-and-sweep garbage collection. Nodes reachable from
 // the protected set (and from the extra roots given) survive; all
@@ -271,11 +256,6 @@ func (m *Manager) GC(extraRoots ...Node) int {
 		m.freeList = append(m.freeList, n)
 	}
 	m.cache = make(map[cacheKey]Node)
-	m.aeCache = make(map[aeKey]Node)
 	m.satCache = make(map[Node]float64)
-	m.gcCount++
 	return len(m.freeList) - freedBefore
 }
-
-// GCCount returns how many garbage collections have run.
-func (m *Manager) GCCount() int { return m.gcCount }

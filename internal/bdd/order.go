@@ -110,24 +110,3 @@ func moveVar(order []int, from, to int) []int {
 	out[to] = v
 	return out
 }
-
-// InterleavedOrder returns the order a0 b0 a1 b1 ... for two buses of
-// the given width, assuming variables 0..w-1 are bus A and w..2w-1 are
-// bus B — the course's comparator example.
-func InterleavedOrder(width int) []int {
-	out := make([]int, 0, 2*width)
-	for i := 0; i < width; i++ {
-		out = append(out, i, width+i)
-	}
-	return out
-}
-
-// SeparatedOrder returns a0 a1 ... b0 b1 ... (the bad order for the
-// comparator).
-func SeparatedOrder(width int) []int {
-	out := make([]int, 0, 2*width)
-	for i := 0; i < 2*width; i++ {
-		out = append(out, i)
-	}
-	return out
-}

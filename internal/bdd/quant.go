@@ -82,118 +82,7 @@ func (m *Manager) quantRec(f Node, mask uint64, cacheable, exists bool, vars []i
 	return r
 }
 
-// AndExists computes ∃vars.(f·g) — the relational-product primitive —
-// with a fused recursion that never builds the full conjunction:
-// quantified variables are OR-merged on the way back up, and the
-// recursion short-circuits as soon as one branch reaches 1.
-func (m *Manager) AndExists(f, g Node, vars ...int) Node {
-	if len(vars) == 0 {
-		return m.And(f, g)
-	}
-	mask, cacheable := m.levelMask(vars)
-	if !cacheable {
-		return m.Exists(m.And(f, g), vars...)
-	}
-	return m.andExistsRec(f, g, mask)
-}
-
-func (m *Manager) andExistsRec(f, g Node, mask uint64) Node {
-	// Terminal cases.
-	if f == FalseNode || g == FalseNode {
-		return FalseNode
-	}
-	if f == TrueNode && g == TrueNode {
-		return TrueNode
-	}
-	if f == TrueNode {
-		return m.existsMask(g, mask)
-	}
-	if g == TrueNode {
-		return m.existsMask(f, mask)
-	}
-	if f > g {
-		f, g = g, f // AND commutes: canonicalize the cache key
-	}
-	key := aeKey{f: f, g: g, mask: mask}
-	if m.aeCache == nil {
-		m.aeCache = map[aeKey]Node{}
-	}
-	if r, ok := m.aeCache[key]; ok {
-		return r
-	}
-	lvl := m.level(f)
-	if l := m.level(g); l < lvl {
-		lvl = l
-	}
-	f0, f1 := m.cofactorAt(f, lvl)
-	g0, g1 := m.cofactorAt(g, lvl)
-	var r Node
-	if mask&(1<<uint(lvl)) != 0 {
-		lo := m.andExistsRec(f0, g0, mask)
-		if lo == TrueNode {
-			r = TrueNode // short-circuit: ∃ already satisfied
-		} else {
-			r = m.Or(lo, m.andExistsRec(f1, g1, mask))
-		}
-	} else {
-		r = m.mk(lvl, m.andExistsRec(f0, g0, mask), m.andExistsRec(f1, g1, mask))
-	}
-	m.aeCache[key] = r
-	return r
-}
-
-// aeKey keys the AndExists cache: operand pair plus the full level
-// mask.
-type aeKey struct {
-	f, g Node
-	mask uint64
-}
-
-// existsMask quantifies by a precomputed level mask.
-func (m *Manager) existsMask(f Node, mask uint64) Node {
-	return m.quantRec(f, mask, true, true, nil)
-}
-
 // BooleanDifference returns ∂f/∂v = f|v=1 ⊕ f|v=0.
 func (m *Manager) BooleanDifference(f Node, v int) Node {
 	return m.Xor(m.Restrict(f, v, true), m.Restrict(f, v, false))
-}
-
-// Simplify applies the Coudert–Madre restrict operator: it returns a
-// function that agrees with f everywhere the care set is 1 and is
-// free elsewhere, usually with a smaller BDD — the don't-care
-// minimization the course uses after image computations.
-func (m *Manager) Simplify(f, care Node) Node {
-	switch {
-	case care == FalseNode:
-		return FalseNode // caller sees all don't-care; any value works
-	case care == TrueNode || m.IsTerminal(f):
-		return f
-	}
-	key := cacheKey{opSimplify, f, care, 0}
-	if r, ok := m.cache[key]; ok {
-		return r
-	}
-	var r Node
-	fLvl, cLvl := m.level(f), m.level(care)
-	if cLvl < fLvl {
-		// The care set splits on a variable f does not test: merge
-		// the branch care sets and recurse.
-		rec := m.nodes[care]
-		r = m.Simplify(f, m.Or(rec.lo, rec.hi))
-	} else {
-		lvl := fLvl
-		f0, f1 := m.cofactorAt(f, lvl)
-		c0, c1 := m.cofactorAt(care, lvl)
-		switch {
-		case c0 == FalseNode:
-			r = m.Simplify(f1, c1)
-		case c1 == FalseNode:
-			r = m.Simplify(f0, c0)
-		default:
-			r = m.mk(lvl, m.Simplify(f0, c0), m.Simplify(f1, c1))
-		}
-	}
-	m.cache[key] = r
-	return r
 }

@@ -91,51 +91,6 @@ func TestQuickAlgebraicIdentities(t *testing.T) {
 	}
 }
 
-func TestQuickSimplifyAgreesOnCareSet(t *testing.T) {
-	// restrict(f, c) must equal f wherever c holds, and should not be
-	// larger than f when c is restrictive.
-	m := New(3)
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 300; iter++ {
-		f := fromTruthTable(m, uint8(rng.Intn(256)))
-		c := fromTruthTable(m, uint8(rng.Intn(256)))
-		s := m.Simplify(f, c)
-		// Agreement on the care set: s·c == f·c.
-		if m.And(s, c) != m.And(f, c) {
-			t.Fatalf("iter %d: Simplify disagrees on the care set", iter)
-		}
-	}
-	// The canonical win: f = a·b with care set c = a collapses to b.
-	env := NewEnv(m)
-	f := MustParse(env, "a & b")
-	c := MustParse(env, "a")
-	if got := m.Simplify(f, c); got != MustParse(env, "b") {
-		t.Errorf("Simplify(ab, a) = %s, want b", m.Format(got))
-	}
-}
-
-func TestQuickAndExistsMatchesComposition(t *testing.T) {
-	// The fused relational product must equal ∃vars.(f·g) built the
-	// slow way, for all variable subsets.
-	m := New(3)
-	rng := rand.New(rand.NewSource(21))
-	for iter := 0; iter < 300; iter++ {
-		f := fromTruthTable(m, uint8(rng.Intn(256)))
-		g := fromTruthTable(m, uint8(rng.Intn(256)))
-		var vars []int
-		for v := 0; v < 3; v++ {
-			if rng.Intn(2) == 0 {
-				vars = append(vars, v)
-			}
-		}
-		want := m.Exists(m.And(f, g), vars...)
-		got := m.AndExists(f, g, vars...)
-		if got != want {
-			t.Fatalf("iter %d: AndExists(vars=%v) = %v, want %v", iter, vars, got, want)
-		}
-	}
-}
-
 func TestQuickQuantifierDuality(t *testing.T) {
 	m := New(3)
 	rng := rand.New(rand.NewSource(12))

@@ -36,9 +36,6 @@ func Suite() []Case {
 	}
 }
 
-// SmallSuite returns just the project-scale cases (fast tests).
-func SmallSuite() []Case { return Suite()[:2] }
-
 // Placement builds a placement problem for the case: cells connected
 // with Rent-style locality (most nets short-range in a virtual
 // ordering, a tail of long-range nets) and boundary pads.

@@ -23,7 +23,7 @@ func TestSuiteShape(t *testing.T) {
 }
 
 func TestPlacementIsValidAndDeterministic(t *testing.T) {
-	c := SmallSuite()[0]
+	c := Suite()[0]
 	p1 := Placement(c, 7)
 	if err := p1.Validate(); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestPlacementIsValidAndDeterministic(t *testing.T) {
 }
 
 func TestPlacementFlowEndToEnd(t *testing.T) {
-	c := SmallSuite()[0]
+	c := Suite()[0]
 	p := Placement(c, 3)
 	pl, err := place.Quadratic(p, place.QuadraticOpts{})
 	if err != nil {
@@ -71,7 +71,7 @@ func TestPlacementFlowEndToEnd(t *testing.T) {
 }
 
 func TestRoutingInstance(t *testing.T) {
-	c := SmallSuite()[0]
+	c := Suite()[0]
 	p := Placement(c, 3)
 	pl, err := place.Quadratic(p, place.QuadraticOpts{})
 	if err != nil {

@@ -222,19 +222,9 @@ func (f *Cover) String() string {
 	return b.String()
 }
 
-// Expr renders the cover as a sum of product terms.
-func (f *Cover) Expr() string {
-	if f.IsEmpty() {
-		return "0"
-	}
-	parts := make([]string, len(f.Cubes))
-	for i, c := range f.Cubes {
-		parts[i] = c.Expr()
-	}
-	return strings.Join(parts, " + ")
-}
-
 // FromMinterms builds a minterm-canonical cover over n variables.
+// Only tests call it: it is the cover builder that the tests of
+// several packages share.
 func FromMinterms(n int, minterms []uint) *Cover {
 	f := NewCover(n)
 	for _, m := range minterms {

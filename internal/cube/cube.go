@@ -11,10 +11,7 @@
 // quantification.
 package cube
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Lit is the positional-cube-notation code for one variable in one cube.
 //
@@ -227,24 +224,4 @@ func Minterm(n int, m uint) Cube {
 		}
 	}
 	return c
-}
-
-// Expr renders the cube as a product term over named variables
-// x1..xn, e.g. "x1 x3'". The universal cube renders as "1".
-func (c Cube) Expr() string {
-	var parts []string
-	for i, l := range c {
-		switch l {
-		case Pos:
-			parts = append(parts, fmt.Sprintf("x%d", i+1))
-		case Neg:
-			parts = append(parts, fmt.Sprintf("x%d'", i+1))
-		case Void:
-			return "0"
-		}
-	}
-	if len(parts) == 0 {
-		return "1"
-	}
-	return strings.Join(parts, " ")
 }

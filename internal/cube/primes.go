@@ -6,7 +6,9 @@ package cube
 
 // Primes returns all prime implicants of the cover's function using
 // iterated consensus. Intended for teaching-scale functions (the
-// closure can be exponential).
+// closure can be exponential). No program calls it: it is the
+// textbook reference that espresso's Quine-McCluskey prime generation
+// is tested against.
 func (f *Cover) Primes() *Cover {
 	cur := f.Clone().SCC()
 	for {
@@ -39,24 +41,4 @@ func (f *Cover) Primes() *Cover {
 	}
 	// After closure + single-cube containment, every cube is prime.
 	return cur
-}
-
-// IsPrime reports whether c is a prime implicant of f: c implies f
-// and no literal of c can be raised without leaving f.
-func (f *Cover) IsPrime(c Cube) bool {
-	single := &Cover{N: f.N, Cubes: []Cube{c.Clone()}}
-	if !f.Covers(single) {
-		return false
-	}
-	for v := 0; v < f.N; v++ {
-		if c[v] == DC {
-			continue
-		}
-		raised := c.Clone()
-		raised[v] = DC
-		if f.Covers(&Cover{N: f.N, Cubes: []Cube{raised}}) {
-			return false // could be raised: not prime
-		}
-	}
-	return true
 }

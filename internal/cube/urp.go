@@ -28,17 +28,6 @@ func (f *Cover) unateProfile() []unateness {
 	return u
 }
 
-// IsUnate reports whether the cover is unate: no variable appears in
-// both phases.
-func (f *Cover) IsUnate() bool {
-	for _, u := range f.unateProfile() {
-		if u.pos > 0 && u.neg > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // MostBinate returns the index of the most binate variable — the one
 // appearing in both phases in the largest number of cubes, with ties
 // broken by smallest |pos-neg| then lowest index, as the course's
@@ -93,67 +82,6 @@ func (f *Cover) IsTautology() bool {
 		return f.unateTautology()
 	}
 	return f.Cofactor(v, true).IsTautology() && f.Cofactor(v, false).IsTautology()
-}
-
-// FindOffMinterm returns an assignment on which the cover evaluates
-// to 0, or nil if the cover is a tautology — the URP tautology check
-// instrumented to extract a counterexample, as the course homeworks
-// ask ("if not a tautology, give a minterm that proves it").
-func (f *Cover) FindOffMinterm() []bool {
-	assign := make([]bool, f.N)
-	if f.findOffRec(assign, make([]bool, f.N)) {
-		return assign
-	}
-	return nil
-}
-
-// findOffRec mirrors IsTautology's recursion; fixed marks decided
-// variables, assign carries the partial counterexample.
-func (f *Cover) findOffRec(assign, fixed []bool) bool {
-	if f.IsEmpty() {
-		// Everything unfixed can be anything; all-false works.
-		return true
-	}
-	for _, c := range f.Cubes {
-		if c.IsUniversal() {
-			return false
-		}
-	}
-	v := f.MostBinate()
-	if v < 0 {
-		// Unate cover that is not a tautology: push every unate
-		// literal to its unsatisfying side, recurse on what remains.
-		for i := 0; i < f.N; i++ {
-			if fixed[i] {
-				continue
-			}
-			u := f.unateProfile()[i]
-			switch {
-			case u.pos > 0:
-				assign[i] = false
-			case u.neg > 0:
-				assign[i] = true
-			default:
-				continue
-			}
-			fixed[i] = true
-			g := f.Cofactor(i, assign[i])
-			return g.findOffRec(assign, fixed)
-		}
-		// No literals at all but cover non-empty and no universal
-		// cube: impossible (cubes would be universal).
-		return false
-	}
-	for _, phase := range []bool{false, true} {
-		g := f.Cofactor(v, phase)
-		assign[v] = phase
-		fixed[v] = true
-		if g.findOffRec(assign, fixed) {
-			return true
-		}
-		fixed[v] = false
-	}
-	return false
 }
 
 // Complement returns the complement of the cover using the URP:
@@ -273,7 +201,8 @@ func Xor(f, g *Cover) *Cover {
 
 // Consensus returns the consensus (smoothing-free) of two cubes if
 // they are distance-1, along with true; otherwise nil, false. Used by
-// iterated-consensus prime generation.
+// iterated-consensus prime generation, the reference that espresso's
+// Quine-McCluskey prime generation is tested against.
 func Consensus(c, d Cube) (Cube, bool) {
 	if c.Distance(d) != 1 {
 		return nil, false

@@ -12,7 +12,10 @@ import (
 // timing — the traditional course's extraction topic, wired to the
 // Week-8 delay model.
 
-// Tech holds per-layer parasitics and via resistance.
+// Tech holds per-layer parasitics and via resistance. With
+// DefaultTech and ExtractPath it is kept for per-net wire timing
+// (ROADMAP "Timing from each net's own wire"), which will charge
+// each sink the Elmore delay of its own routed tree.
 type Tech struct {
 	RPerUnit map[string]float64 // sheet-ish resistance per grid unit
 	CPerUnit map[string]float64 // capacitance per grid unit
@@ -22,7 +25,8 @@ type Tech struct {
 }
 
 // DefaultTech returns teaching-scale parasitics: metal2 (vertical) is
-// a little more resistive than metal1.
+// a little more resistive than metal1. No program calls it yet; it is
+// kept with Tech for per-net wire timing.
 func DefaultTech() Tech {
 	return Tech{
 		RPerUnit: map[string]float64{"metal1": 0.05, "metal2": 0.08},
@@ -42,7 +46,8 @@ func layerName(l int) string {
 
 // ExtractPath converts a routed path into an RC tree rooted at the
 // driver (the path's first point) and returns the Elmore delay at the
-// sink (the last point).
+// sink (the last point). No program calls it yet: per-net wire timing
+// (ROADMAP "Timing from each net's own wire") will.
 func ExtractPath(p route.Path, tech Tech) (*timing.RCTree, float64, error) {
 	if len(p) == 0 {
 		return nil, 0, fmt.Errorf("drc: empty path")

@@ -210,34 +210,6 @@ func supercube(f *cube.Cover) cube.Cube {
 	return s
 }
 
-// Essentials returns the essential prime implicants of the function:
-// primes covering at least one minterm of on \ dc that no other prime
-// covers. Every minimal cover must contain all of them — the anchor
-// fact of the course's two-level theory.
-func Essentials(on, dc *cube.Cover) []cube.Cube {
-	if dc == nil {
-		dc = cube.NewCover(on.N)
-	}
-	primes := on.Or(dc).Primes()
-	care := on.Difference(dc)
-	var out []cube.Cube
-	for i, p := range primes.Cubes {
-		// Part of the care set covered only by p:
-		// care ∩ p \ (other primes).
-		others := cube.NewCover(on.N)
-		for j, q := range primes.Cubes {
-			if j != i {
-				others.Add(q.Clone())
-			}
-		}
-		onlyP := care.And(&cube.Cover{N: on.N, Cubes: []cube.Cube{p.Clone()}}).Difference(others)
-		if !onlyP.IsEmpty() && len(onlyP.Minterms()) > 0 {
-			out = append(out, p.Clone())
-		}
-	}
-	return out
-}
-
 // Verify checks the espresso output contract: result ⊇ (on \ dc) and
 // result ⊆ on ∪ dc. Minterms listed in both the on-set and the
 // don't-care set are treated as don't cares, matching the tool's

@@ -210,46 +210,6 @@ func TestHeuristicMatchesExactOnSmallFunctions(t *testing.T) {
 	}
 }
 
-func TestEssentials(t *testing.T) {
-	// f = ab + a'c (+ consensus bc). ab and a'c are essential; bc is
-	// not (every bc-minterm is covered by one of the others).
-	on := cover(t, "11-", "0-1")
-	ess := Essentials(on, nil)
-	if len(ess) != 2 {
-		t.Fatalf("essentials = %v, want 2", ess)
-	}
-	for _, e := range ess {
-		if e.Literals() != 2 {
-			t.Errorf("unexpected essential %v", e)
-		}
-	}
-	// Every minimal cover contains the essentials: check against exact.
-	exact, err := MinimizeExact(on, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ess {
-		found := false
-		for _, c := range exact.Cubes {
-			if c.Contains(e) && e.Contains(c) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("essential %v missing from exact cover %v", e, exact)
-		}
-	}
-}
-
-func TestEssentialsXor(t *testing.T) {
-	// XOR3: every prime is essential (all 4 minterm cubes).
-	on := cube.FromMinterms(3, []uint{1, 2, 4, 7})
-	ess := Essentials(on, nil)
-	if len(ess) != 4 {
-		t.Errorf("XOR3 essentials = %d, want 4", len(ess))
-	}
-}
-
 func TestQMPrimesMatchIteratedConsensus(t *testing.T) {
 	// Two independent prime generators (QM merging here, iterated
 	// consensus in the cube package) must produce identical prime sets.

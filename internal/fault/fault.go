@@ -105,9 +105,8 @@ type Injector struct {
 	cfg    Config
 	script []Class // when non-nil, cycled instead of the seeded plan
 
-	calls   atomic.Uint64             // next call index
-	counts  [numClasses]atomic.Uint64 // injected-fault tally per class
-	cleared atomic.Bool               // Clear(): fault storm is over
+	calls  atomic.Uint64             // next call index
+	counts [numClasses]atomic.Uint64 // injected-fault tally per class
 
 	releaseOnce sync.Once
 	release     chan struct{} // closed by ReleaseHung
@@ -134,8 +133,9 @@ func Script(t portal.Tool, classes ...Class) *Injector {
 	return in
 }
 
-// SetSleep injects the timer used for Slow faults (tests avoid real
-// latency); nil restores time.After.
+// SetSleep injects the timer used for Slow faults; nil restores
+// time.After. No program calls it: it is the test seam that lets the
+// tests of Slow faults run without real latency.
 func (in *Injector) SetSleep(sleep func(time.Duration) <-chan time.Time) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -153,21 +153,11 @@ func (in *Injector) Describe() string {
 	return in.tool.Describe() + " [fault-injected]"
 }
 
-// Clear ends the fault storm: subsequent calls pass through clean.
-// Models a recovered dependency so breaker half-open probes succeed.
-func (in *Injector) Clear() { in.cleared.Store(true) }
-
-// Resume re-enables injection after Clear.
-func (in *Injector) Resume() { in.cleared.Store(false) }
-
 // ReleaseHung unblocks every past and future Hang call; they return
 // an error result. Tests call it before goroutine-leak checks.
 func (in *Injector) ReleaseHung() {
 	in.releaseOnce.Do(func() { close(in.release) })
 }
-
-// Calls returns how many Run calls the injector has served.
-func (in *Injector) Calls() uint64 { return in.calls.Load() }
 
 // Counts returns how many calls each class was injected into.
 func (in *Injector) Counts() map[Class]uint64 {
@@ -219,9 +209,6 @@ func (in *Injector) ClassAt(n uint64) Class {
 func (in *Injector) Run(input string, cancel <-chan struct{}) (string, error) {
 	n := in.calls.Add(1) - 1
 	c := in.ClassAt(n)
-	if in.cleared.Load() {
-		c = None
-	}
 	in.counts[c].Add(1)
 	switch c {
 	case Panic:

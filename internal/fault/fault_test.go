@@ -223,32 +223,6 @@ func TestInjectedBehaviors(t *testing.T) {
 	})
 }
 
-func TestClearAndCounts(t *testing.T) {
-	cancel := make(chan struct{})
-	in := Script(echo{}, Transient)
-	if _, err := in.Run("x", cancel); !portal.IsTransient(err) {
-		t.Fatalf("pre-clear err = %v", err)
-	}
-	in.Clear()
-	// The storm is over: scripted faults become passthroughs.
-	for i := 0; i < 4; i++ {
-		if out, err := in.Run("x", cancel); err != nil || out != "x" {
-			t.Fatalf("cleared call %d = %q, %v", i, out, err)
-		}
-	}
-	in.Resume()
-	if _, err := in.Run("x", cancel); !portal.IsTransient(err) {
-		t.Fatalf("post-resume err = %v (call cycles back to Transient)", err)
-	}
-	counts := in.Counts()
-	if counts[Transient] != 2 || counts[None] != 4 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if in.Calls() != 6 {
-		t.Fatalf("calls = %d, want 6", in.Calls())
-	}
-}
-
 func TestInjectorIsATool(t *testing.T) {
 	in := Wrap(echo{}, 1, Config{})
 	var _ portal.Tool = in

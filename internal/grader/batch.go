@@ -64,9 +64,6 @@ func (b *Batch) Add(r *Report) {
 	b.scoreDeciles[d]++
 }
 
-// Reports returns how many submissions were aggregated.
-func (b *Batch) Reports() int { return b.reports }
-
 // PassRate returns the fraction of submissions that earned full
 // points on the named unit (0 when the unit was never graded).
 func (b *Batch) PassRate(unit string) float64 {

@@ -19,8 +19,8 @@ func TestBatchAggregation(t *testing.T) {
 	b.Add(RunRouterBattery(ReferenceRouter))
 	b.Add(RunRouterBattery(ReferenceRouter))
 	b.Add(RunRouterBattery(brokenRouter))
-	if b.Reports() != 3 {
-		t.Fatalf("reports = %d", b.Reports())
+	if b.reports != 3 {
+		t.Fatalf("reports = %d", b.reports)
 	}
 	// The reference router passes everything; the broken one passes
 	// only the "unroutable detected" unit.

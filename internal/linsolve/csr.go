@@ -55,7 +55,7 @@ func (a *Sparse) Freeze() *CSR {
 }
 
 // MatVecInto computes y = A·x in place (deterministic ascending-column
-// summation order, identical bit-for-bit to MatVec).
+// summation order).
 func (a *Sparse) MatVecInto(y, x []float64) {
 	a.Freeze().MatVecInto(y, x)
 }

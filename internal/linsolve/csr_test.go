@@ -57,21 +57,21 @@ func TestFreezeInvalidatedByAdd(t *testing.T) {
 	a.Add(0, 0, 2)
 	a.Add(1, 1, 2)
 	x := []float64{1, 1}
-	y := a.MatVec(x) // forces a freeze
+	y := matVec(a, x) // forces a freeze
 	if y[0] != 2 || y[1] != 2 {
 		t.Fatalf("MatVec = %v, want [2 2]", y)
 	}
 	a.Add(0, 1, 3) // must invalidate the frozen image
-	y = a.MatVec(x)
+	y = matVec(a, x)
 	if y[0] != 5 || y[1] != 2 {
 		t.Errorf("MatVec after Add = %v, want [5 2]", y)
 	}
-	if got := len(a.Entries()); got != 3 {
+	if got := len(entries(a)); got != 3 {
 		t.Errorf("Entries has %d triplets, want 3", got)
 	}
 	a.Reset(3) // reset also invalidates, and resizes
 	a.Add(2, 2, 7)
-	if e := a.Entries(); len(e) != 1 || e[0] != [3]float64{2, 2, 7} {
+	if e := entries(a); len(e) != 1 || e[0] != [3]float64{2, 2, 7} {
 		t.Errorf("Entries after Reset = %v, want [[2 2 7]]", e)
 	}
 }
@@ -123,12 +123,21 @@ func TestMatVecIntoMatchesMatVec(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	want := a.MatVec(x)
+	// Reference: a dense row sweep in the same ascending-column order,
+	// so the sums must agree bit for bit.
+	want := make([]float64, 40)
+	for i := range want {
+		for j := 0; j < 40; j++ {
+			if v := a.At(i, j); v != 0 {
+				want[i] += v * x[j]
+			}
+		}
+	}
 	got := make([]float64, 40)
 	a.MatVecInto(got, x)
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("entry %d: MatVec %v, MatVecInto %v", i, want[i], got[i])
+			t.Fatalf("entry %d: dense sweep %v, MatVecInto %v", i, want[i], got[i])
 		}
 	}
 }

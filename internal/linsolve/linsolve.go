@@ -86,13 +86,6 @@ func (a *Sparse) NNZ() int {
 	return n
 }
 
-// MatVec computes y = A·x (deterministic summation order).
-func (a *Sparse) MatVec(x []float64) []float64 {
-	y := make([]float64, a.N)
-	a.MatVecInto(y, x)
-	return y
-}
-
 // Result reports iterative-solver convergence.
 type Result struct {
 	Iterations int
@@ -262,18 +255,4 @@ func SolveDense(a [][]float64, b []float64) ([]float64, error) {
 		x[col] = s / a[col][col]
 	}
 	return x, nil
-}
-
-// Entries returns the sorted (i, j, v) triplets. It reads the frozen
-// CSR image (rebuilding it if stale), so repeated calls re-sort
-// nothing.
-func (a *Sparse) Entries() [][3]float64 {
-	f := a.Freeze()
-	out := make([][3]float64, 0, len(f.Val))
-	for i := 0; i < f.N; i++ {
-		for k := f.RowPtr[i]; k < f.RowPtr[i+1]; k++ {
-			out = append(out, [3]float64{float64(i), float64(f.ColIdx[k]), f.Val[k]})
-		}
-	}
-	return out
 }

@@ -26,7 +26,7 @@ func laplacian1D(n int) (*Sparse, []float64) {
 }
 
 func residual(a *Sparse, x, b []float64) float64 {
-	r := a.MatVec(x)
+	r := matVec(a, x)
 	worst := 0.0
 	for i := range r {
 		if d := math.Abs(r[i] - b[i]); d > worst {
@@ -225,7 +225,7 @@ func TestSparseEntriesAndNNZ(t *testing.T) {
 	if a.At(0, 1) != 5 {
 		t.Errorf("At(0,1) = %v", a.At(0, 1))
 	}
-	ents := a.Entries()
+	ents := entries(a)
 	if len(ents) != 2 || ents[0] != [3]float64{0, 1, 5} {
 		t.Errorf("Entries = %v", ents)
 	}
@@ -281,10 +281,30 @@ func TestSolversBitDeterministic(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
-	before := a.MatVec(x)
+	before := matVec(a, x)
 	a.Add(0, a.N-1, 2)
-	after := a.MatVec(x)
+	after := matVec(a, x)
 	if want := before[0] + 2*x[a.N-1]; after[0] != want {
 		t.Fatalf("MatVec after Add: got %v, want %v", after[0], want)
 	}
+}
+
+// matVec returns A·x in a new slice.
+func matVec(a *Sparse, x []float64) []float64 {
+	y := make([]float64, a.N)
+	a.MatVecInto(y, x)
+	return y
+}
+
+// entries returns the matrix's (i, j, v) triplets in row-major,
+// ascending-column order, read from its frozen CSR image.
+func entries(a *Sparse) [][3]float64 {
+	f := a.Freeze()
+	out := make([][3]float64, 0, len(f.Val))
+	for i := 0; i < f.N; i++ {
+		for k := f.RowPtr[i]; k < f.RowPtr[i+1]; k++ {
+			out = append(out, [3]float64{float64(i), float64(f.ColIdx[k]), f.Val[k]})
+		}
+	}
+	return out
 }

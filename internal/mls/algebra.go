@@ -5,11 +5,7 @@
 // all over the netlist.Network representation.
 package mls
 
-import (
-	"slices"
-
-	"vlsicad/internal/cube"
-)
+import "slices"
 
 // ALit is an algebraic literal: variable v in positive phase encodes
 // as 2v, complemented as 2v+1. The algebraic model treats x and x' as
@@ -28,49 +24,6 @@ type ACube []ALit
 
 // ACover is a sum of algebraic cubes.
 type ACover []ACube
-
-// FromCover converts a PCN cover into algebraic form.
-func FromCover(f *cube.Cover) ACover {
-	out := make(ACover, 0, len(f.Cubes))
-	for _, c := range f.Cubes {
-		var ac ACube
-		for v, l := range c {
-			switch l {
-			case cube.Pos:
-				ac = append(ac, ALit(2*v))
-			case cube.Neg:
-				ac = append(ac, ALit(2*v+1))
-			}
-		}
-		out = append(out, ac)
-	}
-	return out
-}
-
-// ToCover converts back to a PCN cover over n variables.
-func (f ACover) ToCover(n int) *cube.Cover {
-	out := cube.NewCover(n)
-	for _, ac := range f {
-		c := cube.NewCube(n)
-		ok := true
-		for _, l := range ac {
-			v := l.AVar()
-			want := cube.Pos
-			if l.Neg() {
-				want = cube.Neg
-			}
-			if c[v] != cube.DC && c[v] != want {
-				ok = false // x·x' in one cube: algebraically void
-				break
-			}
-			c[v] = want
-		}
-		if ok {
-			out.Add(c)
-		}
-	}
-	return out
-}
 
 // Lits counts total literals.
 func (f ACover) Lits() int {
@@ -143,18 +96,10 @@ func cubeProduct(a, b ACube) ACube {
 	return out
 }
 
-// Divide performs weak (algebraic) division F / D, returning quotient
-// and remainder with F = Q·D + R and Q maximal.
-func Divide(f, d ACover) (q, r ACover) {
-	if len(d) == 0 {
-		return nil, f.Clone()
-	}
-	return divide(f.Clone().normalize(), d.Clone().normalize())
-}
-
-// divide is Divide for normalized f and d, which it neither copies nor
-// modifies. When there is no quotient the remainder is f itself;
-// otherwise its cubes are fresh.
+// divide performs weak (algebraic) division F / D for normalized f
+// and d, returning quotient and remainder with F = Q·D + R and Q
+// maximal. It neither copies nor modifies f and d. When there is no
+// quotient the remainder is f itself; otherwise its cubes are fresh.
 func divide(f, d ACover) (q, r ACover) {
 	// Quotient = intersection over d's cubes of per-cube quotients.
 	var qSet ACover

@@ -100,7 +100,7 @@ func refExtractKernels(nw *netlist.Network, prefix string, maxIter int) int {
 			saved := -k.Lits()
 			for _, name := range names {
 				ac := st.nodeACover(nw.Nodes[name])
-				q, r := Divide(ac, k)
+				q, r := divide(ac, k)
 				if len(q) == 0 {
 					continue
 				}
@@ -124,7 +124,7 @@ func refExtractKernels(nw *netlist.Network, prefix string, maxIter int) int {
 		tLit := st.lit(newName, false)
 		for _, name := range names {
 			ac := st.nodeACover(nw.Nodes[name])
-			q, r := Divide(ac, best.k)
+			q, r := divide(ac, best.k)
 			if len(q) == 0 {
 				continue
 			}
@@ -175,7 +175,7 @@ func refResubstitute(nw *netlist.Network) int {
 				if len(g) == 0 || g.Lits() == 0 {
 					continue
 				}
-				q, r := Divide(f, g)
+				q, r := divide(f, g)
 				if len(q) == 0 {
 					continue
 				}

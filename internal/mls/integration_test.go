@@ -48,14 +48,6 @@ func TestRandomNetworksSurviveSynthesisPipeline(t *testing.T) {
 			if !eqS {
 				t.Fatalf("SAT equivalence lost (witness %v)", witness)
 			}
-			// Fast probabilistic check agrees too.
-			ok, _, err := netlist.ProbablyEquivalent(orig, nw, 64, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatal("random simulation disagrees with formal result")
-			}
 		})
 	}
 }

@@ -31,6 +31,24 @@ type Assignment struct {
 	Questions []Question
 }
 
+// questionKind generates question q of a week's assignment from the
+// assignment's random stream.
+type questionKind func(week, q int, rng *rand.Rand) Question
+
+// urpMix is the unate-recursive-paradigm rotation of Week 1.
+var urpMix = []questionKind{tautologyQuestion, cofactorQuestion, satcountQuestion}
+
+// weekMix is each week's question mix: question q of week w is
+// mix[(w+q) % len(mix)], and weeks not listed ask urpMix. Week 10 is
+// the final exam — "essentially a larger homework" per the paper —
+// mixing question types from every week.
+var weekMix = map[int][]questionKind{
+	2:  {bddNodeCountQuestion, satVerdictQuestion},
+	6:  {placementQuestion, routingQuestion},
+	7:  {placementQuestion, routingQuestion},
+	10: {tautologyQuestion, bddNodeCountQuestion, satVerdictQuestion, placementQuestion, routingQuestion},
+}
+
 // GenerateHomework builds the week's assignment for a user. The
 // (week, user) pair seeds the variant choice, so every participant
 // gets a stable but individual problem set — the paper's "aggressive
@@ -41,16 +59,13 @@ func GenerateHomework(week int, user string, questionsPerSet int) Assignment {
 		seed = seed*131 + int64(r)
 	}
 	rng := rand.New(rand.NewSource(seed))
+	mix, ok := weekMix[week]
+	if !ok {
+		mix = urpMix
+	}
 	a := Assignment{Week: week, User: user}
 	for q := 0; q < questionsPerSet; q++ {
-		switch (week + q) % 3 {
-		case 0:
-			a.Questions = append(a.Questions, tautologyQuestion(week, q, rng))
-		case 1:
-			a.Questions = append(a.Questions, cofactorQuestion(week, q, rng))
-		default:
-			a.Questions = append(a.Questions, satcountQuestion(week, q, rng))
-		}
+		a.Questions = append(a.Questions, mix[(week+q)%len(mix)](week, q, rng))
 	}
 	return a
 }

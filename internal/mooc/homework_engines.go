@@ -9,10 +9,10 @@ import (
 	"vlsicad/internal/sat"
 )
 
-// Engine-backed homework generators: Week-2 questions whose reference
-// answers come from running the course's own BDD and SAT engines —
-// the paper's point that rigorous machine-graded problems require the
-// real tools behind the grader.
+// Engine-backed Week-2 questions whose reference answers come from
+// running the course's own BDD and SAT engines — the paper's point
+// that rigorous machine-graded problems require the real tools behind
+// the grader.
 
 // bddNodeCountQuestion asks for the ROBDD size of a random expression
 // under the natural variable order.
@@ -115,23 +115,4 @@ func varList(n int) string {
 		vs = append(vs, fmt.Sprintf("x%d", i))
 	}
 	return strings.Join(vs, ", ")
-}
-
-// GenerateWeek2Homework builds a Week-2 assignment mixing BDD and SAT
-// questions (individualized per user, like GenerateHomework).
-func GenerateWeek2Homework(user string, questions int) Assignment {
-	seed := int64(2_000_003)
-	for _, r := range user {
-		seed = seed*131 + int64(r)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	a := Assignment{Week: 2, User: user}
-	for q := 0; q < questions; q++ {
-		if q%2 == 0 {
-			a.Questions = append(a.Questions, bddNodeCountQuestion(2, q, rng))
-		} else {
-			a.Questions = append(a.Questions, satVerdictQuestion(2, q, rng))
-		}
-	}
-	return a
 }

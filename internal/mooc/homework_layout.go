@@ -87,49 +87,3 @@ func routingQuestion(week, q int, rng *rand.Rand) Question {
 		Answer: ans,
 	}
 }
-
-// GenerateFinalExam builds the end-of-course exam — "essentially a
-// larger homework" per the paper — mixing question types from every
-// week, individualized per user.
-func GenerateFinalExam(user string, questions int) Assignment {
-	seed := int64(99_000_077)
-	for _, r := range user {
-		seed = seed*131 + int64(r)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	a := Assignment{Week: 10, User: user}
-	for q := 0; q < questions; q++ {
-		switch q % 5 {
-		case 0:
-			a.Questions = append(a.Questions, tautologyQuestion(10, q, rng))
-		case 1:
-			a.Questions = append(a.Questions, bddNodeCountQuestion(10, q, rng))
-		case 2:
-			a.Questions = append(a.Questions, satVerdictQuestion(10, q, rng))
-		case 3:
-			a.Questions = append(a.Questions, placementQuestion(10, q, rng))
-		default:
-			a.Questions = append(a.Questions, routingQuestion(10, q, rng))
-		}
-	}
-	return a
-}
-
-// GenerateLayoutHomework builds a Week-6/7 assignment mixing the
-// placement and routing questions (individualized per user).
-func GenerateLayoutHomework(week int, user string, questions int) Assignment {
-	seed := int64(week) * 6_000_011
-	for _, r := range user {
-		seed = seed*131 + int64(r)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	a := Assignment{Week: week, User: user}
-	for q := 0; q < questions; q++ {
-		if q%2 == 0 {
-			a.Questions = append(a.Questions, placementQuestion(week, q, rng))
-		} else {
-			a.Questions = append(a.Questions, routingQuestion(week, q, rng))
-		}
-	}
-	return a
-}

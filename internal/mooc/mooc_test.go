@@ -238,7 +238,7 @@ func TestHomeworkRandomization(t *testing.T) {
 }
 
 func TestHomeworkSelfGrades(t *testing.T) {
-	for week := 1; week <= 8; week++ {
+	for week := 1; week <= 10; week++ {
 		a := GenerateHomework(week, "carol", 6)
 		answers := make([]string, len(a.Questions))
 		for i, q := range a.Questions {
@@ -247,9 +247,10 @@ func TestHomeworkSelfGrades(t *testing.T) {
 		if got := GradeAssignment(a, answers); got != len(a.Questions) {
 			t.Errorf("week %d: reference answers scored %d/%d", week, got, len(a.Questions))
 		}
-		// Wrong answers score 0.
+		// Wrong answers score 0: "wrong" is what SimulateGrading submits
+		// for a missed question.
 		for i := range answers {
-			answers[i] = "999999x"
+			answers[i] = "wrong"
 		}
 		if got := GradeAssignment(a, answers); got != 0 {
 			t.Errorf("week %d: garbage scored %d", week, got)

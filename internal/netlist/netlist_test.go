@@ -297,33 +297,6 @@ func TestEquivalentBDDNodeNameCollision(t *testing.T) {
 	}
 }
 
-func TestProbablyEquivalent(t *testing.T) {
-	nw := parseBLIF(t, fullAdderBLIF)
-	same := nw.Clone()
-	ok, _, err := ProbablyEquivalent(nw, same, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("identical networks should pass random simulation")
-	}
-	broken := nw.Clone()
-	broken.Nodes["cout"].Cover = broken.Nodes["cout"].Cover.Complement()
-	ok, vec, err := ProbablyEquivalent(nw, broken, 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("complemented cout should be caught by random vectors")
-	}
-	// The returned vector must actually distinguish.
-	va, _ := nw.Eval(vec)
-	vb, _ := broken.Eval(vec)
-	if va["cout"] == vb["cout"] && va["sum"] == vb["sum"] {
-		t.Errorf("vector %v does not distinguish", vec)
-	}
-}
-
 func TestInterfaceMismatch(t *testing.T) {
 	a := parseBLIF(t, fullAdderBLIF)
 	b := parseBLIF(t, ".model m\n.inputs x\n.outputs f\n.names x f\n1 1\n.end")

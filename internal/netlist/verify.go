@@ -70,7 +70,7 @@ func (nw *Network) LowerBDD(m *bdd.Manager, sig map[string]bdd.Node) error {
 // identical input/output name sets by canonical BDD comparison: b is
 // built in a's manager over a's input variables.
 func EquivalentBDD(a, b *Network) (bool, error) {
-	if err := sameInterface(a, b); err != nil {
+	if err := SameInterface(a, b); err != nil {
 		return false, err
 	}
 	m, outsA, vars, err := a.BuildBDDs()
@@ -152,7 +152,7 @@ func (nw *Network) lowerCNF(e *sat.Enc, sig map[string]sat.Lit) error {
 // shared-input miter and a CDCL solve. When the networks differ it
 // also returns a distinguishing input assignment.
 func EquivalentSAT(a, b *Network) (bool, map[string]bool, error) {
-	if err := sameInterface(a, b); err != nil {
+	if err := SameInterface(a, b); err != nil {
 		return false, nil, err
 	}
 	e := sat.NewEnc()
@@ -206,7 +206,9 @@ func outputsOf[T any](nw *Network, sig map[string]T) (map[string]T, error) {
 	return outs, nil
 }
 
-func sameInterface(a, b *Network) error {
+// SameInterface returns an error unless a and b have the same primary
+// input names and the same primary output names, in any order.
+func SameInterface(a, b *Network) error {
 	if len(a.Inputs) != len(b.Inputs) || len(a.Outputs) != len(b.Outputs) {
 		return fmt.Errorf("netlist: interface mismatch: %d/%d inputs, %d/%d outputs",
 			len(a.Inputs), len(b.Inputs), len(a.Outputs), len(b.Outputs))

@@ -213,7 +213,9 @@ type FakeClock struct {
 	step time.Duration
 }
 
-// NewFakeClock starts at start, advancing by step per Now() call.
+// NewFakeClock starts at start, advancing by step per Now() call. No
+// program uses it: it is the fake clock that the tests of several
+// packages share, so their telemetry snapshots are reproducible.
 func NewFakeClock(start time.Time, step time.Duration) *FakeClock {
 	return &FakeClock{t: start, step: step}
 }
@@ -227,7 +229,8 @@ func (c *FakeClock) Now() time.Time {
 	return now
 }
 
-// Advance moves the clock forward by d without a tick.
+// Advance moves the clock forward by d without a tick. Tests use it
+// to step past cooldowns and deadlines.
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

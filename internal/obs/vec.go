@@ -239,7 +239,8 @@ func (s RegistrySnapshot) CounterSeries(name string, labels map[string]string) (
 }
 
 // GaugeSeries looks one series of a gauge family out of the snapshot
-// by its labels (0, false when absent).
+// by its labels (0, false when absent). No program uses it: it is the
+// snapshot reader that the tests of several packages share.
 func (s RegistrySnapshot) GaugeSeries(name string, labels map[string]string) (float64, bool) {
 	want := LabelString(labels)
 	for _, sr := range s.GaugeVecs[name] {
@@ -251,7 +252,9 @@ func (s RegistrySnapshot) GaugeSeries(name string, labels map[string]string) (fl
 }
 
 // HistogramSeries looks one series of a histogram family out of the
-// snapshot by its labels (zero snapshot, false when absent).
+// snapshot by its labels (zero snapshot, false when absent). No
+// program uses it: it is the snapshot reader that the tests of several
+// packages share.
 func (s RegistrySnapshot) HistogramSeries(name string, labels map[string]string) (HistogramSnapshot, bool) {
 	want := LabelString(labels)
 	for _, sr := range s.HistogramVecs[name] {

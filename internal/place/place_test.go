@@ -95,7 +95,9 @@ func TestQuadraticChainMonotone(t *testing.T) {
 	p := tinyProblem(5)
 	pl := NewPlacement(5)
 	cells := []int{0, 1, 2, 3, 4}
-	if err := solveQuadratic(p, pl, cells, rect{0, 0, p.W, p.H}, 1e-10); err != nil {
+	sc := acquireQuadScratch(p.NCells)
+	defer quadScratchPool.Put(sc)
+	if _, err := sc.solve(p, pl, cells, rect{0, 0, p.W, p.H}, 1e-10, pl.X, pl.Y); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i+1 < 5; i++ {

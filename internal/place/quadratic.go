@@ -418,17 +418,6 @@ func (sc *quadScratch) solve(p *Problem, pl *Placement, cells []int, region rect
 	return resX.Iterations + resY.Iterations, nil
 }
 
-// solveQuadratic solves a single region in place, anchoring external
-// connections at the current pl coordinates — the one-shot form the
-// tests drive directly; Quadratic itself batches solves per level over
-// snapshots.
-func solveQuadratic(p *Problem, pl *Placement, cells []int, region rect, tol float64) error {
-	sc := acquireQuadScratch(p.NCells)
-	defer quadScratchPool.Put(sc)
-	_, err := sc.solve(p, pl, cells, region, tol, pl.X, pl.Y)
-	return err
-}
-
 // spreadInRegion distributes the cells of a leaf region on a uniform
 // grid, preserving the solved relative order (rows bottom-up by y,
 // cells within a row left-to-right by x; all ties break to the lower

@@ -221,7 +221,10 @@ func TestChaosSeedReproduces(t *testing.T) {
 func TestChaosBreakerRecovery(t *testing.T) {
 	clk := obs.NewFakeClock(time.Unix(9000, 0).UTC(), 0)
 	ob := obs.NewObserver(clk.Now)
-	inj := fault.Script(echoTool{}, fault.Transient)
+	// Four transient failures, then the fault clears: every later call
+	// in this test runs clean.
+	storm := []fault.Class{fault.Transient, fault.Transient, fault.Transient, fault.Transient}
+	inj := fault.Script(echoTool{}, append(storm, make([]fault.Class, 4)...)...)
 	p := portal.NewPool(portal.PoolConfig{
 		Workers:  1,
 		Retry:    portal.RetryPolicy{MaxAttempts: 1},
@@ -253,7 +256,6 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	}
 
 	// Fault clears; before cooldown the breaker still sheds.
-	inj.Clear()
 	if _, err := p.Submit("u", "echo", "x"); !errors.Is(err, portal.ErrCircuitOpen) {
 		t.Fatalf("pre-cooldown error = %v", err)
 	}

@@ -219,11 +219,3 @@ func (fq *fairQueue) closeQueue() {
 	fq.closed = true
 	fq.cond.Broadcast()
 }
-
-// queued reports the number of queued tickets (terminal-but-unpopped
-// tickets included, since they still hold queue slots).
-func (fq *fairQueue) queued() int {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
-	return fq.size
-}

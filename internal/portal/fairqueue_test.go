@@ -103,8 +103,8 @@ func TestFairQueueCaps(t *testing.T) {
 	if err := fq.push(fqTicket("d", "1")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("full-queue push err = %v", err)
 	}
-	if fq.queued() != 4 {
-		t.Fatalf("queued = %d, want 4", fq.queued())
+	if fq.size != 4 {
+		t.Fatalf("queued = %d, want 4", fq.size)
 	}
 }
 

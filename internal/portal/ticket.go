@@ -82,9 +82,6 @@ type Ticket struct {
 	quitErr error
 }
 
-// User returns the submitting user.
-func (tk *Ticket) User() string { return tk.user }
-
 // Tool returns the tool name the ticket runs.
 func (tk *Ticket) Tool() string { return tk.tool }
 

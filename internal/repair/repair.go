@@ -45,8 +45,8 @@ func Repair(impl, spec *netlist.Network, suspect string) (*Result, error) {
 	if k > MaxFanins {
 		return nil, fmt.Errorf("repair: node %q has %d fanins (max %d)", suspect, k, MaxFanins)
 	}
-	if len(impl.Inputs) != len(spec.Inputs) {
-		return nil, fmt.Errorf("repair: input counts differ")
+	if err := netlist.SameInterface(impl, spec); err != nil {
+		return nil, fmt.Errorf("repair: %w", err)
 	}
 
 	// Manager over the primary inputs plus one extra variable t that

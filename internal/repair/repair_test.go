@@ -186,6 +186,29 @@ func TestRepairErrors(t *testing.T) {
 	}
 }
 
+func TestRepairInterfaceMismatch(t *testing.T) {
+	spec := parse(t, `
+.model spec
+.inputs p q
+.outputs z
+.names p q z
+11 1
+.end
+`)
+	impl := parse(t, `
+.model impl
+.inputs a b
+.outputs z
+.names a b z
+10 1
+.end
+`)
+	_, err := Repair(impl, spec, "z")
+	if err == nil || !strings.Contains(err.Error(), "input sets differ") {
+		t.Fatalf("Repair over inputs a b against a spec over p q: err = %v, want an interface error", err)
+	}
+}
+
 func TestRepairNoopWhenAlreadyCorrect(t *testing.T) {
 	spec := parse(t, specBLIF)
 	impl := spec.Clone()

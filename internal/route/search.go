@@ -13,8 +13,6 @@ import (
 // no clearing), and recycled through a sync.Pool, so steady-state
 // routing allocates almost nothing per net beyond the returned Path.
 
-const inf = int(^uint(0) >> 1)
-
 // pqItem is one frontier entry: a flat cell index plus g-cost and
 // heap priority (g + heuristic).
 type pqItem struct {

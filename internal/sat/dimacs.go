@@ -80,16 +80,3 @@ func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 	}
 	return s, nvars, nil
 }
-
-// WriteDIMACS writes a clause list in DIMACS format.
-func WriteDIMACS(w io.Writer, nvars int, clauses [][]Lit) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p cnf %d %d\n", nvars, len(clauses))
-	for _, c := range clauses {
-		for _, l := range c {
-			fmt.Fprintf(bw, "%s ", l)
-		}
-		fmt.Fprintln(bw, "0")
-	}
-	return bw.Flush()
-}

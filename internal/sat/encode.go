@@ -77,14 +77,6 @@ func (e *Enc) OrN(ls ...Lit) Lit {
 	return z
 }
 
-// Mux returns sel ? hi : lo.
-func (e *Enc) Mux(sel, hi, lo Lit) Lit {
-	return e.Or(e.And(sel, hi), e.And(sel.Neg(), lo))
-}
-
-// Equiv returns a literal z with z ≡ (a ≡ b).
-func (e *Enc) Equiv(a, b Lit) Lit { return e.Xor(a, b).Neg() }
-
 // Miter asserts that at least one output pair differs: the standard
 // equivalence-checking construction. After calling Miter, Solve
 // returns Unsat iff the two output vectors are equivalent.

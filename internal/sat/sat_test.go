@@ -234,14 +234,6 @@ p cnf 3 4
 	if s.Solve() != Unsat {
 		t.Error("instance should be UNSAT")
 	}
-	var out strings.Builder
-	if err := WriteDIMACS(&out, 2, [][]Lit{{PosLit(0), NegLit(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	want := "p cnf 2 1\n1 -2 0\n"
-	if out.String() != want {
-		t.Errorf("WriteDIMACS = %q, want %q", out.String(), want)
-	}
 }
 
 func TestDIMACSErrors(t *testing.T) {
@@ -289,8 +281,6 @@ func TestTseitinGates(t *testing.T) {
 	check("and", func(e *Enc, a, b Lit) Lit { return e.And(a, b) }, [4]bool{false, false, false, true})
 	check("or", func(e *Enc, a, b Lit) Lit { return e.Or(a, b) }, [4]bool{false, true, true, true})
 	check("xor", func(e *Enc, a, b Lit) Lit { return e.Xor(a, b) }, [4]bool{false, true, true, false})
-	check("equiv", func(e *Enc, a, b Lit) Lit { return e.Equiv(a, b) }, [4]bool{true, false, false, true})
-	check("mux-lo", func(e *Enc, a, b Lit) Lit { return e.Mux(e.Const(false), a, b) }, [4]bool{false, false, true, true})
 }
 
 func TestMiterEquivalence(t *testing.T) {

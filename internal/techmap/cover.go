@@ -290,72 +290,6 @@ func mappedDelay(s *Subject, lib []Gate, sc *mapScratch) float64 {
 	return worst
 }
 
-// EvalMapping simulates the mapped gates on one input assignment and
-// returns each root's value — used to verify that mapping preserved
-// the function.
-func EvalMapping(s *Subject, res *Result, inputs map[string]bool) map[string]bool {
-	// The match set covers exactly the subject nodes; gate semantics
-	// equal subject semantics by construction, so simulating the
-	// subject graph suffices — but we simulate gate-by-gate to test
-	// the cover itself.
-	gateOf := map[int]Match{}
-	for _, mt := range res.Matches {
-		gateOf[mt.Root] = mt
-	}
-	memo := map[int]bool{}
-	var val func(id int) bool
-	val = func(id int) bool {
-		n := s.Nodes[id]
-		if n.Kind == KInput {
-			return leafValue(n.Name, inputs)
-		}
-		if v, ok := memo[id]; ok {
-			return v
-		}
-		mt, ok := gateOf[id]
-		if !ok {
-			// Node interior to some gate: fall back to subject logic.
-			switch n.Kind {
-			case KInv:
-				return !val(n.A)
-			default:
-				return !(val(n.A) && val(n.B))
-			}
-		}
-		// Evaluate the gate's pattern over its leaf values.
-		var g *Gate
-		lib := StandardLibrary()
-		for i := range lib {
-			if lib[i].Name == mt.Gate {
-				g = &lib[i]
-				break
-			}
-		}
-		if g == nil {
-			lib = MinimalLibrary()
-			for i := range lib {
-				if lib[i].Name == mt.Gate {
-					g = &lib[i]
-					break
-				}
-			}
-		}
-		leafVals := make([]bool, len(mt.Leaves))
-		for i, leaf := range mt.Leaves {
-			leafVals[i] = val(leaf)
-		}
-		idx := 0
-		v := evalPattern(g.Pat, leafVals, &idx)
-		memo[id] = v
-		return v
-	}
-	out := map[string]bool{}
-	for name, r := range s.Roots {
-		out[name] = val(r)
-	}
-	return out
-}
-
 func evalPattern(p *Pattern, leaves []bool, idx *int) bool {
 	switch p.Kind {
 	case KInput:

@@ -69,13 +69,3 @@ func StandardLibrary() []Gate {
 		{Name: "AOI22", Area: 4, Delay: 1.8, Pat: aoi22},
 	}
 }
-
-// MinimalLibrary returns just INV and NAND2 — the baseline against
-// which richer libraries are compared in the course's mapping
-// examples.
-func MinimalLibrary() []Gate {
-	return []Gate{
-		{Name: "INV", Area: 1, Delay: 1, Pat: pinv(pin())},
-		{Name: "NAND2", Area: 2, Delay: 1, Pat: pnand(pin(), pin())},
-	}
-}

@@ -35,18 +35,6 @@ func DefaultSpec() []DomainSpec {
 	}
 }
 
-// Generate produces every instance of a corpus with the given master
-// seed, in deterministic (domain, index) order.
-func Generate(master uint64, spec []DomainSpec) []Instance {
-	var out []Instance
-	for _, d := range spec {
-		for i := 0; i < d.Count; i++ {
-			out = append(out, d.Gen(DeriveSeed(master, d.Name, i)))
-		}
-	}
-	return out
-}
-
 // CorpusMasterSeed is the master seed of the shipped golden corpus
 // (testdata/xcheck at the repository root). cmd/xcheckgen regenerates
 // the corpus from it; changing it requires regenerating the corpus.
