@@ -7,6 +7,7 @@ package vlsicad
 // -v for the full series.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -251,4 +252,43 @@ func BenchmarkFullFlow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRouteFlowQuadratic routes the stub nets of the 12 fixed
+// seed-1 designs of moocbench's flow-quadratic workload (quadratic
+// placement, the designs' first and last pins), with the flow's router
+// options. The placements are made once; every iteration routes all
+// 12 on fresh grids. About one net in twelve fails on these
+// placements, and the instances keep those failures whatever the
+// flow's placement becomes.
+func BenchmarkRouteFlowQuadratic(b *testing.B) {
+	const seed = 1
+	type instance struct {
+		g    *route.Grid
+		nets []route.Net
+	}
+	var insts []instance
+	for i := 0; i < 12; i++ {
+		nw := bench.Network(bench.NetworkSpec{Name: fmt.Sprintf("design-%d", i), Inputs: 16,
+			Nodes: []int{40, 50, 60}[i%3], Outputs: 8}, seed*1_000_003+int64(i))
+		f, err := RunFlowOnNetwork(nw, FlowOpts{Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, nets := routingFromPlacement(f.PlaceProblem, f.Placement)
+		insts = append(insts, instance{g, nets})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var expanded, failed int
+	for i := 0; i < b.N; i++ {
+		expanded, failed = 0, 0
+		for _, in := range insts {
+			res := route.RouteAll(in.g.Clone(), in.nets, flowRouteOpts(seed))
+			expanded += res.Expanded
+			failed += len(res.Failed)
+		}
+	}
+	b.ReportMetric(float64(expanded), "expanded")
+	b.ReportMetric(float64(failed), "failed")
 }

@@ -47,7 +47,7 @@ func main() {
 	res := route.RouteAll(g, nets, route.Opts{
 		Alg: route.AStar, Order: route.OrderShortFirst, RipupRounds: 5, Seed: 7,
 	})
-	fmt.Printf("  %d/%d nets routed (%.1f%%), wirelength %d, vias %d, %d vertices expanded\n",
+	fmt.Printf("  %d/%d nets routed (%.1f%%), wirelength %d, vias %d, %d search pops\n",
 		len(res.Paths), len(nets), 100*float64(len(res.Paths))/float64(len(nets)),
 		res.Length, res.Vias, res.Expanded)
 

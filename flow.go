@@ -361,14 +361,14 @@ func (r *flowRun) placeCells(sp *obs.Span) error {
 // routeNets maze-routes the nets with targeted rip-up (Week 7).
 func (r *flowRun) routeNets(*obs.Span) error {
 	r.Grid, r.Nets = routingFromPlacement(r.PlaceProblem, r.Placement)
-	r.Routing = route.RouteAll(r.Grid, r.Nets, route.Opts{
-		Alg:         route.AStar,
-		Order:       route.OrderShortFirst,
-		RipupRounds: 5,
-		Seed:        r.Seed,
-	})
+	r.Routing = route.RouteAll(r.Grid, r.Nets, flowRouteOpts(r.Seed))
 	r.WireLength, r.Vias = r.Routing.Length, r.Routing.Vias
 	return nil
+}
+
+// flowRouteOpts are the router options of the flow's route stage.
+func flowRouteOpts(seed int64) route.Opts {
+	return route.Opts{Alg: route.AStar, Order: route.OrderShortFirst, RipupRounds: 5, Seed: seed}
 }
 
 // checkDRC runs design-rule checking on the routed wires. Pitch 6

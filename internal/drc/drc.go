@@ -33,9 +33,6 @@ func (r Rect) Width() int {
 	return r.X1 - r.X0
 }
 
-// Area returns the rectangle area.
-func (r Rect) Area() int { return (r.X1 - r.X0) * (r.Y1 - r.Y0) }
-
 // overlaps reports open-interval intersection in both axes.
 func (r Rect) overlaps(s Rect) bool {
 	return r.X0 < s.X1 && s.X0 < r.X1 && r.Y0 < s.Y1 && s.Y0 < r.Y1

@@ -85,9 +85,6 @@ type Ticket struct {
 // Tool returns the tool name the ticket runs.
 func (tk *Ticket) Tool() string { return tk.tool }
 
-// Input returns the submitted text.
-func (tk *Ticket) Input() string { return tk.input }
-
 // State reports the ticket's current lifecycle position.
 func (tk *Ticket) State() TicketState {
 	tk.mu.Lock()

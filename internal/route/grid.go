@@ -6,7 +6,10 @@
 // course's project spec. The project's nets have two pins; RouteAll
 // also takes k-pin nets, growing each as a tree: the A–B trunk, then
 // one multi-source search per further pin from every cell of the tree
-// so far. Rip-up works on whole trees.
+// so far. Rip-up works on whole trees. Beside each plain search's
+// wavefront a breadth-first flood grows out from the target, so a
+// search whose target is walled off gives up once the target's region
+// runs out instead of expanding all it can reach.
 package route
 
 import "fmt"

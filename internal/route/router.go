@@ -54,7 +54,9 @@ const (
 // RouteNet finds a minimum-cost path for one two-pin net on the
 // current grid (the net's own pins may be blocked by pin markers; they
 // are treated as usable). It returns the path, its cost, and the
-// number of grid vertices expanded. Search scratch comes from a
+// search's pops: the vertices A* expanded plus those of the flood
+// from B that ends the search early when B is walled off from A (see
+// routeNetState). Search scratch comes from a
 // process-wide pool, so repeated calls allocate little beyond the
 // returned path. A net with taps is an error: RouteAll routes those.
 func RouteNet(g *Grid, net Net, alg Algorithm) (Path, int, int, error) {
@@ -100,6 +102,8 @@ type Result struct {
 	Failed   []string
 	Length   int // wire segments over trunks and branches
 	Vias     int // layer changes over trunks and branches
+	// Expanded is the search work over every search of the run: A*
+	// expansions plus the pops of the plain searches' target floods.
 	Expanded int
 }
 

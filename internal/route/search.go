@@ -32,8 +32,10 @@ type searchState struct {
 	prev  []int32
 	seen  []uint32 // dist/prev valid iff seen[i] == epoch
 	fin   []uint32 // vertex finalized iff fin[i] == epoch
+	side  []uint32 // reached by the target's flood iff side[i] == epoch
 	epoch uint32
 	heap  []pqItem
+	sq    []int32 // the target's flood queue, FIFO
 	src   []Point // RouteAll's buffer for the sources of its next search
 }
 
@@ -57,6 +59,7 @@ func (st *searchState) resize(w, h int) {
 		st.prev = make([]int32, need)
 		st.seen = make([]uint32, need)
 		st.fin = make([]uint32, need)
+		st.side = make([]uint32, need)
 		st.epoch = 0
 		return
 	}
@@ -64,6 +67,7 @@ func (st *searchState) resize(w, h int) {
 	st.prev = st.prev[:cap(st.prev)]
 	st.seen = st.seen[:cap(st.seen)]
 	st.fin = st.fin[:cap(st.fin)]
+	st.side = st.side[:cap(st.side)]
 }
 
 // begin opens a fresh search: O(1) except once every 2^32 searches,
@@ -74,10 +78,12 @@ func (st *searchState) begin() {
 		for i := range st.seen {
 			st.seen[i] = 0
 			st.fin[i] = 0
+			st.side[i] = 0
 		}
 		st.epoch = 1
 	}
 	st.heap = st.heap[:0]
+	st.sq = st.sq[:0]
 }
 
 // The heap replicates container/heap's sift order exactly (so routes
@@ -139,6 +145,21 @@ func (st *searchState) hpop() pqItem {
 // the step cost, while obstacles and other pins stay impassable. The
 // penalty only raises step costs, so the Manhattan heuristic stays
 // admissible.
+//
+// The plain search (nil owner) stops early when no source can reach
+// the target. Beside the A* wavefront it floods breadth-first out from
+// the target over the cells the search may enter, one flood pop per A*
+// expansion. The flood stops as soon as it meets a cell A* has seen
+// (the regions touch, so A* will reach the target), and the search
+// gives up as soon as the flood's queue runs out first: the target's
+// region then holds no source and touches none. The flood never
+// touches A*'s heap, distances or predecessors, so every path found
+// and every give-up is the same as a search run to exhaustion; only
+// the work differs. The victim search does not flood: it may cross
+// wires, so only obstacles and pins bound its target's region, and
+// that region is almost never closed.
+//
+// The returned count is the work done: A* expansions plus flood pops.
 func routeNetState(g *Grid, name string, from []Point, to Point, alg Algorithm, st *searchState, owner []int32) (Path, int, int, error) {
 	if !g.In(to) {
 		return nil, 0, 0, fmt.Errorf("route: net %s pin off grid", name)
@@ -224,6 +245,26 @@ func routeNetState(g *Grid, name string, from []Point, to Point, alg Algorithm, 
 		}
 	}
 
+	// meet reports whether A* has seen q, which joins the target's
+	// region to a source's; otherwise it adds q to the flood if the
+	// search may enter it.
+	meet := func(q int32) bool {
+		if st.seen[q] == epoch {
+			return true
+		}
+		if st.side[q] != epoch && enter(q) >= 0 {
+			st.side[q] = epoch
+			st.sq = append(st.sq, q)
+		}
+		return false
+	}
+	flooding := owner == nil && st.seen[toIdx] != epoch
+	if flooding {
+		st.side[toIdx] = epoch
+		st.sq = append(st.sq, toIdx)
+	}
+	head := 0
+
 	expanded := 0
 	for len(st.heap) > 0 {
 		it := st.hpop()
@@ -246,6 +287,25 @@ func routeNetState(g *Grid, name string, from []Point, to Point, alg Algorithm, 
 				q = st.prev[q]
 			}
 			return path, it.cost, expanded, nil
+		}
+		if flooding {
+			q := st.sq[head]
+			head++
+			expanded++
+			l := int(q) / plane
+			yx := int(q) % plane
+			y, x := yx/w, yx%w
+			joined := x+1 < w && meet(q+1) ||
+				x > 0 && meet(q-1) ||
+				y+1 < h && meet(q+int32(w)) ||
+				y > 0 && meet(q-int32(w)) ||
+				l == 0 && meet(q+int32(plane)) ||
+				l == 1 && meet(q-int32(plane))
+			if joined {
+				flooding = false
+			} else if head == len(st.sq) {
+				break
+			}
 		}
 		l := int(it.idx) / plane
 		yx := int(it.idx) % plane

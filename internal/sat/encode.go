@@ -28,9 +28,6 @@ func (e *Enc) Const(v bool) Lit {
 	return l
 }
 
-// Not returns the complement (free in Tseitin encoding).
-func (e *Enc) Not(a Lit) Lit { return a.Neg() }
-
 // And returns a literal z with z ≡ a·b.
 func (e *Enc) And(a, b Lit) Lit {
 	z := PosLit(e.S.NewVar())
